@@ -40,9 +40,9 @@ Two further workloads exercise the rest of the kernel family:
   draw-per-trial ``security_montecarlo`` loop, plus a fused
   figure-6-shaped (c, K) sweep pair sharing one trial block. A second
   set of arms (``security-backend-<name>``) then re-scores the same
-  fused grid per kernel backend — numpy vs the preferred compiled
-  backend (and cupy when a GPU is present) — through the fused
-  ``smallest_k_mask`` + ``security_scores`` ops, with JIT/GPU warm-up
+  fused grid per kernel backend — numpy vs the embedded-C ``cc``
+  backend when a C compiler is present — through the fused
+  ``smallest_k_mask`` + ``security_scores`` ops, with compile warm-up
   outside the timer and result digests required to match bit-for-bit.
 * **parallel** — the zero-copy shared-memory path: one columnar window
   registered in a :class:`SharedBlockArena`, replayed through the batch
@@ -56,14 +56,13 @@ Two further workloads exercise the rest of the kernel family:
   one-shot kernel arm, which materialises an event window that *exceeds*
   that ceiling. Outcomes must be digest-identical; per-arm peak RSS is
   measured in forked children via ``resource.getrusage``.
-* **backend** — the numpy kernel backend vs the preferred compiled
-  backend (``numba`` when installed, else the embedded-C ``cc``
-  backend) sweeping the single-copy reference workload through
+* **backend** — the numpy kernel backend vs the embedded-C ``cc``
+  backend sweeping the single-copy reference workload through
   :class:`BatchKernel` over one pre-produced columnar window. The
   ``warmup()`` call covers *every* compiled op — delivery trajectories
-  and the security family alike — so first-call JIT compilation can
-  never pollute a timed arm of any mode; outcome digests must match
-  across arms.
+  and the security family alike — so first-call compilation can never
+  pollute a timed arm of any mode; outcome digests must match across
+  arms.
 
 Engine rows are split into ``generation_seconds`` (producing the event
 stream) and ``dispatch_seconds`` (everything else: sessions, dispatch,
@@ -518,29 +517,24 @@ def security_benchmark(n, group_size, onion_routers, trials, seed, repeat):
 
 
 def security_backend_benchmark(n, group_size, trials, seed, repeat):
-    """Per-backend arms of the fused security sweep: numpy vs compiled/GPU.
+    """Per-backend arms of the fused security sweep: numpy vs cc.
 
     One shared :class:`SecurityTrialBlock` (the figure-6-shaped grid's
     widest point) is scored through :class:`SecurityBatchKernel` once per
-    backend — ``numpy`` (reference), the preferred compiled backend
-    (``numba``/``cc``), and ``cupy`` when a GPU is actually present — so
-    the arms time exactly the fused ``smallest_k_mask`` +
+    backend — ``numpy`` (reference) and ``cc`` when a C compiler is
+    present — so the arms time exactly the fused ``smallest_k_mask`` +
     ``security_scores`` op chain over identical inputs. Each arm's
-    JIT/compile/device warm-up is paid by ``warmup()`` plus one throwaway
-    scoring pass *before* the timer; the per-arm result digest (sha256
-    over the concatenated traceable/anonymity arrays) must match the
-    numpy reference bit-for-bit. Returns
-    ``(rows, identity_checks, speedups)``.
+    compile warm-up is paid by ``warmup()`` plus one throwaway scoring
+    pass *before* the timer; the per-arm result digest (sha256 over the
+    concatenated traceable/anonymity arrays) must match the numpy
+    reference bit-for-bit. Wall, stats and digest all come from the
+    fastest attempt. Returns ``(rows, identity_checks, speedups)``.
     """
     from repro.adversary.kernel import (
         SecurityBatchKernel,
         sample_security_block,
     )
-    from repro.sim.backend import (
-        BACKENDS,
-        preferred_compiled_backend,
-        resolve_backend,
-    )
+    from repro.sim.backend import CcBackend, resolve_backend
 
     # The figure-6 grid shape: every onion-router count the paper sweeps
     # (K = 1 … 10) crossed with the config's compromise rates, scored
@@ -572,32 +566,25 @@ def security_backend_benchmark(n, group_size, trials, seed, repeat):
             digest.update(np.ascontiguousarray(anonymity).tobytes())
         return digest.hexdigest()
 
-    arm_names = ["numpy"]
-    compiled = preferred_compiled_backend()
-    if compiled is not None and compiled not in arm_names:
-        arm_names.append(compiled)
-    if BACKENDS["cupy"].available() and "cupy" not in arm_names:
-        arm_names.append("cupy")
+    compiled = "cc" if CcBackend.available() else None
+    arm_names = ["numpy"] + ([compiled] if compiled else [])
 
     rows = {}
     walls = {}
     digests = {}
     for name in arm_names:
-        # JIT/compile/device warm-up and one throwaway pass outside the
-        # timer, so the arms measure steady-state scoring only.
+        # Compile warm-up and one throwaway pass outside the timer, so
+        # the arms measure steady-state scoring only.
         resolve_backend(name).warmup()
         SecurityBatchKernel(block, model, backend=name).score(grid)
         best = None
-        stats = None
-        digest = None
-        for attempt in range(repeat):
+        for _ in range(repeat):
             kernel = SecurityBatchKernel(block, model, backend=name)
             start = time.perf_counter()
             scored = kernel.score(grid)
             wall = time.perf_counter() - start
             if best is None or wall < best:
                 best = wall
-            if attempt == 0:
                 digest = digest_of(scored)
                 stats = dict(kernel.stats)
         row_name = f"security-backend-{name}"
@@ -636,8 +623,8 @@ def security_backend_benchmark(n, group_size, trials, seed, repeat):
         ]
     else:
         rows["security-backend-numpy"]["note"] = (
-            "no compiled backend available in this environment (numba not "
-            "installed, no C compiler found); only the numpy arm was timed"
+            "no compiled backend available in this environment (no C "
+            "compiler found); only the numpy arm was timed"
         )
     return rows, identity_checks, speedups
 
@@ -662,15 +649,15 @@ def backend_benchmark(
     (``BACKEND_ONION_ROUTERS``/``BACKEND_SESSIONS``): deep K = 10 routes
     keep the sweep dominated by the backend's race computation rather
     than by the batch setup both arms share.
-    The compiled arm is whatever
-    :func:`~repro.sim.backend.preferred_compiled_backend` resolves to
-    (``numba`` when installed, else the embedded-C ``cc`` backend); its
-    JIT/compile cost is paid by an explicit ``warmup()`` plus one
-    throwaway run *before* the timer starts. Outcome digests must match
-    across arms. Returns ``(rows, identity_checks, speedups)``.
+    The compiled arm is the embedded-C ``cc`` backend when a C compiler
+    is present; its compile cost is paid by an explicit ``warmup()`` plus
+    one throwaway run *before* the timer starts. Each arm's wall, stats,
+    digest and delivered count come from its fastest attempt. Outcome
+    digests must match across arms. Returns
+    ``(rows, identity_checks, speedups)``.
     """
     from repro.core.single_copy import SingleCopySession
-    from repro.sim.backend import preferred_compiled_backend, resolve_backend
+    from repro.sim.backend import CcBackend, resolve_backend
     from repro.sim.kernel import BatchKernel
     from repro.sim.message import Message
 
@@ -691,13 +678,10 @@ def backend_benchmark(
         ]
 
     def run_arm(backend_name):
-        resolve_backend(backend_name).warmup()  # JIT/compile outside the timer
+        resolve_backend(backend_name).warmup()  # compile outside the timer
         BatchKernel(fresh_sessions(), backend=backend_name).run(block)
         best = None
-        digest = None
-        stats = None
-        delivered = None
-        for attempt in range(repeat):
+        for _ in range(repeat):
             batch = fresh_sessions()
             kernel = BatchKernel(batch, backend=backend_name)
             start = time.perf_counter()
@@ -705,7 +689,6 @@ def backend_benchmark(
             wall = time.perf_counter() - start
             if best is None or wall < best:
                 best = wall
-            if attempt == 0:
                 pairs = [(None, session.outcome()) for session in batch]
                 digest = _signature_digest(pairs)
                 stats = dict(kernel.stats)
@@ -713,7 +696,7 @@ def backend_benchmark(
         return best, digest, stats, delivered
 
     arms = [("numpy", "backend-numpy")]
-    compiled = preferred_compiled_backend()
+    compiled = "cc" if CcBackend.available() else None
     if compiled is not None:
         arms.append((compiled, f"backend-{compiled}"))
 
@@ -755,8 +738,8 @@ def backend_benchmark(
         ]
     else:
         rows["backend-numpy"]["note"] = (
-            "no compiled backend available in this environment (numba not "
-            "installed, no C compiler found); only the numpy arm was timed"
+            "no compiled backend available in this environment (no C "
+            "compiler found); only the numpy arm was timed"
         )
 
     if profile_path is not None:
@@ -1305,9 +1288,9 @@ def main(argv=None) -> int:
         "serial kernel path, 'stream' drains the streaming workload "
         "(million sessions, or the quick variant with --quick) under its "
         "memory ceiling against the one-shot kernel path, and 'backend' "
-        "times the numpy kernel backend against the preferred compiled "
-        "backend (numba or cc) on the single-copy reference sweep with "
-        "JIT warm-up excluded and outcome digests checked",
+        "times the numpy kernel backend against the compiled cc backend "
+        "on the single-copy reference sweep with compile warm-up "
+        "excluded and outcome digests checked",
     )
     parser.add_argument("--sessions", type=int, default=None)
     parser.add_argument("--workers", type=int, default=4)

@@ -260,18 +260,17 @@ Reading `BENCH_engine.json`:
   columns), and `parallel_worker_invariance` in `identity_checks`
   asserts outcomes are byte-identical across worker counts — the chunk
   layout is a pure function of the session count, not of the pool.
-* `results.backend-numpy` / `results.backend-<name>` — the single-copy
+* `results.backend-numpy` / `results.backend-cc` — the single-copy
   kernel sweep repeated per available compute backend (`numpy` always;
-  `numba` and the embedded-C `cc` backend when importable/compilable —
-  see ARCHITECTURE.md "Compiled backends") on a deeper K=10 route
-  workload where per-event kernel cost dominates. JIT warm-up runs
-  outside the timed region; `speedup_backend_vs_numpy` is the best
-  compiled arm's ratio on the kernel sweep wall, and
-  `identity_checks.backend` asserts every arm produced byte-identical
-  per-session outcome digests. The `compiled-backends` CI job installs
-  the `perf` extra so the numba arm is actually exercised, and
+  the embedded-C `cc` backend when a C compiler is present — see
+  ARCHITECTURE.md "Compiled backends") on a deeper K=10 route workload
+  where per-event kernel cost dominates. Compile warm-up runs outside
+  the timed region, and each arm's stats come from the same attempt as
+  its best wall; `speedup_backend_vs_numpy` is the cc arm's ratio on
+  the kernel sweep wall, and `identity_checks.backend` asserts both
+  arms produced byte-identical per-session outcome digests.
   `tests/test_kernel_backend.py` proves outcome identity, the
-  numba-missing → numpy fallback, and mid-run degradation.
+  compiler-missing → numpy fallback, and mid-run degradation.
 * `results.stream` — the streaming workload: 10^6 single-copy sessions
   over a 14400-minute horizon with deadline 720 (`--quick` shrinks it),
   drained window-by-window under `max_window_events` via
@@ -314,8 +313,8 @@ an instance; `--compromise-model` on the CLI), and fuse their whole
 `(c, K, L)` grid onto one shared trial block per group size. The same
 runners also thread a `backend=` selector (`--kernel-backend` on the
 CLI, `REPRO_KERNEL_BACKEND` in the environment) down to the kernels'
-compute backend — numpy by default, numba or the embedded-C backend
-when available, byte-identical outcomes either way.
+compute backend — numpy by default, the embedded-C `cc` backend when
+a C compiler is available, byte-identical outcomes either way.
 
 Numbers are machine-dependent: CI archives a `--quick` run plus
 reference-workload `--mode kernel --repeat 3`,

@@ -28,8 +28,8 @@ The kernel splits a Monte Carlo run into two phases:
   (the compromise-set selection behind every fixed-count strategy) and
   the fused ``security_scores`` pass (Eq. 1 run-length square sums and
   Eq. 20 exposure counts in one sweep over the trial rows) — so the
-  whole scoring chain runs compiled under the numba/cc backends and on
-  the GPU under cupy, byte-identical to the numpy reference. The
+  whole scoring chain runs compiled under the cc backend,
+  byte-identical to the numpy reference. The
   entropy ratio is a table lookup (the observed exposure only takes
   ``η + 1`` integer values, so
   :func:`~repro.analysis.anonymity.path_anonymity_exact` is evaluated
@@ -101,7 +101,7 @@ class SecurityTrialBlock:
         ``(trials,)`` endpoint node ids (uniform ordered pairs).
     ``copy_members``
         ``(trials, k_max, l_max)`` node ids: the member of hop ``k``'s
-        onion group that copy ``l`` traverses. Copies occupy distinct
+        onion group that copy ``l`` traverses. Copies hold distinct
         members while the group has enough, then wrap — the vectorized
         restatement of
         :func:`~repro.experiments.runners.sample_copy_paths`.

@@ -42,6 +42,7 @@ from repro.experiments import (
     figure_r2,
 )
 from repro.experiments.result import FigureResult
+from repro.sim.backend import BACKENDS, ENV_VAR, check_backend_name
 
 FigureKey = Union[int, str]
 
@@ -156,10 +157,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     figure.add_argument(
         "--kernel-backend",
-        choices=("numpy", "numba", "cc", "cupy"),
+        choices=tuple(BACKENDS),
         default=None,
         help="kernel compute backend (default: $REPRO_KERNEL_BACKEND or "
-        "numpy; compiled/GPU backends degrade to numpy when unavailable, "
+        "numpy; the compiled backend degrades to numpy when unavailable, "
         "outcomes are byte-identical either way; see `onion-dtn backends`)",
     )
     figure.add_argument("--markdown", action="store_true")
@@ -309,8 +310,6 @@ def _run_figure(args: argparse.Namespace) -> int:
         # Fail fast on a bad $REPRO_KERNEL_BACKEND instead of surfacing a
         # traceback from deep inside the sweep at resolve time.
         import os
-
-        from repro.sim.backend import ENV_VAR, check_backend_name
 
         env_backend = os.environ.get(ENV_VAR)
         if env_backend:
@@ -569,32 +568,18 @@ def _run_backends(args: argparse.Namespace) -> int:
     """
     import os
 
-    from repro.sim.backend import (
-        BACKENDS,
-        ENV_VAR,
-        preferred_compiled_backend,
-    )
-
     env_backend = os.environ.get(ENV_VAR)
-    preferred = preferred_compiled_backend()
     print("kernel backends (select with --kernel-backend or "
           f"${ENV_VAR}):")
     for name, cls in BACKENDS.items():
         if cls.available():
             status = "available"
-            marks = []
             if name == "numpy":
-                marks.append("default")
-            if name == preferred:
-                marks.append("preferred compiled")
-            if marks:
-                status += f" ({', '.join(marks)})"
+                status += " (default)"
         else:
             reason = cls.unavailable_reason() or "unavailable"
             status = f"unavailable — degrades to numpy: {reason}"
-        kind = "compiled" if cls.compiled else (
-            "gpu" if name == "cupy" else "reference"
-        )
+        kind = "compiled" if cls.compiled else "reference"
         print(f"  {name:<6} [{kind:>9}] {status}")
     if env_backend:
         print(f"${ENV_VAR}={env_backend} is set"

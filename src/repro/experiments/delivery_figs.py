@@ -50,8 +50,8 @@ def delivery_sweep_series(
     ``kernel`` follows the runner convention: the default ``None`` lets
     eligible fault-free single-copy *and* multi-copy batches run through
     the struct-of-arrays kernels, with byte-identical outcomes either way.
-    ``backend`` names the kernel compute backend (``"numpy"``, ``"numba"``,
-    ``"cc"``; see :mod:`repro.sim.backend`) — outcomes are byte-identical
+    ``backend`` names the kernel compute backend (``"numpy"`` or ``"cc"``;
+    see :mod:`repro.sim.backend`) — outcomes are byte-identical
     across backends, only the sweep speed changes.
     """
     generator = ensure_rng(rng)

@@ -846,7 +846,7 @@ def run_parallel_batch(
         When not ``None``, forwarded to ``batch_fn`` as its ``backend=``
         kernel-backend name (see :mod:`repro.sim.backend`). Backends are
         addressed by *name* so the knob pickles cleanly into worker
-        processes — each worker resolves (and JIT-warms or dlopens) its
+        processes — each worker resolves (and dlopens) its
         own backend instance.
     policy / report:
         Optional :class:`~repro.utils.resilience.RetryPolicy` and

@@ -207,8 +207,8 @@ def run_random_graph_batch(
     span and per-window event ceiling); they are forwarded to the engine
     and only bite under the streaming consume mode.
 
-    ``backend`` selects the kernel compute backend (``"numpy"``,
-    ``"numba"``, ``"cc"``; see :mod:`repro.sim.backend`) and is forwarded
+    ``backend`` selects the kernel compute backend (``"numpy"`` or
+    ``"cc"``; see :mod:`repro.sim.backend`) and is forwarded
     to the engine. Outcomes are byte-identical across backends.
     """
     consume = _resolve_consume(consume, kernel)
@@ -456,7 +456,7 @@ def sample_copy_paths(
 ) -> List[List[int]]:
     """Sample the member each copy traverses in every onion group.
 
-    Copies occupy *distinct* members of a group while enough members exist
+    Copies hold *distinct* members of a group while enough members exist
     (the protocol's ``Forward()`` predicate never places two live copies on
     one node); beyond that the assignment wraps around.
     """

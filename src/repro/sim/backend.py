@@ -12,33 +12,20 @@ backends:
 ``numpy`` (default)
     The vectorized searchsorted/reduceat implementation that has always
     powered the kernels, moved here verbatim. Always available.
-``numba``
-    ``@njit(cache=True)`` compilations of the same loops. An optional
-    extra (``pip install .[perf]``); selecting it without numba installed
-    degrades to numpy (with a fallback notification, see
-    :func:`resolve_backend`).
 ``cc``
     The same loops as a small C translation unit, compiled on first use
     by the system C compiler into a content-addressed cached shared
     library and driven through :mod:`ctypes`. Zero extra Python
     dependencies; available wherever ``cc``/``gcc`` is on ``PATH``.
-``cupy``
-    A GPU (CUDA) backend for the security Monte Carlo's embarrassingly
-    parallel trial blocks: the security ops ship trial rows to the
-    device in bounded chunks and compute there with CuPy's numpy-
-    compatible array operations; the sequential delivery-trajectory ops
-    delegate to numpy (a per-session event walk does not map onto the
-    GPU). Requires the ``cupy`` package *and* a visible CUDA device —
-    anything less degrades to numpy exactly like the other compiled
-    backends, so GPU-less machines and CI exercise the seam without
-    skipping logic.
+    Selecting it without a compiler degrades to numpy (with a fallback
+    notification, see :func:`resolve_backend`).
 
 Backends are *selected by name* — through the ``backend=`` knob threaded
 from the CLI/figure runners down to the kernels, or ambiently through the
 ``REPRO_KERNEL_BACKEND`` environment variable — and resolved to process-
 local singletons by :func:`resolve_backend`. Names (not backend objects)
 cross process boundaries, so parallel workers re-resolve and inherit the
-choice without pickling JIT state.
+choice without pickling compiled state.
 
 Equivalence contract: every backend computes *exactly* the same integer
 results from the same columns. The compiled single-copy op goes one step
@@ -70,12 +57,9 @@ __all__ = [
     "BACKENDS",
     "KernelBackend",
     "NumpyBackend",
-    "NumbaBackend",
     "CcBackend",
-    "CupyBackend",
     "available_backends",
     "check_backend_name",
-    "preferred_compiled_backend",
     "resolve_backend",
 ]
 
@@ -86,7 +70,7 @@ ENV_VAR = "REPRO_KERNEL_BACKEND"
 
 
 # ----------------------------------------------------------------------
-# the three inner loops, reference (numpy) implementations
+# the inner loops, reference (numpy) implementations
 # ----------------------------------------------------------------------
 
 
@@ -143,8 +127,8 @@ def _numpy_smallest_k_mask(priority: np.ndarray, count: int) -> np.ndarray:
 
     The selection rule every backend implements identically: a cell is
     selected iff its priority is ≤ the row's ``count``-th order statistic.
-    The kth order statistic is algorithm-independent, so a quickselect (C,
-    numba) and ``np.partition`` agree exactly; continuous priorities make
+    The kth order statistic is algorithm-independent, so the C quickselect
+    and ``np.partition`` agree exactly; continuous priorities make
     exact ties measure-zero, and a tie would merely over-select one node
     in one trial — identically on every backend.
     """
@@ -188,216 +172,8 @@ def _numpy_security_scores(
 
 
 # ----------------------------------------------------------------------
-# the same loops as portable scalar code — jitted by numba, mirrored in C
+# the same loops as scalar C, compiled by the cc backend
 # ----------------------------------------------------------------------
-
-
-def _single_trajectories_loop(
-    sorted_comp,
-    stride,
-    n_nodes,
-    n_events,
-    starts,
-    stops,
-    targets,
-    ev_a,
-    ev_b,
-    act,
-    holder,
-    hop_slot,
-    last_slot,
-    cursor,
-    expiry,
-    cap,
-    traj,
-    lens,
-    dones,
-):  # pragma: no cover - executed only under numba JIT
-    comp_len = sorted_comp.shape[0]
-    for i in range(act.shape[0]):
-        s = act[i]
-        h = holder[s]
-        slot = hop_slot[s]
-        cur = cursor[s]
-        e = expiry[s]
-        last = last_slot[s]
-        m = 0
-        done = 0
-        while True:
-            best = n_events
-            for j in range(starts[slot], stops[slot]):
-                t = targets[j]
-                lo = h if h < t else t
-                hi = t if t > h else h
-                key = lo * n_nodes + hi
-                pos = np.searchsorted(sorted_comp, key * stride + cur)
-                if pos < comp_len:
-                    found = sorted_comp[pos]
-                    if found // stride == key:
-                        cand = found % stride
-                        if cand < best:
-                            best = cand
-            fire = best if best < e else e
-            if fire >= n_events:
-                done = 0
-                break
-            traj[i, m] = fire
-            m += 1
-            if best >= e or slot == last:
-                done = 1
-                break
-            h = ev_a[fire] + ev_b[fire] - h
-            slot += 1
-            cur = fire + 1
-        lens[i] = m
-        dones[i] = done
-
-
-def _multi_next_events_loop(
-    sorted_comp,
-    stride,
-    n_nodes,
-    n_events,
-    starts,
-    stops,
-    targets,
-    rows,
-    c_holder,
-    c_slot,
-    act_cursor,
-    act_expiry,
-    next_idx,
-):  # pragma: no cover - executed only under numba JIT
-    comp_len = sorted_comp.shape[0]
-    for i in range(act_expiry.shape[0]):
-        next_idx[i] = n_events
-    for j in range(rows.shape[0]):
-        row = rows[j]
-        h = c_holder[j]
-        slot = c_slot[j]
-        cur = act_cursor[row]
-        best = next_idx[row]
-        for k in range(starts[slot], stops[slot]):
-            t = targets[k]
-            lo = h if h < t else t
-            hi = t if t > h else h
-            key = lo * n_nodes + hi
-            pos = np.searchsorted(sorted_comp, key * stride + cur)
-            if pos < comp_len:
-                found = sorted_comp[pos]
-                if found // stride == key:
-                    cand = found % stride
-                    if cand < best:
-                        best = cand
-        next_idx[row] = best
-    for i in range(act_expiry.shape[0]):
-        if act_expiry[i] < next_idx[i]:
-            next_idx[i] = act_expiry[i]
-
-
-def _run_length_loop(bits, out):  # pragma: no cover - numba JIT only
-    trials, eta = bits.shape
-    for t in range(trials):
-        run = np.int64(0)
-        total = np.int64(0)
-        for k in range(eta):
-            if bits[t, k]:
-                run += 1
-            else:
-                total += run * run
-                run = 0
-        total += run * run
-        out[t] = total
-
-
-def _smallest_k_mask_loop(
-    priority, count, scratch, mask
-):  # pragma: no cover - numba JIT only
-    trials, n = priority.shape
-    k = count - 1
-    for t in range(trials):
-        for j in range(n):
-            scratch[j] = priority[t, j]
-        # Quickselect with a branchless Lomuto partition (median-of-3
-        # pivot, insertion sort below 8 elements) — the same algorithm as
-        # the C backend; random priorities mispredict every comparison of
-        # a Hoare loop.  The kth order statistic is algorithm-independent,
-        # and the masking rule (priority <= kth) is shared with the numpy
-        # reference, so backends agree exactly.
-        lo = 0
-        hi = n  # half-open [lo, hi)
-        kth = scratch[k]
-        while True:
-            if hi - lo <= 8:
-                for i in range(lo + 1, hi):
-                    x = scratch[i]
-                    j = i - 1
-                    while j >= lo and scratch[j] > x:
-                        scratch[j + 1] = scratch[j]
-                        j -= 1
-                    scratch[j + 1] = x
-                kth = scratch[k]
-                break
-            mid = lo + (hi - lo) // 2
-            a = scratch[lo]
-            b = scratch[mid]
-            c = scratch[hi - 1]
-            if a < b:
-                pivot = b if b < c else (c if a < c else a)
-            else:
-                pivot = a if a < c else (c if b < c else b)
-            # branchless Lomuto: [lo, l) < pivot, [l, r) >= pivot
-            l = lo
-            for r in range(lo, hi):
-                x = scratch[r]
-                scratch[r] = scratch[l]
-                scratch[l] = x
-                l += np.int64(x < pivot)
-            if k < l:
-                hi = l
-            elif l == lo:
-                # pivot is the range minimum: peel its equals off the front
-                m = lo
-                for r in range(lo, hi):
-                    x = scratch[r]
-                    scratch[r] = scratch[m]
-                    scratch[m] = x
-                    m += np.int64(x <= pivot)
-                if k < m:
-                    kth = pivot
-                    break
-                lo = m
-            else:
-                lo = l
-        for j in range(n):
-            if priority[t, j] <= kth:
-                mask[t, j] = 1
-
-
-def _security_scores_loop(
-    mask, sources, copy_members, onion_routers, copies, sums, exposed
-):  # pragma: no cover - numba JIT only
-    trials = sources.shape[0]
-    for t in range(trials):
-        run = np.int64(0)
-        total = np.int64(0)
-        exp_count = np.int64(0)
-        if mask[t, sources[t]]:
-            run = np.int64(1)
-            exp_count += 1
-        for k in range(onion_routers):
-            if mask[t, copy_members[t, k, 0]]:
-                run += 1
-            else:
-                total += run * run
-                run = np.int64(0)
-            for c in range(copies):
-                if mask[t, copy_members[t, k, c]]:
-                    exp_count += 1
-                    break
-        total += run * run
-        sums[t] = total
-        exposed[t] = exp_count
 
 
 _C_SOURCE = r"""
@@ -646,7 +422,7 @@ class KernelBackend:
         return None
 
     def warmup(self) -> None:
-        """Force any lazy compilation now (JIT warm-up for benchmarks)."""
+        """Force any lazy compilation now (warm-up for benchmarks)."""
 
     # -- ops -----------------------------------------------------------
 
@@ -838,163 +614,6 @@ class NumpyBackend(KernelBackend):
         return _numpy_security_scores(
             mask, sources, copy_members, onion_routers, copies
         )
-
-
-class NumbaBackend(KernelBackend):
-    """``@njit(cache=True)`` compilations of the scalar loops.
-
-    Optional: requires the ``numba`` package (``pip install .[perf]``).
-    The on-disk JIT cache makes the compile cost a once-per-machine
-    event; :meth:`warmup` forces it eagerly so benchmarks exclude it.
-    """
-
-    name = "numba"
-    compiled = True
-    _jitted: Optional[Dict[str, Callable]] = None
-
-    @classmethod
-    def available(cls) -> bool:
-        try:
-            import numba  # noqa: F401
-        except Exception:
-            return False
-        return True
-
-    @classmethod
-    def unavailable_reason(cls) -> Optional[str]:
-        if cls.available():
-            return None
-        return "the 'numba' package is not installed (pip install .[perf])"
-
-    def __init__(self):
-        if NumbaBackend._jitted is None:
-            from numba import njit
-
-            NumbaBackend._jitted = {
-                "single_trajectories": njit(cache=True)(
-                    _single_trajectories_loop
-                ),
-                "multi_next_events": njit(cache=True)(_multi_next_events_loop),
-                "run_length_square_sums": njit(cache=True)(_run_length_loop),
-                "smallest_k_mask": njit(cache=True)(_smallest_k_mask_loop),
-                "security_scores": njit(cache=True)(_security_scores_loop),
-            }
-        self._funcs = NumbaBackend._jitted
-
-    def warmup(self) -> None:
-        _warmup_compiled(self)
-
-    def single_trajectories(
-        self,
-        sorted_comp,
-        stride,
-        n_nodes,
-        n_events,
-        starts,
-        stops,
-        targets,
-        ev_a,
-        ev_b,
-        act,
-        holder,
-        hop_slot,
-        last_slot,
-        cursor,
-        expiry,
-    ):
-        n_act = len(act)
-        cap = _trajectory_cap(act, hop_slot, last_slot)
-        traj = np.zeros((n_act, cap), dtype=np.int64)
-        lens = np.empty(n_act, dtype=np.int64)
-        dones = np.empty(n_act, dtype=np.int64)
-        self._funcs["single_trajectories"](
-            _i64(sorted_comp),
-            np.int64(stride),
-            np.int64(n_nodes),
-            np.int64(n_events),
-            _i64(starts),
-            _i64(stops),
-            _i64(targets),
-            _i64(ev_a),
-            _i64(ev_b),
-            _i64(act),
-            _i64(holder),
-            _i64(hop_slot),
-            _i64(last_slot),
-            _i64(cursor),
-            _i64(expiry),
-            np.int64(cap),
-            traj,
-            lens,
-            dones,
-        )
-        return traj, lens, dones
-
-    def multi_next_events(
-        self,
-        sorted_comp,
-        stride,
-        n_nodes,
-        n_events,
-        starts,
-        stops,
-        targets,
-        rows,
-        c_holder,
-        c_slot,
-        act_cursor,
-        act_expiry,
-    ):
-        next_idx = np.empty(len(act_expiry), dtype=np.int64)
-        self._funcs["multi_next_events"](
-            _i64(sorted_comp),
-            np.int64(stride),
-            np.int64(n_nodes),
-            np.int64(n_events),
-            _i64(starts),
-            _i64(stops),
-            _i64(targets),
-            _i64(rows),
-            _i64(c_holder),
-            _i64(c_slot),
-            _i64(act_cursor),
-            _i64(act_expiry),
-            next_idx,
-        )
-        return next_idx
-
-    def run_length_square_sums(self, bits):
-        rows = np.ascontiguousarray(bits, dtype=np.int8)
-        out = np.empty(len(rows), dtype=np.int64)
-        self._funcs["run_length_square_sums"](rows, out)
-        return out
-
-    def smallest_k_mask(self, priority, count):
-        priority = np.ascontiguousarray(priority, dtype=np.float64)
-        trials, n = priority.shape
-        mask = np.zeros((trials, n), dtype=np.int8)
-        if count > 0:
-            scratch = np.empty(n, dtype=np.float64)
-            self._funcs["smallest_k_mask"](
-                priority, np.int64(count), scratch, mask
-            )
-        return mask.view(np.bool_)
-
-    def security_scores(self, mask, sources, copy_members, onion_routers, copies):
-        bits = np.ascontiguousarray(mask, dtype=np.int8)
-        trials = len(sources)
-        sums = np.empty(trials, dtype=np.int64)
-        exposed = np.empty(trials, dtype=np.int64)
-        self._funcs["security_scores"](
-            bits,
-            _i64(sources),
-            _i64(copy_members),
-            np.int64(onion_routers),
-            np.int64(copies),
-            sums,
-            exposed,
-        )
-        return sums, exposed
 
 
 class CcBackend(KernelBackend):
@@ -1209,166 +828,11 @@ class CcBackend(KernelBackend):
         return sums, exposed
 
 
-class CupyBackend(KernelBackend):
-    """GPU (CUDA) backend for the security Monte Carlo's trial blocks.
-
-    The security ops ship trial rows to the device in bounded chunks
-    (:data:`CHUNK_TRIALS` rows per transfer, so host↔device staging stays
-    a fixed-size buffer no matter the trial count) and compute there with
-    CuPy's numpy-compatible array API. The sequential delivery-trajectory
-    ops delegate to the numpy singleton — a per-session event walk does
-    not map onto the GPU — and ``compiled`` stays False so the delivery
-    kernels keep their vectorized per-round path. Requires the ``cupy``
-    package *and* a visible CUDA device; anything less degrades to numpy
-    through :func:`resolve_backend` like every other compiled backend.
-    """
-
-    name = "cupy"
-    compiled = False
-    _cupy = None
-
-    #: Trial rows shipped to the device per transfer.
-    CHUNK_TRIALS = 65536
-
-    @classmethod
-    def _module(cls):
-        if cls._cupy is None:
-            import cupy
-
-            if cupy.cuda.runtime.getDeviceCount() < 1:
-                raise RuntimeError("no visible CUDA device")
-            cls._cupy = cupy
-        return cls._cupy
-
-    @classmethod
-    def available(cls) -> bool:
-        if cls._cupy is not None:
-            return True
-        try:
-            cls._module()
-        except Exception:
-            return False
-        return True
-
-    @classmethod
-    def unavailable_reason(cls) -> Optional[str]:
-        if cls._cupy is not None:
-            return None
-        try:
-            import cupy
-        except Exception:
-            return (
-                "the 'cupy' package is not installed "
-                "(pip install cupy-cuda12x for your CUDA version)"
-            )
-        try:
-            if cupy.cuda.runtime.getDeviceCount() < 1:
-                return "cupy is installed but no CUDA device is visible"
-        except Exception as error:
-            return f"cupy is installed but the CUDA runtime failed: {error}"
-        return None
-
-    def __init__(self):
-        self._cp = self._module()
-        self._numpy = _instantiate("numpy")
-
-    def warmup(self) -> None:
-        # Touch each security op once: first-call device allocation and
-        # kernel compilation happen here, not inside a benchmark timer.
-        self.smallest_k_mask(np.array([[0.5, 0.25, 0.75]]), 2)
-        self.security_scores(
-            np.array([[True, False]]),
-            np.zeros(1, dtype=np.int64),
-            np.zeros((1, 1, 1), dtype=np.int64),
-            1,
-            1,
-        )
-        self.run_length_square_sums(np.array([[1, 0, 1]], dtype=np.int8))
-
-    # -- delivery ops: CPU delegation ----------------------------------
-
-    def single_next_events(self, *args):
-        return self._numpy.single_next_events(*args)
-
-    def multi_next_events(self, *args):
-        return self._numpy.multi_next_events(*args)
-
-    # -- security ops: chunked device execution ------------------------
-
-    def run_length_square_sums(self, bits):
-        cp = self._cp
-        rows = np.ascontiguousarray(bits, dtype=np.int8)
-        trials, eta = rows.shape
-        out = np.empty(trials, dtype=np.int64)
-        for start in range(0, trials, self.CHUNK_TRIALS):
-            stop = min(start + self.CHUNK_TRIALS, trials)
-            chunk = cp.asarray(rows[start:stop]).astype(cp.int64)
-            run = cp.zeros(stop - start, dtype=cp.int64)
-            total = cp.zeros(stop - start, dtype=cp.int64)
-            # cupy has no ufunc.reduceat; eta is tiny (K+1), so an O(eta)
-            # column sweep with the run/total recurrence is exact and
-            # cheap: a closed run contributes run², an open one extends.
-            for k in range(eta):
-                col = chunk[:, k]
-                total += (1 - col) * run * run
-                run = (run + 1) * col
-            total += run * run
-            out[start:stop] = cp.asnumpy(total)
-        return out
-
-    def smallest_k_mask(self, priority, count):
-        cp = self._cp
-        priority = np.ascontiguousarray(priority, dtype=np.float64)
-        trials, n = priority.shape
-        mask = np.zeros((trials, n), dtype=bool)
-        if count <= 0:
-            return mask
-        for start in range(0, trials, self.CHUNK_TRIALS):
-            stop = min(start + self.CHUNK_TRIALS, trials)
-            chunk = cp.asarray(priority[start:stop])
-            kth = cp.partition(chunk, count - 1, axis=1)[:, count - 1 : count]
-            mask[start:stop] = cp.asnumpy(chunk <= kth)
-        return mask
-
-    def security_scores(self, mask, sources, copy_members, onion_routers, copies):
-        cp = self._cp
-        trials = len(sources)
-        sums = np.empty(trials, dtype=np.int64)
-        exposed = np.empty(trials, dtype=np.int64)
-        src_all = _i64(sources)
-        members_all = np.ascontiguousarray(
-            copy_members[:, :onion_routers, :copies], dtype=np.int64
-        )
-        bits_all = np.ascontiguousarray(mask, dtype=np.int8)
-        for start in range(0, trials, self.CHUNK_TRIALS):
-            stop = min(start + self.CHUNK_TRIALS, trials)
-            m = cp.asarray(bits_all[start:stop])
-            src = cp.asarray(src_all[start:stop])
-            members = cp.asarray(members_all[start:stop])
-            rows = cp.arange(stop - start)
-            src_bit = m[rows, src].astype(cp.int64)
-            hop_bits = m[rows[:, None], members[:, :, 0]].astype(cp.int64)
-            run = src_bit  # bit 0 of the sender chain is the source
-            total = cp.zeros(stop - start, dtype=cp.int64)
-            for k in range(onion_routers):
-                col = hop_bits[:, k]
-                total += (1 - col) * run * run
-                run = (run + 1) * col
-            total += run * run
-            exposed_chunk = (
-                m[rows[:, None, None], members].any(axis=2).sum(axis=1)
-                + src_bit
-            )
-            sums[start:stop] = cp.asnumpy(total)
-            exposed[start:stop] = cp.asnumpy(exposed_chunk.astype(cp.int64))
-        return sums, exposed
-
-
 def _warmup_compiled(backend: KernelBackend) -> None:
     """Run every compiled op once on a one-event toy problem.
 
-    Triggers numba JIT compilation (or verifies the C library loads and
-    calls cleanly) so steady-state timings exclude one-time costs.
+    Verifies the C library loads and calls cleanly, so steady-state
+    timings exclude one-time costs.
     """
     # One event (0, 1) at index 0; one session holding node 0, targeting
     # node 1 at its only hop.
@@ -1406,8 +870,8 @@ def _warmup_compiled(backend: KernelBackend) -> None:
         np.ones(1, dtype=np.int64),  # act_expiry
     )
     backend.run_length_square_sums(np.array([[1, 0, 1]], dtype=np.int8))
-    # Security ops: a two-trial, three-node toy block so first-call JIT
-    # compilation never lands inside a timed security arm.
+    # Security ops: a two-trial, three-node toy block so first-call
+    # costs never land inside a timed security arm.
     backend.smallest_k_mask(
         np.array([[0.5, 0.25, 0.75], [0.9, 0.1, 0.4]]), 2
     )
@@ -1428,9 +892,7 @@ def _warmup_compiled(backend: KernelBackend) -> None:
 #: Name → backend class, in documentation order.
 BACKENDS: Dict[str, type] = {
     "numpy": NumpyBackend,
-    "numba": NumbaBackend,
     "cc": CcBackend,
-    "cupy": CupyBackend,
 }
 
 _instances: Dict[str, KernelBackend] = {}
@@ -1447,9 +909,7 @@ def _instantiate(name: str) -> KernelBackend:
 def _reset_backend_caches() -> None:
     """Drop backend singletons (test hook: re-probe availability)."""
     _instances.clear()
-    NumbaBackend._jitted = None
     CcBackend._lib = None
-    CupyBackend._cupy = None
 
 
 def available_backends() -> Tuple[str, ...]:
@@ -1457,19 +917,6 @@ def available_backends() -> Tuple[str, ...]:
     return tuple(
         name for name, cls in BACKENDS.items() if cls.available()
     )
-
-
-def preferred_compiled_backend() -> Optional[str]:
-    """The best available compiled backend name (numba first), or None.
-
-    ``cupy`` ranks last: it accelerates only the security ops (its
-    delivery ops delegate to numpy), so a CPU-compiled backend that
-    covers the whole op surface wins when both are present.
-    """
-    for name in ("numba", "cc", "cupy"):
-        if BACKENDS[name].available():
-            return name
-    return None
 
 
 def check_backend_name(backend) -> None:
@@ -1499,8 +946,8 @@ def resolve_backend(
     ``REPRO_KERNEL_BACKEND`` environment variable, then ``"numpy"``.
 
     Unknown names raise :class:`ValueError` (a typo should fail loudly).
-    A *known but unavailable* backend — numba not installed, no C
-    compiler, a failed compile — degrades to numpy: ``on_fallback``
+    A *known but unavailable* backend — no C compiler, a failed
+    compile — degrades to numpy: ``on_fallback``
     (requested name, error) is invoked when given so callers can record a
     :class:`~repro.utils.resilience.ResilienceEvent`; otherwise a warning
     is logged. Instances are process-local singletons, so repeated

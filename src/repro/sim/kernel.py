@@ -57,8 +57,8 @@ The race searches run on a pluggable :mod:`repro.sim.backend` backend
 (``backend=`` on either kernel: a registered name, a resolved
 :class:`~repro.sim.backend.KernelBackend`, or None for the
 ``REPRO_KERNEL_BACKEND``/numpy default). The numpy backend keeps the
-original vectorized per-round sweep. Compiled backends (numba, cc)
-replace the single-copy round loop wholesale: one call computes every
+original vectorized per-round sweep. The compiled ``cc`` backend
+replaces the single-copy round loop wholesale: one call computes every
 session's *entire* trajectory of state-changing event indices, which the
 kernel applies through
 :meth:`~repro.core.single_copy.SingleCopySession.apply_transitions` — one

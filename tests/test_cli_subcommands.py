@@ -172,30 +172,46 @@ class TestFigureKeys:
             main(["figure", "zz"])
 
 
+# Backends the registry once held; selecting one must now fail loudly.
+REMOVED_BACKENDS = ("numba", "cupy")
+
+
 class TestBackends:
     def test_lists_every_registered_backend(self, capsys):
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
-        for name in ("numpy", "numba", "cc", "cupy"):
+        for name in ("numpy", "cc"):
             assert name in out
         # numpy is the always-available reference and the default.
         assert "(default)" in out
 
     def test_unavailable_backends_name_their_degradation(self, capsys, monkeypatch):
-        # Poison numba so at least one backend is unavailable in every
-        # environment, then check the degradation reason is printed.
-        import sys
-
-        monkeypatch.setitem(sys.modules, "numba", None)
-        from repro.sim.backend import _reset_backend_caches
+        # Hide the C compiler so cc is unavailable in every environment,
+        # then check the degradation reason is printed.
+        from repro.sim.backend import CcBackend, _reset_backend_caches
 
         _reset_backend_caches()
+        monkeypatch.setattr(CcBackend, "_compiler", classmethod(lambda cls: None))
         try:
             assert main(["backends"]) == 0
             out = capsys.readouterr().out
-            assert "degrades to numpy" in out
+            assert "degrades to numpy: no C compiler" in out
         finally:
             _reset_backend_caches()
+
+    @pytest.mark.parametrize("name", REMOVED_BACKENDS)
+    def test_removed_backend_name_is_rejected(self, capsys, name):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figure", "4", "--kernel-backend", name])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("name", REMOVED_BACKENDS)
+    def test_removed_backend_in_env_raises(self, monkeypatch, name):
+        from repro.sim.backend import ENV_VAR, resolve_backend
+
+        monkeypatch.setenv(ENV_VAR, name)
+        with pytest.raises(ValueError, match="numpy, cc"):
+            resolve_backend(None)
 
     def test_env_override_reported(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")

@@ -85,7 +85,7 @@ class TestDiverseSelector:
         assert not (set(first.group_ids) & set(second.group_ids))
 
     def test_falls_back_when_infeasible(self):
-        # 4 groups, endpoints occupy 2, K=2 uses both free groups every time
+        # 4 groups, endpoints take 2, K=2 uses both free groups every time
         directory = OnionGroupDirectory(20, 5)
         selector = DiverseSelector(directory, memory=8, attempts=3, rng=6)
         first = selector.select(0, 19, 2)
