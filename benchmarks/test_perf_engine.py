@@ -1,10 +1,10 @@
-"""Perf bench: engine dispatch strategies on a fixed seeded workload.
+"""Perf bench: engine consumption modes on a fixed seeded workload.
 
-Times the same seeded session batch under broadcast and indexed dispatch
+Times the same seeded session batch under the engine's consumption modes
 and under the parallel batch layer, records events/sec in the benchmark
-extra-info, and asserts the two dispatch modes agree outcome-for-outcome.
-Wall-time is archived, not gated — machine speed varies; the invariants
-(identical outcomes, indexed not slower than broadcast) do not.
+extra-info, and asserts the modes agree outcome-for-outcome. Wall-time is
+archived, not gated — machine speed varies; the invariants (identical
+outcomes, kernel not slower than the object loop) do not.
 """
 
 from __future__ import annotations
@@ -30,44 +30,6 @@ def workload_graph():
     return random_contact_graph(
         100, DEFAULT_CONFIG.mean_intercontact_range, rng=np.random.default_rng(SEED)
     )
-
-
-def _run(graph, dispatch):
-    return run_random_graph_batch(
-        graph,
-        5,
-        3,
-        copies=1,
-        horizon=HORIZON,
-        sessions=SESSIONS,
-        rng=np.random.default_rng(SEED),
-        dispatch=dispatch,
-    )
-
-
-def test_perf_indexed_vs_broadcast(benchmark, workload_graph):
-    events = count_events(workload_graph, 5, 3, SESSIONS, HORIZON, SEED)
-
-    start = time.perf_counter()
-    broadcast = _run(workload_graph, "broadcast")
-    broadcast_wall = time.perf_counter() - start
-
-    indexed = benchmark.pedantic(
-        lambda: _run(workload_graph, "indexed"), rounds=3, iterations=1
-    )
-    indexed_wall = benchmark.stats["mean"]
-
-    assert outcome_signature(broadcast) == outcome_signature(indexed)
-    assert indexed_wall < broadcast_wall
-
-    benchmark.extra_info["events"] = events
-    benchmark.extra_info["events_per_second_indexed"] = round(
-        events / indexed_wall, 1
-    )
-    benchmark.extra_info["events_per_second_broadcast"] = round(
-        events / broadcast_wall, 1
-    )
-    benchmark.extra_info["speedup"] = round(broadcast_wall / indexed_wall, 2)
 
 
 def test_perf_parallel_batch(benchmark, workload_graph):
@@ -99,7 +61,15 @@ def test_perf_parallel_batch(benchmark, workload_graph):
     # statistical wobble, not a systematic loss of deliveries, and (b)
     # the chunked outcome is byte-identical across *worker counts*: the
     # default chunk layout is a pure function of ``sessions``.
-    serial = _run(workload_graph, "indexed")
+    serial = run_random_graph_batch(
+        workload_graph,
+        5,
+        3,
+        copies=1,
+        horizon=HORIZON,
+        sessions=SESSIONS,
+        rng=np.random.default_rng(SEED),
+    )
     delivered_serial = sum(1 for _, o in serial if o.delivered)
     delivered_parallel = sum(1 for _, o in pairs if o.delivered)
     tolerance = max(5, int(0.05 * SESSIONS))
@@ -145,7 +115,7 @@ def test_perf_columnar_consume(benchmark, workload_graph):
             horizon=HORIZON,
             sessions=SESSIONS,
             rng=np.random.default_rng(SEED),
-            consume="columnar",
+            kernel=False,
         ),
         rounds=3,
         iterations=1,
@@ -160,7 +130,7 @@ def test_perf_columnar_consume(benchmark, workload_graph):
 def test_perf_kernel_consume(benchmark, workload_graph):
     events = count_events(workload_graph, 5, 3, SESSIONS, HORIZON, SEED)
 
-    def batch(consume):
+    def batch(kernel):
         return run_random_graph_batch(
             workload_graph,
             5,
@@ -169,15 +139,15 @@ def test_perf_kernel_consume(benchmark, workload_graph):
             horizon=HORIZON,
             sessions=SESSIONS,
             rng=np.random.default_rng(SEED),
-            consume=consume,
+            kernel=kernel,
         )
 
     start = time.perf_counter()
-    columnar = batch("columnar")
+    columnar = batch(False)
     columnar_wall = time.perf_counter() - start
 
     kernel = benchmark.pedantic(
-        lambda: batch("kernel"), rounds=3, iterations=1
+        lambda: batch(True), rounds=3, iterations=1
     )
     kernel_wall = benchmark.stats["mean"]
 
@@ -250,7 +220,7 @@ def test_perf_stream_consume(benchmark, workload_graph):
             **knobs,
         )
 
-    kernel = batch("kernel")
+    kernel = batch("auto")
     stream = benchmark.pedantic(
         lambda: batch("stream", stream_window=HORIZON / 8), rounds=3, iterations=1
     )

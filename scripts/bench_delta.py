@@ -73,8 +73,6 @@ METRICS = (
      ("producer", "columnar_producer_speedup"), "x", True, True),
     ("producer events/s (columnar)",
      ("producer", "columnar_events_per_second"), "", True, False),
-    ("broadcast events/s",
-     ("results", "broadcast", "events_per_second"), "", True, False),
     ("indexed events/s",
      ("results", "indexed", "events_per_second"), "", True, False),
     ("columnar events/s",
@@ -87,8 +85,6 @@ METRICS = (
      ("results", "kernel-trace", "events_per_second"), "", True, False),
     ("columnar vs indexed",
      ("speedup_columnar_vs_indexed",), "x", True, True),
-    ("indexed vs broadcast",
-     ("speedup_indexed_vs_broadcast",), "x", True, True),
     ("kernel vs columnar dispatch",
      ("speedup_kernel_vs_columnar",), "x", True, True),
     ("multicopy kernel vs columnar dispatch",

@@ -8,16 +8,15 @@ horizon. The script measures two layers of the pipeline:
 * **producer** — raw contact-event generation for the workload's stream:
   the legacy lazy iterator (``events_until``) vs the columnar window
   (``events_until_columnar``), same seed, same events.
-* **engine** — the same batch end-to-end under three strategies:
+* **engine** — the same batch end-to-end under these arms:
 
-  - ``broadcast`` — the legacy O(events x sessions) dispatch loop,
-  - ``indexed``   — interest-indexed dispatch fed by the lazy iterator
-    (``consume="iterator"``; the pre-columnar engine, kept as the
-    baseline all speedups are quoted against),
-  - ``columnar``  — interest-indexed dispatch consuming one pre-built
-    columnar window (``consume="columnar"``),
+  - ``indexed``   — the engine's object loop fed lazily by the event
+    iterator (``consume="iterator"``; the baseline the columnar speedup
+    is quoted against),
+  - ``columnar``  — the object loop consuming one pre-built columnar
+    window (``kernel=False``),
   - ``kernel``    — the struct-of-arrays :class:`BatchKernel` sweep
-    (``consume="kernel"``): eligible fault-free single-copy sessions are
+    (``kernel=True``): eligible fault-free single-copy sessions are
     advanced by array operations, dispatching only state-changing events,
   - ``parallel``  — the columnar engine under ``run_parallel_batch`` with
     a *shared* event stream: the window is generated once, serialised,
@@ -48,7 +47,7 @@ Two further workloads exercise the rest of the kernel family:
   registered in a :class:`SharedBlockArena`, replayed through the batch
   kernels by a warm persistent :class:`WorkerPool` (chunk pickles carry a
   few-hundred-byte descriptor, not the columns), timed against the serial
-  ``consume="kernel"`` run at the same seed.
+  ``kernel=True`` run at the same seed.
 * **stream** — the streaming million-session path: ``consume="stream"``
   drains the event source window by window under a stated
   ``max_window_events`` ceiling (full workload: 10^6 sessions over a
@@ -281,12 +280,12 @@ def multicopy_benchmark(
     )
     rows = {}
     signatures = {}
-    for name, consume in (
-        ("columnar-multicopy", "columnar"),
-        ("kernel-multicopy", "kernel"),
+    for name, kernel in (
+        ("columnar-multicopy", False),
+        ("kernel-multicopy", True),
     ):
 
-        def batch(consume=consume):
+        def batch(kernel=kernel):
             return run_random_graph_batch(
                 graph,
                 group_size,
@@ -295,7 +294,7 @@ def multicopy_benchmark(
                 horizon=horizon,
                 sessions=sessions,
                 rng=np.random.default_rng(seed),
-                consume=consume,
+                kernel=kernel,
             )
 
         wall, pairs = _best_wall(batch, repeat)
@@ -341,12 +340,12 @@ def trace_benchmark(group_size, onion_routers, deadline, sessions, seed, repeat)
     generation, events = _best_wall(replay, repeat)
     rows = {}
     signatures = {}
-    for name, consume in (
-        ("columnar-trace", "columnar"),
-        ("kernel-trace", "kernel"),
+    for name, kernel in (
+        ("columnar-trace", False),
+        ("kernel-trace", True),
     ):
 
-        def batch(consume=consume):
+        def batch(kernel=kernel):
             return run_trace_batch(
                 trace,
                 group_size,
@@ -355,7 +354,7 @@ def trace_benchmark(group_size, onion_routers, deadline, sessions, seed, repeat)
                 deadline=deadline,
                 sessions=sessions,
                 rng=np.random.default_rng(seed),
-                consume=consume,
+                kernel=kernel,
             )
 
         wall, pairs = _best_wall(batch, repeat)
@@ -802,7 +801,7 @@ def parallel_benchmark(
     One columnar window is generated in the parent and registered in the
     pool-owned shared-memory arena; every worker chunk reattaches it and
     replays it through the batch kernels. The serial arm runs the same
-    seed through ``consume="kernel"`` — the strongest serial baseline, so
+    seed through ``kernel=True`` — the strongest serial baseline, so
     ``speedup_vs_serial_kernel`` measures what parallelism adds on top of
     the kernels, not on top of a strawman. The merge must be byte-
     identical across worker counts (the default chunk layout is a pure
@@ -821,7 +820,7 @@ def parallel_benchmark(
             horizon=horizon,
             sessions=sessions,
             rng=np.random.default_rng(seed),
-            consume="kernel",
+            kernel=True,
         )
 
     serial_wall, serial_pairs = _best_wall(serial, repeat)
@@ -877,7 +876,7 @@ def stream_benchmark(graph, group_size, onion_routers, seed, quick):
     """The streaming million-session path vs one-shot kernel consumption.
 
     Both arms run the same seeded workload with ``deadline`` far below the
-    horizon. The ``full`` arm (``consume="kernel"``) materialises the
+    horizon. The ``full`` arm (``consume="auto"``) materialises the
     entire event window before dispatching — its live event set exceeds
     the stated ceiling. The ``stream`` arm drains the source window by
     window under ``max_window_events``, never holding more than the
@@ -945,7 +944,7 @@ def stream_benchmark(graph, group_size, onion_routers, seed, quick):
 
     _none, baseline_rss = _run_forked(lambda: None)
     counts, _rss = _run_forked(census)
-    full, full_rss = _run_forked(arm("kernel"))
+    full, full_rss = _run_forked(arm("auto"))
     stream, stream_rss = _run_forked(
         arm("stream", stream_window=window, max_window_events=ceiling)
     )
@@ -1021,10 +1020,9 @@ def run_benchmark(
         producer = producer_benchmark(graph, horizon, seed, repeat)
 
         batch_modes = (
-            ("broadcast", dict(dispatch="broadcast")),
-            ("indexed", dict(dispatch="indexed", consume="iterator")),
-            ("columnar", dict(dispatch="indexed", consume="columnar")),
-            ("kernel", dict(dispatch="indexed", consume="kernel")),
+            ("indexed", dict(consume="iterator")),
+            ("columnar", dict(kernel=False)),
+            ("kernel", dict(kernel=True)),
         )
         if mode == "kernel":
             # CI smoke subset: just the pair whose identity/speedup the
@@ -1136,7 +1134,7 @@ def run_benchmark(
             horizon=horizon,
             sessions=sessions,
             rng=np.random.default_rng(seed),
-            consume="columnar",
+            kernel=False,
         )
         profiler.disable()
         profiler.dump_stats(profile_path)
@@ -1253,11 +1251,6 @@ def run_benchmark(
         report["producer"] = producer
     report.update(speedups)
     if mode == "all":
-        report["speedup_indexed_vs_broadcast"] = round(
-            results["broadcast"]["wall_seconds"]
-            / results["indexed"]["wall_seconds"],
-            2,
-        )
         report["speedup_columnar_vs_indexed"] = round(
             results["indexed"]["wall_seconds"]
             / results["columnar"]["wall_seconds"],
@@ -1342,7 +1335,6 @@ def main(argv=None) -> int:
             f"speedup {producer['columnar_producer_speedup']:.2f}x"
         )
     for name in (
-        "broadcast",
         "indexed",
         "columnar",
         "kernel",
@@ -1460,9 +1452,7 @@ def main(argv=None) -> int:
     if "speedup_columnar_vs_indexed" in report:
         print(
             f"columnar vs indexed: "
-            f"{report['speedup_columnar_vs_indexed']:.2f}x, "
-            f"indexed vs broadcast: "
-            f"{report['speedup_indexed_vs_broadcast']:.2f}x"
+            f"{report['speedup_columnar_vs_indexed']:.2f}x"
         )
     for label, key in (
         ("kernel vs columnar dispatch", "speedup_kernel_vs_columnar"),

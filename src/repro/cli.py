@@ -518,9 +518,9 @@ def _run_simulate(args: argparse.Namespace) -> int:
         if churn is not None:
             events = NodeChurnProcess(events, churn)
         # Iterator consumption: trials share one generator and usually end
-        # well before the deadline, so the lazy legacy path both avoids
+        # well before the deadline, so pulling events lazily both avoids
         # generating events past delivery and keeps the historical
-        # cross-trial rng consumption (columnar would pre-draw the full
+        # cross-trial rng consumption (a block would pre-draw the full
         # window and shift every later trial's stream).
         engine = SimulationEngine(events, horizon=args.deadline, consume="iterator")
         engine.add_session(session)

@@ -203,8 +203,8 @@ class MultiCopySession(ProtocolSession):
         self.on_contact_scalar(event.time, event.a, event.b)
 
     def on_contact_scalar(self, time: float, a: int, b: int) -> None:
-        # Hot path: the engine's columnar loop and the multi-copy batch
-        # kernel call this directly with block scalars, so no ContactEvent
+        # Hot path: the engine's object loop and the multi-copy batch
+        # kernel call this directly with event scalars, so no ContactEvent
         # is allocated for the overwhelmingly common no-op dispatches.
         if self.done:
             return

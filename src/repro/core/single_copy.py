@@ -199,8 +199,8 @@ class SingleCopySession(ProtocolSession):
         self.on_contact_scalar(event.time, event.a, event.b)
 
     def on_contact_scalar(self, time: float, a: int, b: int) -> None:
-        # Hot path: the engine's columnar loop calls this directly with the
-        # block scalars, so no ContactEvent is ever allocated for the
+        # Hot path: the engine's object loop calls this directly with the
+        # event scalars, so no ContactEvent is ever allocated for the
         # overwhelmingly common no-op dispatches.
         if self._outcome.delivered or self._expired or self._dropped:
             return

@@ -44,7 +44,7 @@ that survived timeouts, crashes, and transient exceptions merges to a
 result byte-identical to an unfailed run. Failures are classified
 (:mod:`repro.utils.resilience`) and recorded on an
 :class:`~repro.utils.resilience.ExecutionReport`; the degradation ladder
-runs chunk-level (kernel → columnar → iterator inside a retried chunk)
+runs chunk-level (kernel → object loop inside a retried chunk)
 and sweep-level (pool → serial once ``max_pool_restarts`` is exhausted).
 """
 
@@ -654,17 +654,15 @@ def _supports_keyword(fn: Callable[..., Any], name: str) -> bool:
 def _degradation_rungs(
     batch_fn: Callable[..., Any], kwargs: dict
 ) -> List[Tuple[str, dict]]:
-    """The per-chunk consume ladder: as requested → kernel off → iterator.
+    """The per-chunk ladder: as requested → kernel off.
 
-    Only rungs the batch function understands (and the caller has not
-    already pinned) are offered; a function with neither knob gets a
-    single-rung ladder, i.e. no degradation.
+    The second rung is offered only when the batch function has a
+    ``kernel`` knob the caller has not already turned off; otherwise the
+    ladder has a single rung, i.e. no degradation.
     """
     rungs = [("requested configuration", dict(kwargs))]
     if kwargs.get("kernel") is not False and _supports_keyword(batch_fn, "kernel"):
         rungs.append(("kernel=False", dict(kwargs, kernel=False)))
-    if kwargs.get("consume") != "iterator" and _supports_keyword(batch_fn, "consume"):
-        rungs.append(("consume='iterator'", dict(rungs[-1][1], consume="iterator")))
     return rungs
 
 
@@ -674,7 +672,7 @@ def _run_chunk_with_ladder(
     kwargs: dict,
     call: Callable[[dict], Any],
 ) -> _ChunkPayload:
-    """Run one chunk, degrading kernel → columnar → iterator on failure.
+    """Run one chunk, degrading kernel → object loop on failure.
 
     ``call(rung_kwargs)`` must rebuild every piece of chunk state (the
     generator, the event cursor) from the chunk seed, so each rung
@@ -853,7 +851,7 @@ def run_parallel_batch(
         :class:`~repro.utils.resilience.ExecutionReport` for supervised
         dispatch; defaults are adopted from ``workers`` when it is a
         supervised :class:`WorkerPool`. Chunk-level degradation events
-        (kernel → columnar → iterator) recorded inside workers are merged
+        (kernel → object loop) recorded inside workers are merged
         into the report.
 
     Results are concatenated in chunk order, so the merged list is

@@ -120,23 +120,6 @@ def select_overlapping_route(
     )
 
 
-def _resolve_consume(consume: str, kernel: Optional[bool]) -> str:
-    """Fold the ``kernel`` knob into the engine's ``consume`` mode.
-
-    ``kernel=True`` forces ``consume="kernel"``; ``kernel=None`` (the
-    default) upgrades ``consume="auto"`` to the kernel path — eligible
-    sessions are swept by the struct-of-arrays kernels, everything else
-    falls back transparently, and outcomes are byte-identical either way —
-    while leaving an explicitly requested mode (``"columnar"``,
-    ``"iterator"``) untouched; ``kernel=False`` opts out entirely.
-    """
-    if kernel:
-        return "kernel"
-    if kernel is None and consume == "auto":
-        return "kernel"
-    return consume
-
-
 def _make_session(
     message: Message,
     route: OnionRoute,
@@ -166,10 +149,9 @@ def run_random_graph_batch(
     sessions: int,
     rng: RandomSource = None,
     spray_policy: SprayPolicy = SprayPolicy.SOURCE,
-    dispatch: str = "indexed",
     events=None,
     consume: str = "auto",
-    kernel: Optional[bool] = None,
+    kernel: bool = True,
     deadline: Optional[float] = None,
     stream_window: Optional[float] = None,
     max_window_events: Optional[int] = None,
@@ -181,9 +163,9 @@ def run_random_graph_batch(
     random-membership group directory; all sessions share the same sampled
     contact process (they are read-only observers of it, so this is
     statistically equivalent to independent runs and much cheaper).
-    ``dispatch`` selects the engine strategy; ``indexed`` and ``broadcast``
-    produce byte-identical outcomes, as do the ``consume`` modes of the
-    indexed engine.
+    ``consume`` (``"auto"``, ``"stream"`` or ``"iterator"``) is forwarded
+    to :class:`~repro.sim.engine.SimulationEngine`; every mode produces
+    byte-identical outcomes.
 
     ``events`` overrides the sampled contact process with a pre-generated
     source (an :class:`~repro.contacts.events.EventBlock` or any event
@@ -193,11 +175,11 @@ def run_random_graph_batch(
     draws sit at a different offset of the master stream than with
     ``events=None``.
 
-    ``kernel`` defaults to on (see :func:`_resolve_consume`): eligible
-    fault-free single-copy and multi-copy sessions are swept by the
-    struct-of-arrays kernels and everything else falls back to the
-    columnar object loop, with byte-identical outcomes. Pass
-    ``kernel=False`` (or an explicit ``consume``) to opt out.
+    ``kernel`` defaults to on: eligible fault-free single-copy and
+    multi-copy sessions are swept by the struct-of-arrays kernels and
+    everything else runs in the engine's object loop, with byte-identical
+    outcomes. Pass ``kernel=False`` to run every session in the object
+    loop.
 
     ``deadline`` (default: ``horizon``) sets each message's deadline
     independently of the simulated window — the streaming million-session
@@ -211,7 +193,6 @@ def run_random_graph_batch(
     ``"cc"``; see :mod:`repro.sim.backend`) and is forwarded
     to the engine. Outcomes are byte-identical across backends.
     """
-    consume = _resolve_consume(consume, kernel)
     generator = ensure_rng(rng)
     directory = OnionGroupDirectory(graph.n, group_size, rng=generator)
     if events is None:
@@ -221,11 +202,10 @@ def run_random_graph_batch(
     engine = SimulationEngine(
         source,
         horizon=horizon,
-        dispatch=dispatch,
         consume=consume,
         stream_window=stream_window,
         max_window_events=max_window_events,
-        stream_kernels=kernel is not False,
+        kernel=kernel,
         backend=backend,
     )
     message_deadline = horizon if deadline is None else deadline
@@ -256,10 +236,9 @@ def run_fused_graph_sweep(
     horizon: float,
     sessions_per_variant: int,
     rng: RandomSource = None,
-    dispatch: str = "indexed",
     events=None,
     consume: str = "auto",
-    kernel: Optional[bool] = None,
+    kernel: bool = True,
     stream_window: Optional[float] = None,
     max_window_events: Optional[int] = None,
     backend: Optional[str] = None,
@@ -278,7 +257,6 @@ def run_fused_graph_sweep(
     """
     if not variants:
         raise ValueError("run_fused_graph_sweep needs at least one variant")
-    consume = _resolve_consume(consume, kernel)
     generator = ensure_rng(rng)
     results: List[List[RouteOutcome]] = []
     engine: Optional[SimulationEngine] = None
@@ -297,11 +275,10 @@ def run_fused_graph_sweep(
             engine = SimulationEngine(
                 source,
                 horizon=horizon,
-                dispatch=dispatch,
                 consume=consume,
                 stream_window=stream_window,
                 max_window_events=max_window_events,
-                stream_kernels=kernel is not False,
+                kernel=kernel,
                 backend=backend,
             )
         pairs: List[RouteOutcome] = []
@@ -337,9 +314,8 @@ def run_faulty_graph_batch(
     failstop: Optional[FailStopSchedule] = None,
     relays=None,
     recovery: Optional[RecoveryPolicy] = None,
-    dispatch: str = "indexed",
     events=None,
-    kernel: Optional[bool] = None,
+    kernel: bool = True,
     backend: Optional[str] = None,
 ) -> List[RouteOutcome]:
     """:func:`run_random_graph_batch` under injected faults.
@@ -353,15 +329,14 @@ def run_faulty_graph_batch(
 
     ``events`` overrides the sampled base stream (shared-stream parallel
     chunks pass the parent's block here); the fault filters still wrap it,
-    and since they are per-event iterators the engine consumes the filtered
-    stream through the legacy iterator path.
+    and since they are per-event iterators the engine pulls the filtered
+    stream lazily into its object loop.
 
-    ``kernel`` (default on) requests ``consume="kernel"``. It only bites
-    when no fault filter wraps the stream (iterator filters force the
-    legacy loop) and no :class:`~repro.faults.recovery.FaultPlan` is
-    attached — i.e. exactly when this call degenerates to the fault-free
-    batch — so it is safe to leave on in sweeps that include a fault-free
-    baseline.
+    ``kernel`` (default on) only bites when no fault filter wraps the
+    stream (filtered events arrive one at a time, which kernels cannot
+    sweep) and no :class:`~repro.faults.recovery.FaultPlan` is attached —
+    i.e. exactly when this call degenerates to the fault-free batch — so
+    it is safe to leave on in sweeps that include a fault-free baseline.
     """
     generator = ensure_rng(rng)
     directory = OnionGroupDirectory(graph.n, group_size, rng=generator)
@@ -379,8 +354,7 @@ def run_faulty_graph_batch(
     engine = SimulationEngine(
         events,
         horizon=horizon,
-        dispatch=dispatch,
-        consume=_resolve_consume("auto", kernel),
+        kernel=kernel,
         backend=backend,
     )
     pairs: List[RouteOutcome] = []
@@ -644,8 +618,7 @@ def security_sweep_montecarlo(
     tuple, so :func:`~repro.experiments.parallel.run_parallel_montecarlo`
     chunk-merges fused sweeps exactly like plain Monte Carlo runners.
 
-    ``kernel`` follows the delivery runners' convention: ``None`` (the
-    default) and ``True`` score through
+    ``kernel``: ``None`` (the default) and ``True`` score through
     :class:`~repro.adversary.kernel.SecurityBatchKernel`; ``False`` walks
     the same block through the per-trial scalar objects. Both paths
     consume identical draws, so the estimates are equal to the last bit.
@@ -870,9 +843,8 @@ def run_trace_batch(
     sessions: int,
     rng: RandomSource = None,
     overlapping: bool = False,
-    dispatch: str = "indexed",
     consume: str = "auto",
-    kernel: Optional[bool] = None,
+    kernel: bool = True,
     stream_window: Optional[float] = None,
     max_window_events: Optional[int] = None,
     backend: Optional[str] = None,
@@ -890,7 +862,6 @@ def run_trace_batch(
     struct-of-arrays kernels directly over the replayed trace; see
     :func:`run_random_graph_batch`.
     """
-    consume = _resolve_consume(consume, kernel)
     generator = ensure_rng(rng)
     trace = trace.normalized()
     n = trace.n
@@ -903,11 +874,10 @@ def run_trace_batch(
     engine = SimulationEngine(
         TraceReplayProcess(trace),
         horizon=trace.end + 1.0,
-        dispatch=dispatch,
         consume=consume,
         stream_window=stream_window,
         max_window_events=max_window_events,
-        stream_kernels=kernel is not False,
+        kernel=kernel,
         backend=backend,
     )
     pairs = _place_trace_sessions(
@@ -935,9 +905,8 @@ def run_fused_trace_sweep(
     sessions_per_variant: int,
     rng: RandomSource = None,
     overlapping: bool = False,
-    dispatch: str = "indexed",
     consume: str = "auto",
-    kernel: Optional[bool] = None,
+    kernel: bool = True,
     stream_window: Optional[float] = None,
     max_window_events: Optional[int] = None,
     backend: Optional[str] = None,
@@ -955,7 +924,6 @@ def run_fused_trace_sweep(
     """
     if not variants:
         raise ValueError("run_fused_trace_sweep needs at least one variant")
-    consume = _resolve_consume(consume, kernel)
     generator = ensure_rng(rng)
     trace = trace.normalized()
     n = trace.n
@@ -965,11 +933,10 @@ def run_fused_trace_sweep(
     engine = SimulationEngine(
         TraceReplayProcess(trace),
         horizon=trace.end + 1.0,
-        dispatch=dispatch,
         consume=consume,
         stream_window=stream_window,
         max_window_events=max_window_events,
-        stream_kernels=kernel is not False,
+        kernel=kernel,
         backend=backend,
     )
     results: List[List[RouteOutcome]] = []

@@ -23,10 +23,12 @@ Lifecycle rules (see ARCHITECTURE.md "Memory & parallelism"):
   (``run_parallel_batch`` for ad-hoc arenas, ``WorkerPool.close()`` for
   pool-owned ones), so segments disappear on normal completion and on
   ``KeyboardInterrupt``;
-* workers attach with tracking disabled (or unregister from the
-  :mod:`multiprocessing.resource_tracker` on Pythons without
-  ``track=False``), so a SIGKILLed worker cannot trick the tracker into
-  unlinking a segment other workers still read;
+* workers never own a segment's :mod:`multiprocessing.resource_tracker`
+  entry — they attach with ``track=False``, or on older Pythons leave the
+  owner's shared tracker alone and unregister from a tracker of their
+  own — so a SIGKILLed worker cannot trick a tracker into unlinking a
+  segment other workers still read, and the owner's ``unlink()`` finds
+  its registration intact;
 * ``unlink()`` is idempotent and a :func:`weakref.finalize` backstop
   releases segments if an arena is dropped without an explicit unlink.
 """
@@ -38,7 +40,7 @@ import secrets
 import weakref
 from multiprocessing import resource_tracker, shared_memory
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -153,6 +155,10 @@ def _spec_for(block):
 _OWNED: Dict[str, object] = {}
 _ATTACHED: Dict[str, Tuple[shared_memory.SharedMemory, object]] = {}
 
+# _TRACKER_SHARED is (pid, shared) for the process that decided it; see
+# _tracker_shared.
+_TRACKER_SHARED: Optional[Tuple[int, bool]] = None
+
 
 def _align(offset: int) -> int:
     return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
@@ -168,23 +174,54 @@ def _create_segment(size: int) -> shared_memory.SharedMemory:
     raise RuntimeError("could not allocate a unique shared-memory segment name")
 
 
-def _attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Map an existing segment without resource-tracker registration.
+def _tracker_shared() -> bool:
+    """Whether this process shares its resource tracker with its parent.
 
-    Python 3.13 grew ``track=False``; on older versions attaching
-    registers the segment with the worker's resource tracker, which would
-    unlink it when *this* process exits even though the owner still needs
-    it — so we unregister immediately after attaching.
+    Decided once per process, before its first registration: right after
+    a fork, or on the first attach in a spawned (tracker handed over at
+    start) or top-level process. Asking again later would be wrong — the
+    first attach of a worker forked before the owner's tracker started
+    launches a private tracker, after which ``_fd`` is set although that
+    tracker is not the owner's.
+    """
+    global _TRACKER_SHARED
+    pid = os.getpid()
+    if _TRACKER_SHARED is None or _TRACKER_SHARED[0] != pid:
+        _TRACKER_SHARED = (pid, resource_tracker._resource_tracker._fd is not None)
+    return _TRACKER_SHARED[1]
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_tracker_shared)
+
+
+def _attach_segment(name: str) -> shared_memory.SharedMemory:
+    """Map an existing segment without owning its resource-tracker entry.
+
+    Python 3.13 grew ``track=False``. On older versions attaching always
+    registers the segment with this process's resource tracker:
+
+    * a worker sharing the owner's tracker (forked after the tracker
+      started, or spawned) re-registers a name the tracker already holds,
+      which is a no-op. Unregistering would remove the *owner's* entry:
+      the owner's ``unlink()`` would make the tracker raise ``KeyError``,
+      and a SIGKILLed owner would leak the segment;
+    * a worker with a tracker of its own (forked before the owner's
+      started) would have that tracker unlink the segment when the worker
+      dies, although the owner still needs it — so it unregisters every
+      segment immediately after attaching, including those attached after
+      its first attach started that tracker.
     """
     try:
         return shared_memory.SharedMemory(name=name, track=False)
     except TypeError:
         pass
     shm = shared_memory.SharedMemory(name=name)
-    try:
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker internals vary
-        pass
+    if not _tracker_shared():
+        try:
+            resource_tracker.unregister(shm._name, "shared_memory")
+        except Exception:  # pragma: no cover - tracker internals vary
+            pass
     return shm
 
 

@@ -3,7 +3,7 @@
 The paper's delivery-rate sweeps simulate thousands of *homogeneous,
 fault-free* protocol sessions whose entire live state is a handful of
 integers. Driving each of them through one Python method call per relevant
-event — even the columnar engine's allocation-free scalar hook — leaves
+event — even the engine object loop's allocation-free scalar hook — leaves
 per-object dispatch as the dominant cost of a batch. This module sweeps
 whole batches over a columnar :class:`~repro.contacts.events.EventBlock`
 with array operations instead.
@@ -21,9 +21,8 @@ state-changing events with vectorized searches and dispatch **only them**
 through the session's own
 :meth:`~repro.sim.protocol.ProtocolSession.on_contact_scalar` hook. The
 outcome objects (paths, hop timestamps, transfers, status) are therefore
-built by the exact same code path as every other engine mode —
-byte-identity with columnar/indexed/broadcast dispatch is structural, not
-re-implemented.
+built by the exact same code path as the engine's object loop —
+byte-identity with it is structural, not re-implemented.
 
 Two kernels share the composite-index machinery (:class:`_EventIndex`):
 
@@ -285,9 +284,9 @@ class BatchKernel(_KernelBackendMixin):
     payload. Those sessions never draw randomness at dispatch time and
     never interact with each other, which is what makes the per-hop race
     a pure array search. Faulted, recovering, or keyring-carrying sessions
-    must go through the engine's columnar object path;
+    must go through the engine's object loop;
     :class:`~repro.sim.engine.SimulationEngine` performs that split
-    transparently under ``consume="kernel"``.
+    transparently whenever ``kernel=True`` and the events arrive as blocks.
     """
 
     mode = "kernel-single"
@@ -350,7 +349,7 @@ class BatchKernel(_KernelBackendMixin):
         """Advance every session across ``block``; returns the dispatch count.
 
         The block must be chronological (every producer guarantees it).
-        After the call each session is in exactly the state the columnar
+        After the call each session is in exactly the state the engine's
         object loop would have left it in: delivered/expired sessions are
         ``done`` with identical outcomes, the rest are ``pending`` with
         their holder parked wherever the window left it.
@@ -359,7 +358,7 @@ class BatchKernel(_KernelBackendMixin):
         exception a session's ``on_contact_scalar`` raises; the session is
         dropped from the sweep and the rest continue (eligible sessions
         never interact, so the others are unaffected — the same containment
-        the engine's quarantine gives the object loops). Without the
+        the engine's quarantine gives the object loop). Without the
         callback session exceptions propagate and abort the sweep.
 
         ``run`` composes across successive windows: per-session state is
@@ -624,7 +623,7 @@ class MultiCopyBatchKernel(_KernelBackendMixin):
     when onion groups overlap across hops. The kernel detects the no-op
     via :attr:`MultiCopySession.state_version`, skips the mirror resync,
     and advances the cursor past the event — identical to what the
-    columnar object loop does with such contacts.
+    engine's object loop does with such contacts.
     """
 
     mode = "kernel-multicopy"
@@ -728,7 +727,7 @@ class MultiCopyBatchKernel(_KernelBackendMixin):
 
         Same contract as :meth:`BatchKernel.run`, including the
         ``on_session_error`` containment: after the call every surviving
-        session is byte-identical to what the columnar object loop would
+        session is byte-identical to what the engine's object loop would
         have produced over the same block, and repeated calls over a
         chronologically split stream compose exactly like
         :meth:`BatchKernel.run` does.

@@ -43,9 +43,9 @@ class ProtocolSession(abc.ABC):
     def on_contact_scalar(self, time: float, a: int, b: int) -> None:
         """Scalar-argument twin of :meth:`on_contact`.
 
-        The engine's columnar consumption loop iterates ``(time, a, b)``
-        columns and prefers this hook: a session that overrides it is
-        dispatched without a :class:`ContactEvent` ever being allocated.
+        The engine's object loop iterates ``(time, a, b)`` triples and
+        prefers this hook: a session that overrides it is dispatched
+        without a :class:`ContactEvent` ever being allocated.
         The default wraps the scalars and delegates, so overriding either
         method alone keeps both entry points behaviourally identical —
         overriders must preserve that equivalence.

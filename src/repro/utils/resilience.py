@@ -9,10 +9,10 @@ long sweep can hit is classified into one of five kinds:
 * ``WORKER_CRASH`` — a worker process died (SIGKILL, OOM, segfault); the
   pool broke and every in-flight chunk was requeued.
 * ``CHUNK_ERROR`` — a chunk raised an ordinary exception.
-* ``KERNEL_FALLBACK`` — a struct-of-arrays kernel (or the columnar
-  consumer) failed before mutating any session and the engine degraded to
-  the next rung of the consume ladder (kernel → columnar → iterator), with
-  byte-identical outcomes.
+* ``KERNEL_FALLBACK`` — a struct-of-arrays kernel failed before mutating
+  any session (or an event source could not produce its first block) and
+  the run degraded to the engine's object loop (or to lazily pulled
+  events), with byte-identical outcomes.
 * ``CHECKPOINT_CORRUPT`` — a checkpoint file failed JSON parsing or
   checksum validation and was quarantined; the affected work is recomputed.
 

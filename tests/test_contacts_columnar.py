@@ -23,8 +23,10 @@ from repro.contacts.events import (
 from repro.contacts.random_graph import random_contact_graph
 from repro.contacts.synthetic import cambridge_like_trace
 from repro.contacts.traces import ContactRecord, ContactTrace
+from repro.experiments import runners
 from repro.experiments.runners import run_random_graph_batch, run_trace_batch
 from repro.sim.engine import SimulationEngine
+from tests.helpers import BroadcastEngine
 
 
 def _events_tuples(events):
@@ -222,36 +224,38 @@ class TestEngineConsumeModes:
             10, (10.0, 120.0), rng=np.random.default_rng(0)
         )
         process = ExponentialContactProcess(graph, rng=np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            SimulationEngine(process, horizon=10.0, consume="bogus")
+        for retired in ("bogus", "columnar", "kernel"):
+            with pytest.raises(ValueError):
+                SimulationEngine(process, horizon=10.0, consume=retired)
 
         class IteratorOnly:
             def events_until(self, horizon):
                 return iter(())
 
-        with pytest.raises(ValueError):
-            SimulationEngine(IteratorOnly(), horizon=10.0, consume="columnar")
-        # auto degrades to the iterator loop instead of failing.
+        # A source without blocks is pulled lazily instead of failing.
         engine = SimulationEngine(IteratorOnly(), horizon=10.0, consume="auto")
         assert engine.consume == "auto"
 
     @pytest.mark.parametrize("seed", [11, 29])
-    def test_random_batch_modes_identical(self, seed):
+    def test_random_batch_modes_identical(self, seed, monkeypatch):
         graph = random_contact_graph(
             25, (10.0, 120.0), rng=np.random.default_rng(seed)
         )
-        sigs = {}
-        for mode, kwargs in (
-            ("broadcast", dict(dispatch="broadcast")),
-            ("iterator", dict(consume="iterator")),
-            ("columnar", dict(consume="columnar")),
-        ):
-            pairs = run_random_graph_batch(
-                graph, 4, 2, copies=1, horizon=360.0, sessions=60,
-                rng=np.random.default_rng(seed), **kwargs,
+
+        def run(**kwargs):
+            return _signature(
+                run_random_graph_batch(
+                    graph, 4, 2, copies=1, horizon=360.0, sessions=60,
+                    rng=np.random.default_rng(seed), **kwargs,
+                )
             )
-            sigs[mode] = _signature(pairs)
-        assert sigs["broadcast"] == sigs["iterator"] == sigs["columnar"]
+
+        lazy = run(consume="iterator")
+        block = run(kernel=False)
+        with monkeypatch.context() as patch:
+            patch.setattr(runners, "SimulationEngine", BroadcastEngine)
+            broadcast = run()
+        assert broadcast == lazy == block
 
     def test_multicopy_batch_modes_identical(self):
         # Multi-copy sessions do not override the scalar hook, exercising
@@ -260,25 +264,25 @@ class TestEngineConsumeModes:
             20, (10.0, 120.0), rng=np.random.default_rng(8)
         )
         sigs = {}
-        for mode in ("iterator", "columnar"):
+        for mode in ("iterator", "auto"):
             pairs = run_random_graph_batch(
                 graph, 4, 2, copies=3, horizon=360.0, sessions=30,
-                rng=np.random.default_rng(8), consume=mode,
+                rng=np.random.default_rng(8), consume=mode, kernel=False,
             )
             sigs[mode] = _signature(pairs)
-        assert sigs["iterator"] == sigs["columnar"]
+        assert sigs["iterator"] == sigs["auto"]
 
     def test_trace_batch_modes_identical(self):
         trace = cambridge_like_trace(rng=np.random.default_rng(21))
         sigs = {}
-        for mode in ("iterator", "columnar"):
+        for mode in ("iterator", "auto"):
             pairs = run_trace_batch(
                 trace, group_size=4, onion_routers=2, copies=1,
                 deadline=3600.0, sessions=25,
-                rng=np.random.default_rng(21), consume=mode,
+                rng=np.random.default_rng(21), consume=mode, kernel=False,
             )
             sigs[mode] = _signature(pairs)
-        assert sigs["iterator"] == sigs["columnar"]
+        assert sigs["iterator"] == sigs["auto"]
 
     def test_columnar_counts_dispatched_events(self):
         from repro.sim.metrics import DeliveryOutcome
@@ -303,7 +307,7 @@ class TestEngineConsumeModes:
             12, (10.0, 120.0), rng=np.random.default_rng(6)
         )
         counts, streams = {}, {}
-        for mode in ("iterator", "columnar"):
+        for mode in ("iterator", "auto"):
             process = ExponentialContactProcess(
                 graph, rng=np.random.default_rng(6)
             )
@@ -312,5 +316,5 @@ class TestEngineConsumeModes:
             engine.run()
             counts[mode] = engine.events_processed
             streams[mode] = recorder.seen
-        assert counts["iterator"] == counts["columnar"] > 0
-        assert streams["iterator"] == streams["columnar"]
+        assert counts["iterator"] == counts["auto"] > 0
+        assert streams["iterator"] == streams["auto"]

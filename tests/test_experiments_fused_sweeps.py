@@ -71,14 +71,14 @@ def test_single_variant_fused_matches_plain_batch():
 def test_fused_graph_sweep_kernel_matches_columnar():
     graph = small_graph()
     runs = []
-    for consume in ("columnar", "kernel"):
+    for kernel in (False, True):
         sweep = run_fused_graph_sweep(
             graph,
             GRID,
             horizon=360.0,
             sessions_per_variant=15,
             rng=np.random.default_rng(11),
-            consume=consume,
+            kernel=kernel,
         )
         runs.append([batch_fields(batch) for batch in sweep])
     assert runs[0] == runs[1]
@@ -115,14 +115,14 @@ def test_fused_trace_sweep_kernel_matches_columnar():
         SweepVariant(label="L=2", group_size=3, onion_routers=2, copies=2),
     ]
     runs = []
-    for consume in ("columnar", "kernel"):
+    for kernel in (False, True):
         sweep = run_fused_trace_sweep(
             trace,
             variants,
             deadline=1800.0,
             sessions_per_variant=10,
             rng=np.random.default_rng(2),
-            consume=consume,
+            kernel=kernel,
         )
         runs.append([batch_fields(batch) for batch in sweep])
     assert runs[0] == runs[1]
@@ -216,14 +216,13 @@ def test_figure_10_runs_through_kernels_by_default(recorded_engines):
     )
     assert recorded_engines, "figure_10 never built an engine"
     for engine in recorded_engines:
-        assert engine.consume == "kernel"
+        assert engine.consume == "auto"
         counts = engine.dispatch_mode_counts
         # The fused L grid: the L=1 slot through the single-copy kernel,
-        # L=2 through the multi-copy kernel, nothing on the object loops.
+        # L=2 through the multi-copy kernel, nothing on the object loop.
         assert counts.get("kernel-single", 0) == 6
         assert counts.get("kernel-multicopy", 0) == 6
-        assert "columnar" not in counts
-        assert "iterator" not in counts
+        assert "object" not in counts
 
 
 def test_figure_14_runs_through_kernel_by_default(recorded_engines):
@@ -232,10 +231,10 @@ def test_figure_14_runs_through_kernel_by_default(recorded_engines):
     figure_14(sessions=5, seed=14)
     assert recorded_engines, "figure_14 never built an engine"
     for engine in recorded_engines:
-        assert engine.consume == "kernel"
+        assert engine.consume == "auto"
         counts = engine.dispatch_mode_counts
         assert counts.get("kernel-single", 0) == 5
-        assert "columnar" not in counts
+        assert "object" not in counts
 
 
 def test_explicit_opt_out_falls_back_to_columnar(recorded_engines):
@@ -251,3 +250,4 @@ def test_explicit_opt_out_falls_back_to_columnar(recorded_engines):
     assert recorded_engines
     for engine in recorded_engines:
         assert engine.consume == "auto"
+        assert engine.dispatch_mode_counts == {"object": 4}

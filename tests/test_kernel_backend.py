@@ -179,7 +179,7 @@ class TestUnavailableFallback:
             engine = SimulationEngine(
                 ColumnarEventSource(block),
                 horizon=360.0,
-                consume="kernel",
+                kernel=True,
                 backend=backend,
             )
             batch = fresh()
@@ -255,7 +255,7 @@ class TestCompiledIdentity:
                 horizon=360.0,
                 sessions=40,
                 rng=np.random.default_rng(5),
-                consume="kernel",
+                kernel=True,
                 backend=name,
             )
             runs[name] = outcome_fields(outcome for _, outcome in pairs)
@@ -361,7 +361,7 @@ class TestMidRunDegradation:
                 horizon=360.0,
                 sessions=30,
                 rng=np.random.default_rng(5),
-                consume="kernel",
+                kernel=True,
                 backend=backend,
             )
 
@@ -384,7 +384,7 @@ class TestMidRunDegradation:
         engine = SimulationEngine(
             ColumnarEventSource(block),
             horizon=360.0,
-            consume="kernel",
+            kernel=True,
             backend="cc",
         )
         for session in fresh():
@@ -421,7 +421,7 @@ class TestKernelBookkeeping:
     def test_engine_kernel_stats_exposed(self):
         fresh, block = single_copy_workload(sessions=20)
         engine = SimulationEngine(
-            ColumnarEventSource(block), horizon=360.0, consume="kernel"
+            ColumnarEventSource(block), horizon=360.0, kernel=True
         )
         for session in fresh():
             engine.add_session(session)
@@ -436,7 +436,7 @@ class TestKernelBookkeeping:
             SimulationEngine(
                 ColumnarEventSource(block),
                 horizon=360.0,
-                consume="kernel",
+                kernel=True,
                 backend="fortran",
             )
         with pytest.raises(ValueError, match="unknown kernel backend"):

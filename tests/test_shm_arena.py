@@ -345,3 +345,121 @@ class TestSharedMontecarlo:
         assert np.shares_memory(part.copy_members, block.copy_members)
         with pytest.raises(ValueError):
             block.slice_trials(10, 25)
+
+
+_TRACKER_SCRIPT = """
+import numpy as np
+from repro.contacts.events import EventBlock
+from repro.experiments.parallel import WorkerPool, parallel_map
+from repro.experiments.shm import attach_block, leaked_arena_segments
+
+def block(seed):
+    rng = np.random.default_rng(seed)
+    return EventBlock(
+        times=np.sort(rng.random(64)),
+        a=rng.integers(0, 9, 64),
+        b=rng.integers(10, 19, 64),
+    )
+
+pool = WorkerPool(2, max_processes=2)
+pool.share_block(block(0))  # the owner's resource tracker starts here
+pool.warm()  # forks the workers
+blocks = [block(seed) for seed in range(1, 6)]
+descriptors = [pool.share_block(b) for b in blocks]  # registered after the fork
+attached = parallel_map(attach_block, [(d,) for d in descriptors], pool)
+assert all(np.array_equal(x.times, b.times) for x, b in zip(attached, blocks))
+pool.close()
+print(leaked_arena_segments())
+"""
+
+# Workers forked before the owner's tracker starts get trackers of their
+# own; each must unregister every segment it attaches, or SIGKILLing it
+# (WorkerPool.terminate keeps the arena for requeued chunks) lets its
+# tracker unlink segments the owner still serves.
+_PRIVATE_TRACKER_SCRIPT = """
+import os
+import time
+
+import numpy as np
+from multiprocessing import resource_tracker
+from repro.contacts.events import EventBlock
+from repro.experiments.parallel import WorkerPool, parallel_map
+from repro.experiments.shm import attach_block, leaked_arena_segments
+
+def block(seed):
+    rng = np.random.default_rng(seed)
+    return EventBlock(
+        times=np.sort(rng.random(64)),
+        a=rng.integers(0, 9, 64),
+        b=rng.integers(10, 19, 64),
+    )
+
+def attach_all(descriptors):
+    sums = [float(attach_block(d).times.sum()) for d in descriptors]
+    return resource_tracker._resource_tracker._pid, sums
+
+def gone(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] in "ZX"
+    except FileNotFoundError:
+        return True
+
+pool = WorkerPool(2, max_processes=2)
+pool.warm()  # forks the workers before the owner's tracker exists
+blocks = [block(seed) for seed in range(3)]
+descriptors = [pool.share_block(b) for b in blocks]
+done = parallel_map(attach_all, [(descriptors,)] * 4, pool)
+expected = [float(b.times.sum()) for b in blocks]
+assert all(sums == expected for _, sums in done)
+trackers = {pid for pid, _ in done if pid is not None and pid != os.getpid()}
+pool.terminate()  # SIGKILL; the arena stays for requeued chunks
+deadline = time.monotonic() + 30
+while not all(gone(pid) for pid in trackers) and time.monotonic() < deadline:
+    time.sleep(0.05)
+# Forked workers would short-circuit through the owner's _OWNED map, so
+# check the segments themselves.
+assert all(os.path.exists(f"/dev/shm/{d.shm_name}") for d in descriptors)
+pool.close()
+print(leaked_arena_segments())
+"""
+
+
+def _run_script(script):
+    import subprocess
+    import sys
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else os.pathsep.join([src, path]))
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+class TestResourceTracker:
+    def test_fork_pool_attach_keeps_owner_registrations(self):
+        """Workers sharing the owner's tracker must not unregister the
+        owner's segments: the owner's unlink would make the tracker print
+        a KeyError traceback per segment."""
+        done = _run_script(_TRACKER_SCRIPT)
+        assert done.returncode == 0, done.stderr
+        assert "KeyError" not in done.stderr
+        assert done.stdout.strip().splitlines()[-1] == "[]"
+        assert leaked_arena_segments() == []
+
+    def test_killed_worker_with_private_tracker_keeps_segments(self):
+        """A worker forked before the owner's tracker started unregisters
+        every segment it attaches, so killing it unlinks none of them."""
+        done = _run_script(_PRIVATE_TRACKER_SCRIPT)
+        assert done.returncode == 0, done.stderr
+        assert "leaked shared_memory" not in done.stderr
+        assert "KeyError" not in done.stderr
+        assert done.stdout.strip().splitlines()[-1] == "[]"
+        assert leaked_arena_segments() == []

@@ -1,11 +1,13 @@
-"""Indexed vs broadcast dispatch must be outcome-for-outcome identical.
+"""The engine must match the broadcast scan outcome for outcome.
 
-The watched-nodes contract promises that every event the indexed engine
-skips would have been a no-op under broadcast. These tests check the
-promise end-to-end: the same seeded batch, run under both dispatch modes,
-must produce byte-identical ``DeliveryOutcome`` sequences — including
-under faults (greyhole relays, fail-stop deaths, custody recovery), where
-the shared-RNG draw order is the easiest thing to get subtly wrong.
+The watched-nodes contract promises that every event the engine's
+interest index skips would have been a no-op for the session. These tests
+check the promise end-to-end against :class:`tests.helpers.BroadcastEngine`,
+which offers every event to every session: the same seeded batch, run by
+both engines, must produce byte-identical ``DeliveryOutcome`` sequences —
+including under faults (greyhole relays, fail-stop deaths, custody
+recovery), where the shared-RNG draw order is the easiest thing to get
+subtly wrong.
 """
 
 import math
@@ -21,10 +23,12 @@ from repro.faults.recovery import RecoveryPolicy
 from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import DeliveryOutcome
 from repro.sim.protocol import ProtocolSession
+from repro.experiments import runners
 from repro.experiments.runners import (
     run_faulty_graph_batch,
     run_random_graph_batch,
 )
+from tests.helpers import BroadcastEngine
 
 
 def outcome_fields(pairs):
@@ -50,45 +54,52 @@ def graph():
     return random_contact_graph(40, (10.0, 120.0), rng=np.random.default_rng(7))
 
 
-def both_modes(batch_fn, graph, seed, make_kwargs=dict, **kwargs):
-    """Run the batch under both modes with identical seeding.
+@pytest.fixture
+def both_modes(monkeypatch):
+    """Run a batch under the broadcast oracle and the engine, seeded alike.
 
-    ``make_kwargs`` builds per-mode keyword arguments — fault objects like
+    ``make_kwargs`` builds per-run keyword arguments — fault objects like
     :class:`DroppingRelays` carry their own RNG state and must be
     constructed fresh for each run, or the first run perturbs the second.
     """
-    return [
-        outcome_fields(
-            batch_fn(
-                graph,
-                4,
-                2,
-                horizon=360.0,
-                sessions=30,
-                rng=np.random.default_rng(seed),
-                dispatch=mode,
-                **kwargs,
-                **make_kwargs(),
+
+    def run_both(batch_fn, graph, seed, make_kwargs=dict, **kwargs):
+        def run():
+            return outcome_fields(
+                batch_fn(
+                    graph,
+                    4,
+                    2,
+                    horizon=360.0,
+                    sessions=30,
+                    rng=np.random.default_rng(seed),
+                    **kwargs,
+                    **make_kwargs(),
+                )
             )
-        )
-        for mode in ("broadcast", "indexed")
-    ]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(runners, "SimulationEngine", BroadcastEngine)
+            broadcast = run()
+        return broadcast, run()
+
+    return run_both
 
 
 class TestDispatchEquivalence:
-    def test_single_copy_batch(self, graph):
+    def test_single_copy_batch(self, graph, both_modes):
         broadcast, indexed = both_modes(
             run_random_graph_batch, graph, 11, copies=1
         )
         assert broadcast == indexed
 
-    def test_multi_copy_batch(self, graph):
+    def test_multi_copy_batch(self, graph, both_modes):
         broadcast, indexed = both_modes(
             run_random_graph_batch, graph, 12, copies=3
         )
         assert broadcast == indexed
 
-    def test_greyhole_with_recovery_batch(self, graph):
+    def test_greyhole_with_recovery_batch(self, graph, both_modes):
         # Dropping relays draw from a shared RNG stream, so any difference
         # in dispatch order or count between modes shows up immediately.
         for copies in (1, 3):
@@ -110,7 +121,7 @@ class TestDispatchEquivalence:
             )
             assert broadcast == indexed
 
-    def test_failstop_batch(self, graph):
+    def test_failstop_batch(self, graph, both_modes):
         # Fail-stop sessions opt out of indexing (watched_nodes -> None);
         # equivalence must still hold through the broadcast fallback.
         broadcast, indexed = both_modes(
@@ -192,9 +203,8 @@ class TestQuarantineUnderIndexing:
 
     @pytest.mark.parametrize("dispatch", ["broadcast", "indexed"])
     def test_raising_session_is_quarantined(self, dispatch):
-        engine = SimulationEngine(
-            ScriptedEvents(self.events()), horizon=10.0, dispatch=dispatch
-        )
+        engine_cls = BroadcastEngine if dispatch == "broadcast" else SimulationEngine
+        engine = engine_cls(ScriptedEvents(self.events()), horizon=10.0)
         faulty = FaultyWatchedSession()
         healthy = WatchingRecorder(0)
         engine.add_session(faulty)
@@ -202,8 +212,8 @@ class TestQuarantineUnderIndexing:
         engine.run()
         assert [s for s, _ in engine.quarantined] == [faulty]
         assert faulty.seen == 2  # stopped at the raising event
-        # Indexed dispatch skips the final (2, 3) contact for a session
-        # watching node 0; broadcast delivers everything.
+        # The engine's index skips the final (2, 3) contact for a session
+        # watching node 0; the broadcast oracle delivers everything.
         expected = [1.0, 2.0, 3.0, 4.0, 5.0]
         if dispatch == "broadcast":
             expected.append(6.0)
@@ -211,7 +221,7 @@ class TestQuarantineUnderIndexing:
 
     def test_quarantined_session_not_redispatched_by_index(self):
         engine = SimulationEngine(
-            ScriptedEvents(self.events()), horizon=10.0, dispatch="indexed"
+            ScriptedEvents(self.events()), horizon=10.0
         )
         faulty = FaultyWatchedSession()
         engine.add_session(faulty)
@@ -247,7 +257,7 @@ class TestWakeupPolling:
 
         events = [ContactEvent(time=float(t), a=0, b=1) for t in range(1, 7)]
         engine = SimulationEngine(
-            ScriptedEvents(events), horizon=10.0, dispatch="indexed"
+            ScriptedEvents(events), horizon=10.0
         )
         session = ExpiringSession()
         engine.add_session(session)

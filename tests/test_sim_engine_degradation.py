@@ -1,14 +1,16 @@
 """Degradation-ladder tests: kernel failures must degrade byte-identically.
 
 The resilience contract has two levels. Inside the engine, a kernel that
-fails *before dispatching anything* routes its whole group through the
-columnar object loop (and a partially-dispatched kernel must refuse to —
-replaying advanced sessions would violate causality). Inside a parallel
-chunk, :func:`repro.experiments.parallel._run_chunk_with_ladder` retries
-the chunk on the next consume rung (kernel → columnar → iterator),
-rebuilding all chunk state from the seed. Both levels promise outcomes
-byte-identical to the iterator path — these tests mix kernel-eligible and
-fault-carrying sessions in one batch and check exactly that.
+fails *before dispatching anything* while the first window is processed
+routes its whole group through the object loop — under ``consume="auto"``
+and ``consume="stream"`` alike — and a partially-dispatched kernel, or
+one failing in a later window, must refuse to (replaying advanced
+sessions would violate causality). Inside a parallel chunk,
+:func:`repro.experiments.parallel._run_chunk_with_ladder` retries the
+chunk with ``kernel=False``, rebuilding all chunk state from the seed.
+Both levels promise outcomes byte-identical to lazily pulled events fed
+to the object loop — these tests mix kernel-eligible and fault-carrying
+sessions in one batch and check exactly that.
 """
 
 import numpy as np
@@ -27,7 +29,7 @@ from repro.experiments.parallel import (
 )
 from repro.faults.recovery import FaultPlan, RecoveryPolicy
 from repro.sim.engine import SimulationEngine
-from repro.sim.kernel import BatchKernel
+from repro.sim.kernel import BatchKernel, MultiCopyBatchKernel
 from repro.sim.message import Message
 from repro.utils.resilience import KERNEL_FALLBACK
 
@@ -98,10 +100,8 @@ def block():
     ).events_until_columnar(HORIZON)
 
 
-def run_mixed(block, consume):
-    engine = SimulationEngine(
-        ColumnarEventSource(block), horizon=HORIZON, consume=consume
-    )
+def run_mixed(block, **knobs):
+    engine = SimulationEngine(ColumnarEventSource(block), horizon=HORIZON, **knobs)
     sessions = mixed_sessions(seed=13)
     for session in sessions:
         engine.add_session(session)
@@ -113,16 +113,15 @@ class TestEngineKernelFallback:
     def test_predispatch_kernel_error_matches_iterator_path(
         self, block, monkeypatch
     ):
-        """Satellite acceptance: a mid-batch kernel error on a mixed batch
-        degrades to the object loop with outcomes byte-identical to the
-        iterator path."""
-        _, via_iterator = run_mixed(block, "iterator")
+        """A mid-batch kernel error on a mixed batch degrades to the object
+        loop with outcomes byte-identical to lazily pulled events."""
+        _, via_iterator = run_mixed(block, consume="iterator")
 
         def refuse(self, block, on_session_error=None):
             raise RuntimeError("injected kernel failure")  # dispatches == 0
 
         monkeypatch.setattr(BatchKernel, "run", refuse)
-        engine, via_kernel = run_mixed(block, "kernel")
+        engine, via_kernel = run_mixed(block)
 
         assert outcome_fields(via_kernel) == outcome_fields(via_iterator)
         fallbacks = engine.fallback_events
@@ -130,14 +129,71 @@ class TestEngineKernelFallback:
         assert fallbacks[0].kind == KERNEL_FALLBACK
         assert fallbacks[0].where == "BatchKernel"
         assert "injected kernel failure" in fallbacks[0].detail
-        # The single-copy group fell back to the columnar loop; nothing ran
+        # The single-copy group fell back to the object loop; nothing ran
         # under the single-copy kernel.
         assert engine.dispatch_mode_counts.get("kernel-single", 0) == 0
-        assert engine.dispatch_mode_counts.get("columnar", 0) > 0
+        assert engine.dispatch_mode_counts["object"] == 8
+
+    def test_stream_predispatch_kernel_error_matches_iterator_path(
+        self, block, monkeypatch
+    ):
+        """The same rule under ``consume="stream"``: a kernel that raises
+        before dispatching, in the first window, hands its group to the
+        object loop before that loop has seen the window."""
+        _, via_iterator = run_mixed(block, consume="iterator")
+
+        def refuse(self, block, on_session_error=None):
+            raise RuntimeError("injected kernel failure")
+
+        monkeypatch.setattr(BatchKernel, "run", refuse)
+        engine, via_stream = run_mixed(block, consume="stream", stream_window=30.0)
+
+        assert outcome_fields(via_stream) == outcome_fields(via_iterator)
+        assert [e.where for e in engine.fallback_events] == ["BatchKernel"]
+        assert engine.stream_stats[0] > 1
+        assert engine.dispatch_mode_counts == {"kernel-multicopy": 4, "object": 8}
+
+    def test_stream_later_window_kernel_error_propagates(self, block, monkeypatch):
+        original = BatchKernel.run
+        windows = []
+
+        def fail_second_window(self, block, on_session_error=None):
+            windows.append(len(block))
+            if len(windows) == 2:
+                raise RuntimeError("injected second-window failure")
+            return original(self, block, on_session_error=on_session_error)
+
+        monkeypatch.setattr(BatchKernel, "run", fail_second_window)
+        with pytest.raises(RuntimeError, match="second-window") as excinfo:
+            run_mixed(block, consume="stream", stream_window=30.0)
+        assert any("window 2" in note for note in excinfo.value.__notes__)
+
+    def test_first_window_failure_pulls_source_lazily(self, block):
+        _, via_iterator = run_mixed(block, consume="iterator")
+
+        class BrokenBlocks(ColumnarEventSource):
+            def events_until_columnar(self, horizon):
+                raise OSError("injected window failure")
+
+        for consume in ("auto", "stream"):
+            engine = SimulationEngine(
+                BrokenBlocks(block), horizon=HORIZON, consume=consume
+            )
+            sessions = mixed_sessions(seed=13)
+            for session in sessions:
+                engine.add_session(session)
+            engine.run()
+            assert outcome_fields(s.outcome() for s in sessions) == outcome_fields(
+                via_iterator
+            )
+            assert [e.where for e in engine.fallback_events] == [
+                f"consume={consume}"
+            ]
+            assert engine.dispatch_mode_counts == {"object": 12}
 
     def test_clean_kernel_run_matches_iterator_and_records_nothing(self, block):
-        engine, via_kernel = run_mixed(block, "kernel")
-        _, via_iterator = run_mixed(block, "iterator")
+        engine, via_kernel = run_mixed(block)
+        _, via_iterator = run_mixed(block, consume="iterator")
         assert outcome_fields(via_kernel) == outcome_fields(via_iterator)
         assert engine.fallback_events == ()
         assert engine.dispatch_mode_counts.get("kernel-single", 0) > 0
@@ -155,18 +211,39 @@ class TestEngineKernelFallback:
 
         monkeypatch.setattr(BatchKernel, "run", dispatch_then_die)
         with pytest.raises(RuntimeError, match="post-dispatch") as excinfo:
-            run_mixed(block, "kernel")
+            run_mixed(block)
         assert any("kernel=False" in note for note in excinfo.value.__notes__)
 
+    def test_later_group_failure_still_harvests_earlier_kernels(
+        self, block, monkeypatch
+    ):
+        # The single-copy kernel sweeps the first window cleanly, then the
+        # multi-copy kernel dies after dispatching: the run propagates,
+        # but the kernel that ran still reports its stats.
+        original = MultiCopyBatchKernel.run
+
+        def dispatch_then_die(self, block, on_session_error=None):
+            original(self, block, on_session_error=on_session_error)
+            assert self.dispatches > 0
+            raise RuntimeError("injected post-dispatch failure")
+
+        monkeypatch.setattr(MultiCopyBatchKernel, "run", dispatch_then_die)
+        engine = SimulationEngine(ColumnarEventSource(block), horizon=HORIZON)
+        for session in mixed_sessions(seed=13):
+            engine.add_session(session)
+        with pytest.raises(RuntimeError, match="post-dispatch"):
+            engine.run()
+        assert len(engine.kernel_stats) == 2
+
 
 # ----------------------------------------------------------------------
-# the chunk-level ladder (kernel → columnar → iterator inside a retry)
+# the chunk-level ladder (kernel → object loop inside a retry)
 # ----------------------------------------------------------------------
 
 
-def _ladder_probe(sessions, rng, fail_on=(), kernel=None, consume="auto"):
+def _ladder_probe(sessions, rng, fail_on=(), kernel=None):
     """A stand-in batch fn whose failures are selected per rung."""
-    rung = "kernel" if kernel is not False else consume
+    rung = "kernel" if kernel is not False else "object"
     if rung in fail_on:
         raise RuntimeError(f"injected failure on rung {rung!r}")
     return [(rung, sessions, float(rng.random()))]
@@ -195,23 +272,13 @@ class TestChunkLadder:
         assert payload.events[0]["resolution"] == "degraded"
         assert "kernel=False" in payload.events[0]["detail"]
 
-    def test_double_failure_reaches_iterator_rung(self):
-        payload = _run_batch_chunk(
-            _ladder_probe,
-            5,
-            self.seed(),
-            {"fail_on": ("kernel", "auto"), "kernel": True},
-        )
-        assert payload.result[0][0] == "iterator"
-        assert [e["kind"] for e in payload.events] == [KERNEL_FALLBACK] * 2
-
     def test_exhausted_ladder_raises_last_rung_error(self):
-        with pytest.raises(RuntimeError, match="rung 'iterator'"):
+        with pytest.raises(RuntimeError, match="rung 'object'"):
             _run_batch_chunk(
                 _ladder_probe,
                 5,
                 self.seed(),
-                {"fail_on": ("kernel", "auto", "iterator"), "kernel": True},
+                {"fail_on": ("kernel", "object"), "kernel": True},
             )
 
     def test_clean_chunk_records_no_events(self):
@@ -220,25 +287,16 @@ class TestChunkLadder:
         assert payload.result[0][0] == "kernel"
 
     def test_rungs_respect_pinned_knobs(self):
-        three = _degradation_rungs(_ladder_probe, {"kernel": True})
-        assert [label for label, _ in three] == [
+        two = _degradation_rungs(_ladder_probe, {"kernel": True, "consume": "auto"})
+        assert [label for label, _ in two] == [
             "requested configuration",
             "kernel=False",
-            "consume='iterator'",
         ]
-        # The iterator rung builds on the kernel-off rung, not the original.
-        assert three[2][1] == {"kernel": False, "consume": "iterator"}
+        # Only the kernel knob changes between rungs.
+        assert two[1][1] == {"kernel": False, "consume": "auto"}
 
         pinned_off = _degradation_rungs(_ladder_probe, {"kernel": False})
         assert [label for label, _ in pinned_off] == [
-            "requested configuration",
-            "consume='iterator'",
-        ]
-
-        pinned_iterator = _degradation_rungs(
-            _ladder_probe, {"kernel": False, "consume": "iterator"}
-        )
-        assert [label for label, _ in pinned_iterator] == [
             "requested configuration"
         ]
 

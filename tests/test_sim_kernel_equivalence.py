@@ -1,14 +1,14 @@
-"""Kernel vs columnar dispatch must be outcome-for-outcome identical.
+"""Kernel vs object-loop dispatch must be outcome-for-outcome identical.
 
 The :class:`~repro.sim.kernel.BatchKernel` claims that for fault-free
 single-copy sessions only two kinds of event change state — the first
 meeting with a next-group member and the first event past the TTL — and
 dispatches exactly those through the session's own scalar hook. These
-tests check the claim end-to-end: the same seeded batch, run under
-``consume="columnar"`` and ``consume="kernel"``, must produce
+tests check the claim end-to-end: the same seeded batch, run with
+``kernel=False`` and ``kernel=True`` over the same block, must produce
 byte-identical ``DeliveryOutcome`` sequences across graph sizes, group
 sizes, route lengths, and seeds; including mixed batches where faulted /
-keyring sessions fall back to the object path (multi-copy sessions now
+keyring sessions fall back to the object loop (multi-copy sessions now
 route to their own kernel — see
 ``tests/test_sim_multicopy_kernel_equivalence.py``).
 """
@@ -68,7 +68,7 @@ def test_kernel_matches_columnar(n, group_size, onion_routers, seed):
     )
     runs = []
     counts = []
-    for consume in ("columnar", "kernel"):
+    for kernel in (False, True):
         pairs = run_random_graph_batch(
             graph,
             group_size,
@@ -77,7 +77,7 @@ def test_kernel_matches_columnar(n, group_size, onion_routers, seed):
             horizon=360.0,
             sessions=30,
             rng=np.random.default_rng(seed),
-            consume=consume,
+            kernel=kernel,
         )
         runs.append(batch_fields(pairs))
         counts.append(status_counts([outcome for _, outcome in pairs]))
@@ -85,19 +85,19 @@ def test_kernel_matches_columnar(n, group_size, onion_routers, seed):
     assert counts[0] == counts[1]
 
 
-def test_kernel_knob_matches_consume_spelling():
+def test_kernel_knob_default_is_on():
     graph = random_contact_graph(
         25, (10.0, 120.0), rng=np.random.default_rng(17)
     )
-    spelled = run_random_graph_batch(
+    default = run_random_graph_batch(
         graph, 3, 2, 1, horizon=240.0, sessions=20,
-        rng=np.random.default_rng(17), consume="kernel",
+        rng=np.random.default_rng(17),
     )
     knobbed = run_random_graph_batch(
         graph, 3, 2, 1, horizon=240.0, sessions=20,
         rng=np.random.default_rng(17), kernel=True,
     )
-    assert batch_fields(spelled) == batch_fields(knobbed)
+    assert batch_fields(default) == batch_fields(knobbed)
 
 
 # ----------------------------------------------------------------------
@@ -139,9 +139,9 @@ def expiry_sessions():
     return [delivered, expires, stalled]
 
 
-def run_scripted(consume):
+def run_scripted(kernel):
     engine = SimulationEngine(
-        ColumnarEventSource(scripted_block()), horizon=500.0, consume=consume
+        ColumnarEventSource(scripted_block()), horizon=500.0, kernel=kernel
     )
     sessions = expiry_sessions()
     for session in sessions:
@@ -151,8 +151,8 @@ def run_scripted(consume):
 
 
 def test_ttl_expiry_and_late_creation_match_columnar():
-    columnar = run_scripted("columnar")
-    kernel = run_scripted("kernel")
+    columnar = run_scripted(False)
+    kernel = run_scripted(True)
     assert outcome_fields(columnar) == outcome_fields(kernel)
     assert [o.status for o in kernel] == ["delivered", "expired", "pending"]
     # The expiring session died at the first event past its deadline
@@ -215,9 +215,9 @@ def test_mixed_batch_fallback_matches_columnar():
         graph, rng=np.random.default_rng(21)
     ).events_until_columnar(360.0)
     runs = []
-    for consume in ("columnar", "kernel"):
+    for kernel in (False, True):
         engine = SimulationEngine(
-            ColumnarEventSource(block), horizon=360.0, consume=consume
+            ColumnarEventSource(block), horizon=360.0, kernel=kernel
         )
         sessions = mixed_sessions(n, seed=13)
         for session in sessions:
@@ -229,7 +229,8 @@ def test_mixed_batch_fallback_matches_columnar():
 
 def test_iterator_source_degrades_to_object_loop():
     # A source without events_until_columnar cannot feed the kernel; the
-    # engine must silently run the legacy loop with identical outcomes.
+    # engine must silently pull it into the object loop with identical
+    # outcomes.
     class IteratorOnly:
         def __init__(self, block):
             self._inner = ColumnarEventSource(block)
@@ -238,14 +239,15 @@ def test_iterator_source_degrades_to_object_loop():
             return self._inner.events_until(horizon)
 
     block = scripted_block()
-    engine = SimulationEngine(IteratorOnly(block), horizon=500.0, consume="kernel")
+    engine = SimulationEngine(IteratorOnly(block), horizon=500.0, kernel=True)
     sessions = expiry_sessions()
     for session in sessions:
         engine.add_session(session)
     engine.run()
     assert outcome_fields(s.outcome() for s in sessions) == outcome_fields(
-        run_scripted("columnar")
+        run_scripted(False)
     )
+    assert engine.dispatch_mode_counts == {"object": len(sessions)}
 
 
 # ----------------------------------------------------------------------
@@ -304,25 +306,19 @@ class TestSupports:
 
 
 class TestEnginePlumbing:
-    def test_dispatch_kernel_alias(self):
-        engine = SimulationEngine(
-            ColumnarEventSource(scripted_block()),
-            horizon=10.0,
-            dispatch="kernel",
-        )
-        assert engine.dispatch == "indexed"
-        assert engine.consume == "kernel"
-
-    def test_consume_kernel_accepted(self):
-        engine = SimulationEngine(
-            ColumnarEventSource(scripted_block()), horizon=10.0, consume="kernel"
-        )
-        assert engine.consume == "kernel"
-
     def test_unknown_consume_rejected(self):
-        with pytest.raises(ValueError, match="kernel"):
+        for consume in ("vector", "kernel", "columnar"):
+            with pytest.raises(ValueError, match="iterator"):
+                SimulationEngine(
+                    ColumnarEventSource(scripted_block()),
+                    horizon=10.0,
+                    consume=consume,
+                )
+
+    def test_dispatch_knob_removed(self):
+        with pytest.raises(TypeError):
             SimulationEngine(
                 ColumnarEventSource(scripted_block()),
                 horizon=10.0,
-                consume="vector",
+                dispatch="kernel",
             )

@@ -1,14 +1,14 @@
-"""Multi-copy kernel vs columnar dispatch: outcome-for-outcome identity.
+"""Multi-copy kernel vs object-loop dispatch: outcome-for-outcome identity.
 
 The :class:`~repro.sim.kernel.MultiCopyBatchKernel` claims that for
 fault-free :class:`~repro.core.multi_copy.MultiCopySession` batches the
 only state-changing events are the first meeting between some live
 copy's holder and one of that copy's next-group members, and the first
 event strictly past the TTL — and that dispatching exactly those through
-``on_contact_scalar`` reproduces the object loops byte-for-byte. These
+``on_contact_scalar`` reproduces the object loop byte-for-byte. These
 tests check the claim across spray policies, copy counts (including
 ticket exhaustion when L saturates the spray), TTL expiry, reclaiming
-(recovery) sessions falling back to the object path, and mixed
+(recovery) sessions falling back to the object loop, and mixed
 eligible/ineligible batches — mirroring
 ``tests/test_sim_kernel_equivalence.py`` for the single-copy kernel.
 """
@@ -51,7 +51,7 @@ def test_multicopy_kernel_matches_columnar(copies, policy, seed):
     )
     runs = []
     counts = []
-    for consume in ("columnar", "kernel"):
+    for kernel in (False, True):
         pairs = run_random_graph_batch(
             graph,
             4,
@@ -61,7 +61,7 @@ def test_multicopy_kernel_matches_columnar(copies, policy, seed):
             sessions=25,
             rng=np.random.default_rng(seed),
             spray_policy=policy,
-            consume=consume,
+            kernel=kernel,
         )
         runs.append(batch_fields(pairs))
         counts.append(status_counts([outcome for _, outcome in pairs]))
@@ -79,7 +79,7 @@ def test_ticket_exhaustion_copies_saturate_group():
         30, (5.0, 60.0), rng=np.random.default_rng(seed)
     )
     runs = []
-    for consume in ("columnar", "kernel"):
+    for kernel in (False, True):
         pairs = run_random_graph_batch(
             graph,
             4,
@@ -88,7 +88,7 @@ def test_ticket_exhaustion_copies_saturate_group():
             horizon=720.0,
             sessions=20,
             rng=np.random.default_rng(seed),
-            consume=consume,
+            kernel=kernel,
         )
         runs.append(batch_fields(pairs))
     assert runs[0] == runs[1]
@@ -103,7 +103,7 @@ def test_overlapping_groups_noop_dispatches_match():
         16, (5.0, 45.0), rng=np.random.default_rng(seed)
     )
     runs = []
-    for consume in ("columnar", "kernel"):
+    for kernel in (False, True):
         pairs = run_random_graph_batch(
             graph,
             4,
@@ -112,7 +112,7 @@ def test_overlapping_groups_noop_dispatches_match():
             horizon=720.0,
             sessions=15,
             rng=np.random.default_rng(seed),
-            consume=consume,
+            kernel=kernel,
         )
         runs.append(batch_fields(pairs))
     assert runs[0] == runs[1]
@@ -160,9 +160,9 @@ def scripted_sessions():
     return [delivered, expires, stalled]
 
 
-def run_scripted(consume):
+def run_scripted(kernel):
     engine = SimulationEngine(
-        ColumnarEventSource(scripted_block()), horizon=500.0, consume=consume
+        ColumnarEventSource(scripted_block()), horizon=500.0, kernel=kernel
     )
     sessions = scripted_sessions()
     for session in sessions:
@@ -172,8 +172,8 @@ def run_scripted(consume):
 
 
 def test_ttl_expiry_and_late_creation_match_columnar():
-    columnar = run_scripted("columnar")
-    kernel = run_scripted("kernel")
+    columnar = run_scripted(False)
+    kernel = run_scripted(True)
     assert outcome_fields(columnar) == outcome_fields(kernel)
     assert [o.status for o in kernel] == ["delivered", "expired", "pending"]
     # Every live copy of the expiring session died at the first event
@@ -210,7 +210,7 @@ def mixed_sessions(n, seed):
             sessions.append(MultiCopySession(message, route, copies=3))
         elif kind == 1:
             # Ticket reclamation armed: ineligible, must fall back to the
-            # columnar object loop inside the same engine pass.
+            # object loop inside the same engine pass.
             sessions.append(
                 MultiCopySession(
                     message,
@@ -235,9 +235,9 @@ def test_mixed_batch_fallback_matches_columnar():
         graph, rng=np.random.default_rng(21)
     ).events_until_columnar(360.0)
     runs = []
-    for consume in ("columnar", "kernel"):
+    for kernel in (False, True):
         engine = SimulationEngine(
-            ColumnarEventSource(block), horizon=360.0, consume=consume
+            ColumnarEventSource(block), horizon=360.0, kernel=kernel
         )
         sessions = mixed_sessions(n, seed=13)
         for session in sessions:
@@ -331,7 +331,6 @@ class TestEnginePlumbing:
         engine = SimulationEngine(
             ColumnarEventSource(scripted_block()),
             horizon=500.0,
-            consume="kernel",
         )
         for session in scripted_sessions():
             engine.add_session(session)
@@ -347,7 +346,7 @@ class TestEnginePlumbing:
             graph, rng=np.random.default_rng(21)
         ).events_until_columnar(360.0)
         engine = SimulationEngine(
-            ColumnarEventSource(block), horizon=360.0, consume="kernel"
+            ColumnarEventSource(block), horizon=360.0
         )
         sessions = mixed_sessions(n, seed=13)
         for session in sessions:
@@ -355,7 +354,7 @@ class TestEnginePlumbing:
         engine.run()
         counts = engine.dispatch_mode_counts
         # 12 sessions: 3 eligible multi-copy, 3 reclaiming + 3 faulted
-        # (columnar fallback), 3 eligible single-copy.
+        # (object loop), 3 eligible single-copy.
         assert counts["kernel-multicopy"] == 3
         assert counts["kernel-single"] == 3
-        assert counts["columnar"] == 6
+        assert counts["object"] == 6

@@ -149,8 +149,8 @@ def _run(graph, seed, consume, **engine_knobs):
 class TestStreamConsume:
     @pytest.mark.parametrize("seed", [3, 11, 29])
     def test_stream_matches_kernel_and_columnar(self, graph, seed):
-        kernel = batch_fields(_run(graph, seed, "kernel"))
-        columnar = batch_fields(_run(graph, seed, "columnar"))
+        kernel = batch_fields(_run(graph, seed, "auto"))
+        columnar = batch_fields(_run(graph, seed, "auto", kernel=False))
         stream = batch_fields(_run(graph, seed, "stream", stream_window=45.0))
         assert stream == kernel == columnar
 
@@ -165,21 +165,21 @@ class TestStreamConsume:
                 )
             )
 
-        assert run("stream", stream_window=30.0) == run("kernel")
+        assert run("stream", stream_window=30.0) == run("auto")
 
     def test_stream_without_kernels_matches_columnar(self, graph):
         # kernel=False keeps the windowed drain but routes every session
-        # through the columnar object loop — outcomes stay identical.
+        # through the object loop — outcomes stay identical.
         stream = batch_fields(
             _run(graph, 5, "stream", stream_window=45.0, kernel=False)
         )
-        assert stream == batch_fields(_run(graph, 5, "columnar"))
+        assert stream == batch_fields(_run(graph, 5, "auto", kernel=False))
 
     def test_ttl_spanning_window_boundary(self, graph):
         # Tiny windows force every session's delivery/expiry to happen many
         # windows after its creation; the composed outcomes must not drift.
         stream = batch_fields(_run(graph, 17, "stream", stream_window=5.0))
-        kernel = batch_fields(_run(graph, 17, "kernel"))
+        kernel = batch_fields(_run(graph, 17, "auto"))
         assert stream == kernel
         assert status_counts([]) == {}
 
@@ -189,7 +189,7 @@ class TestStreamConsume:
                 graph, 23, "stream", stream_window=90.0, max_window_events=16
             )
         )
-        assert bounded == batch_fields(_run(graph, 23, "kernel"))
+        assert bounded == batch_fields(_run(graph, 23, "auto"))
 
 
 class TestStreamEngineInternals:
