@@ -5,8 +5,8 @@ Prints a markdown delta table (and appends it to ``$GITHUB_STEP_SUMMARY``
 when set, so it shows up on the workflow run page). Absolute numbers
 depend on machine speed, so they are reported as a trend signal only; the
 *ratio* metrics (producer speedup, columnar-vs-indexed,
-kernel-vs-columnar, its multicopy and trace variants, the security
-kernel speedups, and parallel-vs-indexed) are machine-independent, and
+kernel-vs-columnar, its multicopy and trace variants, and
+parallel-vs-indexed) are machine-independent, and
 those are gated: a
 ratio regressing by more than ``--threshold`` percent
 (default 25%) against the committed baseline fails the run. Pass
@@ -93,12 +93,6 @@ METRICS = (
      ("speedup_kernel_trace_vs_columnar",), "x", True, True),
     ("security kernel trials/s",
      ("results", "security-kernel", "trials_per_second"), "", True, False),
-    ("security kernel vs scalar loop",
-     ("speedup_security_kernel_vs_scalar",), "x", True, True),
-    ("security kernel vs block scalar",
-     ("speedup_security_kernel_vs_block_scalar",), "x", True, True),
-    ("security fused sweep kernel vs scalar",
-     ("speedup_security_sweep_kernel_vs_scalar",), "x", True, True),
     ("parallel speedup vs indexed",
      ("results", "parallel", "speedup_vs_indexed"), "x", True, True),
     ("parallel wall",

@@ -33,11 +33,10 @@ Two further workloads exercise the rest of the kernel family:
   trace-replay eligibility path (``TraceReplayProcess`` feeding the
   struct-of-arrays kernels).
 * **security** — the contact-graph-independent security Monte Carlo
-  (traceable rate + path anonymity, 2000 trials): the
-  :class:`SecurityBatchKernel` vs the block-scalar opt-out
-  (``kernel=False``, byte-identical estimates) and vs the original
-  draw-per-trial ``security_montecarlo`` loop, plus a fused
-  figure-6-shaped (c, K) sweep pair sharing one trial block. A second
+  (traceable rate + path anonymity, 2000 trials) through
+  :class:`SecurityBatchKernel`, the only security scorer: one
+  single-point arm plus a fused figure-6-shaped (c, K) sweep arm sharing
+  one trial block. A second
   set of arms (``security-backend-<name>``) then re-scores the same
   fused grid per kernel backend — numpy vs the embedded-C ``cc``
   backend when a C compiler is present — through the fused
@@ -126,7 +125,6 @@ from repro.core.onion_groups import OnionGroupDirectory
 from repro.experiments.config import DEFAULT_CONFIG
 from repro.experiments.parallel import WorkerPool, run_parallel_batch
 from repro.experiments.runners import (
-    _legacy_security_montecarlo,
     run_random_graph_batch,
     run_trace_batch,
     sample_endpoints,
@@ -380,78 +378,36 @@ def trace_benchmark(group_size, onion_routers, deadline, sessions, seed, repeat)
 
 
 def security_benchmark(n, group_size, onion_routers, trials, seed, repeat):
-    """Security Monte Carlo: batch kernel vs its two scalar baselines.
+    """Security Monte Carlo through :class:`SecurityBatchKernel`.
 
-    The single-point reference workload (n=100, g=5, K=3, L=1, c=10%,
-    ``trials`` trials) runs three ways:
-
-    * ``security-kernel``      — :class:`SecurityBatchKernel` scoring the
-      sampled trial block with array operations,
-    * ``security-block-scalar``— ``kernel=False``: the *same* block walked
-      trial-by-trial through ``PathTracer``/``observed_path_anonymity``
-      (byte-identical estimates — the dispatch-equivalence pair),
-    * ``security-scalar-loop`` — the original draw-per-trial
-      ``security_montecarlo`` loop (route, compromise set, and paths
-      sampled per trial; the baseline the kernel acceptance speedup is
-      quoted against).
-
-    A figure-6-shaped fused sweep (K ∈ {3, 5, 10} × the Table II
-    compromise rates, one shared trial block) then times
-    ``security-sweep-kernel`` vs ``security-sweep-scalar``. Returns
-    ``(rows, identity_checks, speedups)``.
+    ``security-kernel`` times the single-point reference workload (n=100,
+    g=5, K=3, L=1, c=10%, ``trials`` trials); ``security-sweep-kernel``
+    times a figure-6-shaped fused sweep (K ∈ {3, 5, 10} × the Table II
+    compromise rates, one shared trial block). The kernel's agreement
+    with the per-trial scalar objects is an oracle test in the test
+    suite, not a bench arm. Returns the two rows.
     """
-    point = dict(
-        n=n,
-        group_size=group_size,
-        onion_routers=onion_routers,
-        copies=1,
-        compromise_rate=SECURITY_COMPROMISE_RATE,
-        trials=trials,
-    )
-
-    def legacy_loop():
-        variant = SecuritySweepVariant(
-            label="reference",
+    wall, out = _best_wall(
+        lambda: security_montecarlo(
+            n=n,
+            group_size=group_size,
             onion_routers=onion_routers,
             copies=1,
             compromise_rate=SECURITY_COMPROMISE_RATE,
-        )
-        model = CompromiseModel(n, SECURITY_COMPROMISE_RATE)
-        scored = _legacy_security_montecarlo(
-            n, group_size, (variant,), model, trials,
-            np.random.default_rng(seed), False,
-        )
-        traceable, anonymity = scored[0]
-        return float(traceable.sum() / trials), float(anonymity.sum() / trials)
-
-    rows = {}
-    walls = {}
-    estimates = {}
-    for name, run in (
-        (
-            "security-kernel",
-            lambda: security_montecarlo(
-                rng=np.random.default_rng(seed), kernel=True, **point
-            ),
+            trials=trials,
+            rng=np.random.default_rng(seed),
         ),
-        (
-            "security-block-scalar",
-            lambda: security_montecarlo(
-                rng=np.random.default_rng(seed), kernel=False, **point
-            ),
-        ),
-        ("security-scalar-loop", legacy_loop),
-    ):
-        wall, out = _best_wall(run, repeat)
-        walls[name] = wall
-        estimates[name] = out
-        rows[name] = {
+        repeat,
+    )
+    rows = {
+        "security-kernel": {
             "wall_seconds": round(wall, 4),
             "trials": trials,
             "trials_per_second": round(trials / wall, 1),
             "traceable_rate": round(out[0], 6),
             "path_anonymity": round(out[1], 6),
         }
+    }
 
     grid = tuple(
         SecuritySweepVariant(
@@ -463,56 +419,19 @@ def security_benchmark(n, group_size, onion_routers, trials, seed, repeat):
         for k in SECURITY_SWEEP_ONIONS
         for rate in DEFAULT_CONFIG.compromise_rates
     )
-
-    def sweep(kernel):
-        return security_sweep_montecarlo(
-            n,
-            group_size,
-            grid,
-            trials=trials,
-            rng=np.random.default_rng(seed),
-            kernel=kernel,
-        )
-
-    sweep_estimates = {}
-    for name, kernel in (
-        ("security-sweep-kernel", True),
-        ("security-sweep-scalar", False),
-    ):
-        wall, out = _best_wall(lambda kernel=kernel: sweep(kernel), repeat)
-        walls[name] = wall
-        sweep_estimates[name] = out
-        rows[name] = {
-            "wall_seconds": round(wall, 4),
-            "trials": trials,
-            "grid_points": len(grid),
-            "grid_scores_per_second": round(len(grid) * trials / wall, 1),
-        }
-
-    identity_checks = {
-        "security": estimates["security-kernel"]
-        == estimates["security-block-scalar"],
-        "security_sweep": sweep_estimates["security-sweep-kernel"]
-        == sweep_estimates["security-sweep-scalar"],
+    wall, _ = _best_wall(
+        lambda: security_sweep_montecarlo(
+            n, group_size, grid, trials=trials, rng=np.random.default_rng(seed)
+        ),
+        repeat,
+    )
+    rows["security-sweep-kernel"] = {
+        "wall_seconds": round(wall, 4),
+        "trials": trials,
+        "grid_points": len(grid),
+        "grid_scores_per_second": round(len(grid) * trials / wall, 1),
     }
-    speedups = {
-        "speedup_security_kernel_vs_scalar": round(
-            walls["security-scalar-loop"]
-            / max(walls["security-kernel"], 1e-9),
-            2,
-        ),
-        "speedup_security_kernel_vs_block_scalar": round(
-            walls["security-block-scalar"]
-            / max(walls["security-kernel"], 1e-9),
-            2,
-        ),
-        "speedup_security_sweep_kernel_vs_scalar": round(
-            walls["security-sweep-scalar"]
-            / max(walls["security-sweep-kernel"], 1e-9),
-            2,
-        ),
-    }
-    return rows, identity_checks, speedups
+    return rows
 
 
 def security_backend_benchmark(n, group_size, trials, seed, repeat):
@@ -1095,12 +1014,11 @@ def run_benchmark(
         speedups["speedup_kernel_trace_vs_columnar"] = speedup
 
     if mode in ("all", "security"):
-        rows, security_checks, security_speedups = security_benchmark(
-            n, group_size, onion_routers, security_trials, seed, repeat
+        results.update(
+            security_benchmark(
+                n, group_size, onion_routers, security_trials, seed, repeat
+            )
         )
-        results.update(rows)
-        identity_checks.update(security_checks)
-        speedups.update(security_speedups)
         rows, backend_checks, backend_speedups = security_backend_benchmark(
             n, group_size, security_trials, seed, repeat
         )
@@ -1276,8 +1194,8 @@ def main(argv=None) -> int:
         "security, parallel, stream, and backend workloads; 'kernel', "
         "'multicopy', "
         "and 'trace' each time only their columnar/kernel pair, 'security' "
-        "times the security Monte Carlo kernel against its scalar "
-        "baselines, 'parallel' times the shared-arena pool against the "
+        "times the security Monte Carlo kernel and its per-backend arms, "
+        "'parallel' times the shared-arena pool against the "
         "serial kernel path, 'stream' drains the streaming workload "
         "(million sessions, or the quick variant with --quick) under its "
         "memory ceiling against the one-shot kernel path, and 'backend' "
@@ -1352,26 +1270,18 @@ def main(argv=None) -> int:
             f"dispatch {row['dispatch_seconds']:.3f}s, "
             f"{row['events_per_second']:>9.1f} events/s)"
         )
-    for name in (
-        "security-kernel",
-        "security-block-scalar",
-        "security-scalar-loop",
-    ):
-        row = results.get(name)
-        if row is None:
-            continue
+    row = results.get("security-kernel")
+    if row is not None:
         print(
-            f"{name + ':':<22} {row['wall_seconds']:8.3f}s "
+            f"{'security-kernel:':<22} {row['wall_seconds']:8.3f}s "
             f"({row['trials_per_second']:>9.1f} trials/s, "
             f"traceable {row['traceable_rate']:.4f}, "
             f"anonymity {row['path_anonymity']:.4f})"
         )
-    for name in ("security-sweep-kernel", "security-sweep-scalar"):
-        row = results.get(name)
-        if row is None:
-            continue
+    row = results.get("security-sweep-kernel")
+    if row is not None:
         print(
-            f"{name + ':':<22} {row['wall_seconds']:8.3f}s "
+            f"{'security-sweep-kernel:':<22} {row['wall_seconds']:8.3f}s "
             f"({row['grid_points']} grid points, "
             f"{row['grid_scores_per_second']:>9.1f} scores/s)"
         )
@@ -1463,18 +1373,6 @@ def main(argv=None) -> int:
         (
             "trace kernel vs columnar dispatch",
             "speedup_kernel_trace_vs_columnar",
-        ),
-        (
-            "security kernel vs scalar loop",
-            "speedup_security_kernel_vs_scalar",
-        ),
-        (
-            "security kernel vs block scalar",
-            "speedup_security_kernel_vs_block_scalar",
-        ),
-        (
-            "security fused sweep kernel vs scalar",
-            "speedup_security_sweep_kernel_vs_scalar",
         ),
         (
             "compiled backend vs numpy (single-copy kernel)",

@@ -11,8 +11,8 @@ proportional to a per-node weight (compute share, observed traffic, …).
 
 Every model exposes two sampling surfaces:
 
-* :meth:`CompromiseModel.sample` — one compromised set per call (the
-  scalar Monte Carlo path), and
+* :meth:`CompromiseModel.sample` — one compromised set per call (for
+  code that walks one trial at a time), and
 * :meth:`CompromiseModel.mask_from_keys` — a whole *batch* of compromised
   sets derived from a ``(trials, n)`` column of pre-drawn uniform keys.
 
@@ -22,7 +22,11 @@ so a fused ``(c, K, L)`` sweep can re-derive the mask at every rate from
 the *same* keys — nested compromised sets across rates, i.e. common
 random numbers for between-rate comparisons. ``sample`` draws one key row
 and applies the same derivation, so the scalar and batched samplers agree
-trial-for-trial when fed the same keys.
+trial-for-trial when fed the same keys. The security Monte Carlo scores
+through the key column only, so a custom model must override
+:meth:`~CompromiseModel.selection_priority` or
+:meth:`~CompromiseModel.mask_from_keys`; one that overrides only
+``sample`` is rejected there rather than scored as the uniform model.
 
 Every fixed-count strategy reduces to one primitive: build a per-trial
 *selection priority* column (:meth:`CompromiseModel.selection_priority`)
@@ -60,8 +64,9 @@ class CompromiseModel:
 
     The base class *is* the paper's model — exactly ``round(c)`` nodes,
     uniformly without replacement — and doubles as the extension point for
-    the strategy family: subclasses override :meth:`mask_from_keys` (and
-    usually nothing else) to reinterpret the per-trial key column.
+    the strategy family: subclasses override :meth:`selection_priority`
+    (fixed-count strategies) or :meth:`mask_from_keys` (and usually
+    nothing else) to reinterpret the per-trial key column.
 
     Parameters
     ----------
@@ -77,12 +82,6 @@ class CompromiseModel:
 
     #: Registry name; also reported in bench/figure metadata.
     name = "uniform"
-
-    #: Whether :meth:`mask_from_keys` honours the key-column contract.
-    #: Subclasses that only implement :meth:`sample` set this to ``False``
-    #: and the security kernel transparently degrades to the per-trial
-    #: scalar loop.
-    batch_capable = True
 
     def __init__(
         self,

@@ -7,8 +7,8 @@ curves are Monte Carlo estimates over thousands of independent trials —
 each a (group membership, route, copy paths, compromised set) tuple —
 whose scoring is pure arithmetic. Walking them one
 :class:`~repro.adversary.tracer.PathTracer` at a time leaves per-object
-Python dispatch as the dominant cost, exactly the situation PR 4 fixed
-for delivery.
+Python dispatch as the dominant cost, exactly the situation the
+struct-of-arrays delivery kernels fixed.
 
 The kernel splits a Monte Carlo run into two phases:
 
@@ -35,12 +35,13 @@ The kernel splits a Monte Carlo run into two phases:
   :func:`~repro.analysis.anonymity.path_anonymity_exact` is evaluated
   once per value, not once per trial).
 
-The scalar fallback in :func:`repro.experiments.runners.security_montecarlo`
-scores the *same block* row by row through the original per-trial objects
-(:class:`~repro.adversary.tracer.PathTracer`,
-:func:`~repro.adversary.observer.observed_path_anonymity`), so the two
-paths agree to the last bit — the equivalence suite asserts exact float
-equality, mirroring the delivery kernels' byte-identity contract.
+The kernel is the only security scorer: every security runner, figure
+and parallel chunk goes through it. Its reference semantics are the
+per-trial objects (:class:`~repro.adversary.tracer.PathTracer`,
+:func:`~repro.adversary.observer.observed_path_anonymity`); the test
+suite walks the *same block* row by row through them and asserts exact
+float equality with the kernel, mirroring the delivery kernels'
+byte-identity contract.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import os
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -150,21 +151,6 @@ class SecurityTrialBlock:
         """Widest copy count the block was sampled at."""
         return self.copy_members.shape[2]
 
-    def copy_paths(self, trial: int, onion_routers: int, copies: int) -> List[List[int]]:
-        """Trial ``trial``'s per-copy hop-sender paths, scalar layout.
-
-        Returns ``copies`` lists of ``K + 1`` node ids — ``[source,
-        member_1, …, member_K]`` — exactly the structure
-        :func:`~repro.experiments.runners.sample_copy_paths` builds, for
-        the scalar scoring fallback and for tests.
-        """
-        source = int(self.sources[trial])
-        members = self.copy_members[trial, :onion_routers, :copies]
-        return [
-            [source] + [int(members[k, c]) for k in range(onion_routers)]
-            for c in range(copies)
-        ]
-
     def slice_trials(self, start: int, stop: int) -> "SecurityTrialBlock":
         """The sub-block of trial rows ``[start, stop)``, as views.
 
@@ -235,12 +221,12 @@ def sample_security_block(
 ) -> SecurityTrialBlock:
     """Draw a :class:`SecurityTrialBlock` for ``trials`` Monte Carlo trials.
 
-    One vectorized pass replaces the scalar loop's per-trial draw
-    sequence. The RNG consumption order is fixed and documented (group
-    membership, endpoints, route keys, member-order keys, compromise
-    keys), so a seed pins every trial of the block — both scoring paths
-    consume the block, never the generator, which is what makes the
-    kernel↔scalar equivalence exact.
+    One vectorized pass draws every trial. The RNG consumption order is
+    fixed and documented (group membership, endpoints, route keys,
+    member-order keys, compromise keys), so a seed pins every trial of
+    the block — scoring consumes the block, never the generator, which is
+    what lets a row-by-row reference walk of the same block match the
+    kernel exactly.
 
     ``overlapping`` mirrors
     :func:`~repro.experiments.runners.select_overlapping_route`: instead
@@ -360,22 +346,6 @@ def anonymity_lookup(n: int, eta: int, group_size: int) -> np.ndarray:
     )
     table.setflags(write=False)
     return table
-
-
-def _run_length_square_sums(bits: np.ndarray) -> np.ndarray:
-    """Per-row sum of squared 1-run lengths (the numerator of Eq. 1).
-
-    Rows are padded with one trailing zero and flattened so runs never
-    cross row boundaries; run starts/ends fall out of one diff, and the
-    per-row totals come from the same searchsorted + reduceat idiom the
-    delivery kernels use to group per-hop candidates by session. This is
-    the numpy reference; :class:`SecurityBatchKernel` routes the pass
-    through the selected :mod:`repro.sim.backend` backend, whose numpy
-    implementation is this exact code.
-    """
-    from repro.sim.backend import _numpy_run_length_square_sums
-
-    return _numpy_run_length_square_sums(bits)
 
 
 class SecurityBatchKernel:
@@ -509,11 +479,6 @@ class SecurityBatchKernel:
             return getattr(self._backend, name)(*args)
         finally:
             self.stats["backend_seconds"] += time.perf_counter() - start
-
-    def _run_lengths(self, bits: np.ndarray) -> np.ndarray:
-        """Eq. 1 run-length pass on the active backend (kept as a public
-        seam for tests and the raw traceable-rate path)."""
-        return self._op("run_length_square_sums", bits)
 
     def score_variant(
         self, variant: SecuritySweepVariant

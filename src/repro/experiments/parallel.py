@@ -791,6 +791,92 @@ def _resolve_supervision(
     return policy, report
 
 
+def _concat_chunks(_sizes: List[int], parts: List[Any]) -> list:
+    """Merge per-chunk outcome lists in chunk order."""
+    return [item for part in parts for item in part]
+
+
+def _dispatch_chunks(
+    fn: Callable[..., Any],
+    size_keyword: str,
+    total: int,
+    workers: Workers,
+    rng: RandomSource,
+    chunks: int | None,
+    kwargs: dict,
+    chunk_fns: Tuple[Callable[..., Any], Callable[..., Any]],
+    merge: Callable[[List[int], List[Any]], Any],
+    *,
+    shared: Any = None,
+    shared_keyword: str = "events",
+    shared_type: type = EventBlock,
+    kernel: bool | None = None,
+    backend: str | None = None,
+    policy: RetryPolicy | None = None,
+    report: ExecutionReport | None = None,
+) -> Any:
+    """The shared body of the ``run_parallel_*`` entry points.
+
+    ``kernel``/``backend`` are folded into ``kwargs`` when not ``None``.
+    ``workers == 1`` calls ``fn`` directly with the caller's ``rng`` (and
+    ``shared`` as ``shared_keyword=``). Otherwise ``total`` is split by
+    :func:`chunk_sizes`, each chunk gets a :func:`spawn_chunk_seeds`
+    child, ``shared`` travels through an arena as a descriptor, and the
+    unwrapped chunk results go to ``merge(sizes, parts)`` in chunk order.
+    ``chunk_fns`` is the ``(plain, shared)`` chunk-function pair; a shared
+    ``block`` is sliced by trial-row offset, a shared event stream is
+    replayed whole by every chunk.
+    """
+    if shared is not None and not isinstance(shared, shared_type):
+        raise TypeError(
+            f"shared {shared_keyword} must be of type {shared_type.__name__}, "
+            f"got {type(shared).__name__}"
+        )
+    if kernel is not None:
+        kwargs = dict(kwargs, kernel=kernel)
+    if backend is not None:
+        kwargs = dict(kwargs, backend=backend)
+    policy, report = _resolve_supervision(workers, policy, report)
+    if worker_count(workers) == 1:
+        if shared is not None:
+            kwargs = dict(kwargs, **{shared_keyword: shared})
+        return fn(**{size_keyword: total}, rng=rng, **kwargs)
+    sizes = chunk_sizes(
+        total, chunks if chunks is not None else default_chunk_count(total)
+    )
+    seeds = spawn_chunk_seeds(rng, len(sizes))
+    plain_chunk, shared_chunk = chunk_fns
+    own_arena: SharedBlockArena | None = None
+    if shared is None:
+        chunk_fn = plain_chunk
+        tasks = [(fn, size, seed, kwargs) for size, seed in zip(sizes, seeds)]
+    else:
+        chunk_fn = shared_chunk
+        payload, own_arena = _share_block(workers, shared)
+        if shared_keyword == "block":
+            offsets = np.concatenate(([0], np.cumsum(sizes)))[:-1]
+            tasks = [
+                (fn, size, int(offset), seed, payload, kwargs)
+                for size, offset, seed in zip(sizes, offsets, seeds)
+            ]
+        else:
+            tasks = [
+                (fn, size, seed, payload, kwargs)
+                for size, seed in zip(sizes, seeds)
+            ]
+    try:
+        parts = [
+            _unwrap_chunk(part, report)
+            for part in parallel_map(
+                chunk_fn, tasks, workers, policy=policy, report=report
+            )
+        ]
+    finally:
+        if own_arena is not None:
+            own_arena.unlink()
+    return merge(sizes, parts)
+
+
 def run_parallel_batch(
     batch_fn: Callable[..., list],
     sessions: int,
@@ -838,8 +924,8 @@ def run_parallel_batch(
     kernel:
         When not ``None``, forwarded to ``batch_fn`` as its ``kernel=``
         knob (struct-of-arrays sweep for eligible sessions in every
-        chunk). ``None`` omits the keyword, keeping compatibility with
-        batch functions that predate it.
+        chunk). ``None`` omits the keyword, so ``batch_fn``'s own default
+        applies.
     backend:
         When not ``None``, forwarded to ``batch_fn`` as its ``backend=``
         kernel-backend name (see :mod:`repro.sim.backend`). Backends are
@@ -860,48 +946,12 @@ def run_parallel_batch(
     worker count ≥ 2, regardless of the effective pool size or completion
     order.
     """
-    if kernel is not None:
-        kwargs = dict(kwargs, kernel=kernel)
-    if backend is not None:
-        kwargs = dict(kwargs, backend=backend)
-    policy, report = _resolve_supervision(workers, policy, report)
-    requested = worker_count(workers)
-    if requested == 1:
-        if shared_events is not None:
-            kwargs = dict(kwargs, events=shared_events)
-        return batch_fn(sessions=sessions, rng=rng, **kwargs)
-    sizes = chunk_sizes(
-        sessions, chunks if chunks is not None else default_chunk_count(sessions)
+    return _dispatch_chunks(
+        batch_fn, "sessions", sessions, workers, rng, chunks, kwargs,
+        (_run_batch_chunk, _run_shared_batch_chunk), _concat_chunks,
+        shared=shared_events, kernel=kernel, backend=backend,
+        policy=policy, report=report,
     )
-    seeds = spawn_chunk_seeds(rng, len(sizes))
-    own_arena: SharedBlockArena | None = None
-    if shared_events is None:
-        tasks = [
-            (batch_fn, size, seed, kwargs) for size, seed in zip(sizes, seeds)
-        ]
-        chunk_fn: Callable[..., list] = _run_batch_chunk
-    else:
-        if not isinstance(shared_events, EventBlock):
-            raise TypeError(
-                f"shared_events must be an EventBlock, got "
-                f"{type(shared_events).__name__}"
-            )
-        payload, own_arena = _share_block(workers, shared_events)
-        tasks = [
-            (batch_fn, size, seed, payload, kwargs)
-            for size, seed in zip(sizes, seeds)
-        ]
-        chunk_fn = _run_shared_batch_chunk
-    try:
-        merged: list = []
-        for part in parallel_map(
-            chunk_fn, tasks, workers, policy=policy, report=report
-        ):
-            merged.extend(_unwrap_chunk(part, report))
-        return merged
-    finally:
-        if own_arena is not None:
-            own_arena.unlink()
 
 
 def _run_fused_sweep_chunk(
@@ -976,48 +1026,9 @@ def run_parallel_fused_sweep(
     ``shared_events`` (graph sweeps only — trace sweeps replay the trace
     themselves), ``kernel``, ``backend``, and ``policy``/``report``.
     """
-    if kernel is not None:
-        kwargs = dict(kwargs, kernel=kernel)
-    if backend is not None:
-        kwargs = dict(kwargs, backend=backend)
-    policy, report = _resolve_supervision(workers, policy, report)
-    kwargs = dict(kwargs, variants=list(variants))
-    requested = worker_count(workers)
-    if requested == 1:
-        if shared_events is not None:
-            kwargs = dict(kwargs, events=shared_events)
-        return sweep_fn(
-            sessions_per_variant=sessions_per_variant, rng=rng, **kwargs
-        )
-    sizes = chunk_sizes(
-        sessions_per_variant,
-        chunks if chunks is not None else default_chunk_count(sessions_per_variant),
-    )
-    seeds = spawn_chunk_seeds(rng, len(sizes))
-    own_arena: SharedBlockArena | None = None
-    if shared_events is None:
-        tasks = [
-            (sweep_fn, size, seed, kwargs) for size, seed in zip(sizes, seeds)
-        ]
-        chunk_fn: Callable[..., list] = _run_fused_sweep_chunk
-    else:
-        if not isinstance(shared_events, EventBlock):
-            raise TypeError(
-                f"shared_events must be an EventBlock, got "
-                f"{type(shared_events).__name__}"
-            )
-        payload, own_arena = _share_block(workers, shared_events)
-        tasks = [
-            (sweep_fn, size, seed, payload, kwargs)
-            for size, seed in zip(sizes, seeds)
-        ]
-        chunk_fn = _run_shared_fused_sweep_chunk
-    try:
+    def merge(_sizes: List[int], parts: List[Any]) -> list:
         merged: list = [[] for _ in variants]
-        for raw in parallel_map(
-            chunk_fn, tasks, workers, policy=policy, report=report
-        ):
-            part = _unwrap_chunk(raw, report)
+        for part in parts:
             if len(part) != len(merged):
                 raise ValueError(
                     f"fused sweep chunk returned {len(part)} variant lists "
@@ -1026,9 +1037,14 @@ def run_parallel_fused_sweep(
             for variant_results, chunk_results in zip(merged, part):
                 variant_results.extend(chunk_results)
         return merged
-    finally:
-        if own_arena is not None:
-            own_arena.unlink()
+
+    return _dispatch_chunks(
+        sweep_fn, "sessions_per_variant", sessions_per_variant, workers, rng,
+        chunks, dict(kwargs, variants=list(variants)),
+        (_run_fused_sweep_chunk, _run_shared_fused_sweep_chunk), merge,
+        shared=shared_events, kernel=kernel, backend=backend,
+        policy=policy, report=report,
+    )
 
 
 def _run_montecarlo_chunk(
@@ -1085,7 +1101,6 @@ def run_parallel_montecarlo(
     rng: RandomSource = None,
     chunks: int | None = None,
     shared_block=None,
-    kernel: bool | None = None,
     backend: str | None = None,
     policy: RetryPolicy | None = None,
     report: ExecutionReport | None = None,
@@ -1107,72 +1122,42 @@ def run_parallel_montecarlo(
     :func:`~repro.experiments.runners.security_sweep_montecarlo`), so the
     sampling cost is paid once and the workers only score.
 
-    ``kernel`` and ``backend`` follow the :func:`run_parallel_batch`
-    convention: ``None`` omits the keyword, anything else is forwarded to
-    ``mc_fn`` (backends travel by name so they pickle into workers).
+    ``backend`` follows the :func:`run_parallel_batch` convention:
+    ``None`` omits the keyword, a name is forwarded to ``mc_fn`` (backends
+    travel by name so they pickle into workers). Security runners have no
+    ``kernel`` knob, so a failing chunk has no lower rung to degrade to:
+    its error goes to the supervisor's retries (or propagates).
     """
-    if kernel is not None:
-        kwargs = dict(kwargs, kernel=kernel)
-    if backend is not None:
-        kwargs = dict(kwargs, backend=backend)
-    policy, report = _resolve_supervision(workers, policy, report)
-    if shared_block is not None:
-        from repro.adversary.kernel import SecurityTrialBlock
+    from repro.adversary.kernel import SecurityTrialBlock
 
-        if not isinstance(shared_block, SecurityTrialBlock):
-            raise TypeError(
-                f"shared_block must be a SecurityTrialBlock, got "
-                f"{type(shared_block).__name__}"
-            )
-        if shared_block.trials != trials:
-            raise ValueError(
-                f"shared_block holds {shared_block.trials} trials but the "
-                f"run asked for {trials}"
-            )
-    requested = worker_count(workers)
-    if requested == 1:
-        if shared_block is not None:
-            kwargs = dict(kwargs, block=shared_block)
-        return mc_fn(trials=trials, rng=rng, **kwargs)
-    sizes = chunk_sizes(
-        trials, chunks if chunks is not None else default_chunk_count(trials)
+    if isinstance(shared_block, SecurityTrialBlock) and shared_block.trials != trials:
+        raise ValueError(
+            f"shared_block holds {shared_block.trials} trials but the "
+            f"run asked for {trials}"
+        )
+
+    def merge(sizes: List[int], results: List[Any]) -> Tuple[float, ...]:
+        width = None
+        for index, values in enumerate(results):
+            if width is None:
+                width = len(values)
+            if len(values) == 0 or len(values) != width:
+                raise ValueError(
+                    f"montecarlo chunk {index} returned {len(values)} estimates "
+                    f"(expected {width or 'at least one'}): "
+                    f"{getattr(mc_fn, '__name__', mc_fn)!r} must return one "
+                    "fixed-width non-empty tuple per chunk"
+                )
+        totals = np.zeros(width)
+        for size, values in zip(sizes, results):
+            totals += np.asarray(values, dtype=float) * size
+        merged = totals / sum(sizes)
+        return tuple(float(v) for v in merged)
+
+    return _dispatch_chunks(
+        mc_fn, "trials", trials, workers, rng, chunks, kwargs,
+        (_run_montecarlo_chunk, _run_shared_montecarlo_chunk), merge,
+        shared=shared_block, shared_keyword="block",
+        shared_type=SecurityTrialBlock, backend=backend,
+        policy=policy, report=report,
     )
-    seeds = spawn_chunk_seeds(rng, len(sizes))
-    own_arena: SharedBlockArena | None = None
-    if shared_block is None:
-        tasks = [(mc_fn, size, seed, kwargs) for size, seed in zip(sizes, seeds)]
-        chunk_fn: Callable[..., Any] = _run_montecarlo_chunk
-    else:
-        payload, own_arena = _share_block(workers, shared_block)
-        offsets = np.concatenate(([0], np.cumsum(sizes)))[:-1]
-        tasks = [
-            (mc_fn, size, int(offset), seed, payload, kwargs)
-            for size, offset, seed in zip(sizes, offsets, seeds)
-        ]
-        chunk_fn = _run_shared_montecarlo_chunk
-    try:
-        results = [
-            _unwrap_chunk(part, report)
-            for part in parallel_map(
-                chunk_fn, tasks, workers, policy=policy, report=report
-            )
-        ]
-    finally:
-        if own_arena is not None:
-            own_arena.unlink()
-    width = None
-    for index, values in enumerate(results):
-        if width is None:
-            width = len(values)
-        if len(values) == 0 or len(values) != width:
-            raise ValueError(
-                f"montecarlo chunk {index} returned {len(values)} estimates "
-                f"(expected {width or 'at least one'}): "
-                f"{getattr(mc_fn, '__name__', mc_fn)!r} must return one "
-                "fixed-width non-empty tuple per chunk"
-            )
-    totals = np.zeros(width)
-    for size, values in zip(sizes, results):
-        totals += np.asarray(values, dtype=float) * size
-    merged = totals / sum(sizes)
-    return tuple(float(v) for v in merged)

@@ -28,8 +28,6 @@ from repro.adversary.kernel import (
     SecurityTrialBlock,
     sample_security_block,
 )
-from repro.adversary.observer import observed_path_anonymity
-from repro.adversary.tracer import PathTracer
 from repro.analysis.delivery import onion_path_rates
 from repro.analysis.hypoexponential import Hypoexponential
 from repro.contacts.events import (
@@ -469,8 +467,10 @@ def _resolve_compromise_model(
 
     Named targeted/stake models get their weights from
     :func:`reference_node_weights`; instances are checked for a matching
-    population size. The model's own ``rate`` is a default only — every
-    sweep variant overrides it per grid point.
+    population size and rejected when they override only ``sample()``,
+    which the key-column scoring would silently bypass. The model's own
+    ``rate`` is a default only — every sweep variant overrides it per
+    grid point.
     """
     if isinstance(compromise_model, str):
         needs_weights = compromise_model in (
@@ -488,108 +488,23 @@ def _resolve_compromise_model(
             "compromise_model must be a registry name or a CompromiseModel, "
             f"got {type(compromise_model).__name__}"
         )
+    model_type = type(compromise_model)
+    if (
+        model_type.sample is not CompromiseModel.sample
+        and model_type.selection_priority is CompromiseModel.selection_priority
+        and model_type.mask_from_keys is CompromiseModel.mask_from_keys
+    ):
+        raise TypeError(
+            f"{model_type.__name__} overrides sample() only; the security "
+            "Monte Carlo derives every compromised set from a key column, "
+            "so override selection_priority() or mask_from_keys() instead"
+        )
     if compromise_model.n != n:
         raise ValueError(
             f"compromise model covers n={compromise_model.n} nodes, "
             f"the Monte Carlo runs over n={n}"
         )
     return compromise_model
-
-
-def _mask_row_nodes(mask_row: np.ndarray) -> set:
-    """One trial's compromised mask row as a set of node ids."""
-    return {int(v) for v in np.flatnonzero(mask_row)}
-
-
-def _scalar_variant_scores(
-    block: SecurityTrialBlock,
-    model: CompromiseModel,
-    variant: SecuritySweepVariant,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Score one variant row-by-row through the per-trial objects.
-
-    The scalar counterpart of
-    :meth:`~repro.adversary.kernel.SecurityBatchKernel.score_variant`: the
-    same block, the same compromise mask, but each trial walked through
-    :class:`~repro.adversary.tracer.PathTracer` and
-    :func:`~repro.adversary.observer.observed_path_anonymity` — the
-    reference semantics the kernel must reproduce bit-for-bit.
-    """
-    eta = variant.onion_routers + 1
-    mask = model.mask_from_keys(
-        block.compromise_keys, rate=variant.compromise_rate
-    )
-    traceable = np.empty(block.trials)
-    anonymity = np.empty(block.trials)
-    for trial in range(block.trials):
-        compromised = _mask_row_nodes(mask[trial])
-        paths = block.copy_paths(trial, variant.onion_routers, variant.copies)
-        tracer = PathTracer(compromised)
-        traceable[trial] = tracer.traceable_rate(paths[0])
-        anonymity[trial] = observed_path_anonymity(
-            paths, compromised, n=block.n, eta=eta, group_size=block.group_size
-        )
-    return traceable, anonymity
-
-
-def _legacy_security_montecarlo(
-    n: int,
-    group_size: int,
-    variants: Sequence[SecuritySweepVariant],
-    model: CompromiseModel,
-    trials: int,
-    generator: np.random.Generator,
-    overlapping: bool,
-) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Fully per-trial Monte Carlo for batch-incapable compromise models.
-
-    A model that only implements ``sample()`` cannot feed the shared key
-    column, so each variant runs the original draw-per-trial loop. The
-    model's own rate is the only one it can realise — mismatched variant
-    rates fail loudly instead of silently sampling the wrong adversary.
-    """
-    for variant in variants:
-        if variant.compromise_rate != model.rate:
-            raise ValueError(
-                f"compromise model {type(model).__name__} is not "
-                f"batch-capable and is pinned to rate={model.rate}; sweep "
-                f"variant {variant.label!r} asks for "
-                f"rate={variant.compromise_rate}"
-            )
-    scored: List[Tuple[np.ndarray, np.ndarray]] = []
-    for variant in variants:
-        eta = variant.onion_routers + 1
-        directory = (
-            None
-            if overlapping
-            else OnionGroupDirectory(n, group_size, rng=generator)
-        )
-        traceable = np.empty(trials)
-        anonymity = np.empty(trials)
-        for trial in range(trials):
-            source, destination = sample_endpoints(n, generator)
-            if overlapping:
-                route = select_overlapping_route(
-                    n,
-                    source,
-                    destination,
-                    variant.onion_routers,
-                    group_size,
-                    generator,
-                )
-            else:
-                route = directory.select_route(
-                    source, destination, variant.onion_routers, rng=generator
-                )
-            compromised = model.sample(rng=generator)
-            paths = sample_copy_paths(route, variant.copies, generator)
-            tracer = PathTracer(compromised)
-            traceable[trial] = tracer.traceable_rate(paths[0])
-            anonymity[trial] = observed_path_anonymity(
-                paths, compromised, n=n, eta=eta, group_size=group_size
-            )
-        scored.append((traceable, anonymity))
-    return scored
 
 
 def security_sweep_montecarlo(
@@ -599,7 +514,6 @@ def security_sweep_montecarlo(
     trials: int,
     rng: RandomSource = None,
     overlapping: bool = False,
-    kernel: Optional[bool] = None,
     compromise_model: "str | CompromiseModel" = "uniform",
     block: Optional[SecurityTrialBlock] = None,
     backend: Optional[str] = None,
@@ -607,33 +521,28 @@ def security_sweep_montecarlo(
     """Fused Monte Carlo over a ``(c, K, L)`` security grid.
 
     Samples *one* :class:`~repro.adversary.kernel.SecurityTrialBlock` at
-    the grid's widest point and scores every variant against it — the
-    security counterpart of the delivery layer's fused sweeps: the block
-    is drawn once instead of once per grid point, and between-variant
-    comparisons share endpoints, routes, copy assignments, and compromise
-    keys (common random numbers).
+    the grid's widest point and scores every variant against it with
+    :class:`~repro.adversary.kernel.SecurityBatchKernel` — the security
+    counterpart of the delivery layer's fused sweeps: the block is drawn
+    once instead of once per grid point, and between-variant comparisons
+    share endpoints, routes, copy assignments, and compromise keys
+    (common random numbers).
 
     Returns the flattened per-variant means
     ``(traceable₀, anonymity₀, traceable₁, anonymity₁, …)`` — a fixed-width
     tuple, so :func:`~repro.experiments.parallel.run_parallel_montecarlo`
     chunk-merges fused sweeps exactly like plain Monte Carlo runners.
 
-    ``kernel``: ``None`` (the default) and ``True`` score through
-    :class:`~repro.adversary.kernel.SecurityBatchKernel`; ``False`` walks
-    the same block through the per-trial scalar objects. Both paths
-    consume identical draws, so the estimates are equal to the last bit.
     ``compromise_model`` selects the adversary: a registry name
     (``uniform``, ``bernoulli``, ``targeted``, ``stake``) or a
-    :class:`~repro.adversary.compromise.CompromiseModel` instance; a
-    batch-incapable instance transparently degrades to the original
-    draw-per-trial loop.
+    :class:`~repro.adversary.compromise.CompromiseModel` instance.
 
     ``block`` supplies a pre-sampled (or zero-copy shared-memory attached)
     :class:`~repro.adversary.kernel.SecurityTrialBlock` instead of drawing
     one here — the parallel shared-block protocol slices one parent block
     across worker chunks. The block must cover the grid (matching ``n``,
     ``group_size``, ``overlapping``, ``trials``, and wide enough
-    ``k_max`` / ``l_max``) and requires a batch-capable compromise model.
+    ``k_max`` / ``l_max``).
     """
     variants = tuple(variants)
     if not variants:
@@ -643,61 +552,41 @@ def security_sweep_montecarlo(
         check_positive_int(variant.onion_routers, "onion_routers")
         check_positive_int(variant.copies, "copies")
         check_fraction(variant.compromise_rate, "compromise_rate")
-    generator = ensure_rng(rng)
     model = _resolve_compromise_model(compromise_model, n)
+    k_max = max(v.onion_routers for v in variants)
+    l_max = max(v.copies for v in variants)
 
-    if block is not None:
-        if not getattr(model, "batch_capable", False):
-            raise ValueError(
-                f"a pre-sampled block requires a batch-capable compromise "
-                f"model; {type(model).__name__} only implements sample()"
-            )
-        k_max = max(v.onion_routers for v in variants)
-        l_max = max(v.copies for v in variants)
-        if (
-            block.n != n
-            or block.group_size != group_size
-            or block.overlapping != overlapping
-            or block.trials != trials
-            or block.k_max < k_max
-            or block.l_max < l_max
-        ):
-            raise ValueError(
-                f"pre-sampled block (n={block.n}, g={block.group_size}, "
-                f"overlapping={block.overlapping}, trials={block.trials}, "
-                f"k_max={block.k_max}, l_max={block.l_max}) does not cover "
-                f"the sweep (n={n}, g={group_size}, "
-                f"overlapping={overlapping}, trials={trials}, "
-                f"k_max={k_max}, l_max={l_max})"
-            )
-
-    if not getattr(model, "batch_capable", False):
-        scored = _legacy_security_montecarlo(
-            n, group_size, variants, model, trials, generator, overlapping
+    if block is None:
+        block = sample_security_block(
+            n,
+            group_size,
+            k_max=k_max,
+            l_max=l_max,
+            trials=trials,
+            rng=ensure_rng(rng),
+            overlapping=overlapping,
         )
-    else:
-        if block is None:
-            block = sample_security_block(
-                n,
-                group_size,
-                k_max=max(v.onion_routers for v in variants),
-                l_max=max(v.copies for v in variants),
-                trials=trials,
-                rng=generator,
-                overlapping=overlapping,
-            )
-        if kernel is False:
-            scored = [
-                _scalar_variant_scores(block, model, variant)
-                for variant in variants
-            ]
-        else:
-            scored = SecurityBatchKernel(block, model, backend=backend).score(
-                variants
-            )
+    elif (
+        block.n != n
+        or block.group_size != group_size
+        or block.overlapping != overlapping
+        or block.trials != trials
+        or block.k_max < k_max
+        or block.l_max < l_max
+    ):
+        raise ValueError(
+            f"pre-sampled block (n={block.n}, g={block.group_size}, "
+            f"overlapping={block.overlapping}, trials={block.trials}, "
+            f"k_max={block.k_max}, l_max={block.l_max}) does not cover "
+            f"the sweep (n={n}, g={group_size}, "
+            f"overlapping={overlapping}, trials={trials}, "
+            f"k_max={k_max}, l_max={l_max})"
+        )
 
     flat: List[float] = []
-    for traceable, anonymity in scored:
+    for traceable, anonymity in SecurityBatchKernel(
+        block, model, backend=backend
+    ).score(variants):
         flat.append(float(traceable.sum() / trials))
         flat.append(float(anonymity.sum() / trials))
     return tuple(flat)
@@ -712,7 +601,6 @@ def security_montecarlo(
     trials: int,
     rng: RandomSource = None,
     overlapping: bool = False,
-    kernel: Optional[bool] = None,
     compromise_model: "str | CompromiseModel" = "uniform",
     block: Optional[SecurityTrialBlock] = None,
     backend: Optional[str] = None,
@@ -724,8 +612,8 @@ def security_montecarlo(
     first copy's path with Eq. 1, the anonymity evaluates the entropy
     ratio at the adversary's observed exposure across all copies. A
     single-point wrapper over :func:`security_sweep_montecarlo`, so the
-    ``kernel`` and ``compromise_model`` knobs behave identically here and
-    in the fused figure sweeps.
+    ``compromise_model`` knob behaves identically here and in the fused
+    figure sweeps.
     """
     results = security_sweep_montecarlo(
         n,
@@ -741,7 +629,6 @@ def security_montecarlo(
         trials=trials,
         rng=rng,
         overlapping=overlapping,
-        kernel=kernel,
         compromise_model=compromise_model,
         block=block,
         backend=backend,

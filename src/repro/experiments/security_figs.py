@@ -8,9 +8,9 @@ Each figure's whole (compromise-rate c, onion-count K, copies L) grid runs
 as ONE fused Monte Carlo call per group size: the grid points share a
 single :class:`~repro.adversary.kernel.SecurityTrialBlock` (common random
 numbers), and the :class:`~repro.adversary.kernel.SecurityBatchKernel`
-scores every point without per-trial Python objects. ``kernel=False``
-walks the same block through the scalar per-trial objects — identical
-series, the delivery runners' opt-out convention.
+scores every point without per-trial Python objects. The kernel is the
+only scorer; the test suite checks it against a row-by-row walk of the
+same block through the per-trial objects.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ def fused_security_points(
     workers: Workers,
     rng: RandomSource,
     overlapping: bool = False,
-    kernel: "bool | None" = None,
     compromise_model: CompromiseModelSpec = "uniform",
     backend: "str | None" = None,
 ) -> List[Tuple[float, float]]:
@@ -82,7 +81,6 @@ def fused_security_points(
         workers=workers,
         rng=rng,
         overlapping=overlapping,
-        kernel=kernel,
         compromise_model=compromise_model,
         backend=backend,
     )
@@ -95,7 +93,6 @@ def figure_06(
     trials: int = 2000,
     seed: RandomSource = 6,
     workers: Workers = 1,
-    kernel: "bool | None" = None,
     compromise_model: CompromiseModelSpec = "uniform",
     backend: "str | None" = None,
 ) -> FigureResult:
@@ -125,7 +122,6 @@ def figure_06(
         trials,
         workers,
         generator,
-        kernel=kernel,
         compromise_model=compromise_model,
         backend=backend,
     )
@@ -152,7 +148,6 @@ def figure_07(
     trials: int = 2000,
     seed: RandomSource = 7,
     workers: Workers = 1,
-    kernel: "bool | None" = None,
     compromise_model: CompromiseModelSpec = "uniform",
     backend: "str | None" = None,
 ) -> FigureResult:
@@ -181,7 +176,6 @@ def figure_07(
         trials,
         workers,
         generator,
-        kernel=kernel,
         compromise_model=compromise_model,
         backend=backend,
     )
@@ -207,7 +201,6 @@ def figure_08(
     trials: int = 2000,
     seed: RandomSource = 8,
     workers: Workers = 1,
-    kernel: "bool | None" = None,
     compromise_model: CompromiseModelSpec = "uniform",
     backend: "str | None" = None,
 ) -> FigureResult:
@@ -237,7 +230,6 @@ def figure_08(
             trials,
             workers,
             generator,
-            kernel=kernel,
             compromise_model=compromise_model,
             backend=backend,
         )
@@ -262,7 +254,6 @@ def figure_09(
     trials: int = 2000,
     seed: RandomSource = 9,
     workers: Workers = 1,
-    kernel: "bool | None" = None,
     compromise_model: CompromiseModelSpec = "uniform",
     backend: "str | None" = None,
 ) -> FigureResult:
@@ -293,7 +284,6 @@ def figure_09(
                 trials,
                 workers,
                 generator,
-                kernel=kernel,
                 compromise_model=compromise_model,
                 backend=backend,
             )
@@ -320,7 +310,6 @@ def figure_12(
     trials: int = 2000,
     seed: RandomSource = 12,
     workers: Workers = 1,
-    kernel: "bool | None" = None,
     compromise_model: CompromiseModelSpec = "uniform",
     backend: "str | None" = None,
 ) -> FigureResult:
@@ -358,7 +347,6 @@ def figure_12(
         trials,
         workers,
         generator,
-        kernel=kernel,
         compromise_model=compromise_model,
         backend=backend,
     )
@@ -386,7 +374,6 @@ def figure_13(
     trials: int = 2000,
     seed: RandomSource = 13,
     workers: Workers = 1,
-    kernel: "bool | None" = None,
     compromise_model: CompromiseModelSpec = "uniform",
     backend: "str | None" = None,
 ) -> FigureResult:
@@ -423,7 +410,6 @@ def figure_13(
                 trials,
                 workers,
                 generator,
-                kernel=kernel,
                 compromise_model=compromise_model,
                 backend=backend,
             )

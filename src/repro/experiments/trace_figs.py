@@ -118,7 +118,6 @@ def _trace_security_figure(
     metric: str,
     overlapping: bool,
     workers: Workers = 1,
-    kernel: "bool | None" = None,
     compromise_model: CompromiseModelSpec = "uniform",
     backend: "str | None" = None,
 ) -> FigureResult:
@@ -167,7 +166,6 @@ def _trace_security_figure(
         workers,
         generator,
         overlapping=overlapping,
-        kernel=kernel,
         compromise_model=compromise_model,
         backend=backend,
     )
@@ -239,7 +237,6 @@ def figure_15(
     trials: int = 2000,
     seed: RandomSource = 15,
     workers: Workers = 1,
-    kernel: "bool | None" = None,
     compromise_model: CompromiseModelSpec = "uniform",
     backend: "str | None" = None,
 ) -> FigureResult:
@@ -257,7 +254,6 @@ def figure_15(
         workers=workers,
         metric="traceable",
         overlapping=True,
-        kernel=kernel,
         compromise_model=compromise_model,
         backend=backend,
     )
@@ -269,7 +265,6 @@ def figure_16(
     trials: int = 2000,
     seed: RandomSource = 16,
     workers: Workers = 1,
-    kernel: "bool | None" = None,
     compromise_model: CompromiseModelSpec = "uniform",
     backend: "str | None" = None,
 ) -> FigureResult:
@@ -287,7 +282,6 @@ def figure_16(
         workers=workers,
         metric="anonymity",
         overlapping=True,
-        kernel=kernel,
         compromise_model=compromise_model,
         backend=backend,
     )
@@ -350,7 +344,6 @@ def figure_18(
     trials: int = 2000,
     seed: RandomSource = 18,
     workers: Workers = 1,
-    kernel: "bool | None" = None,
     compromise_model: CompromiseModelSpec = "uniform",
     backend: "str | None" = None,
 ) -> FigureResult:
@@ -368,7 +361,6 @@ def figure_18(
         workers=workers,
         metric="traceable",
         overlapping=False,
-        kernel=kernel,
         compromise_model=compromise_model,
         backend=backend,
     )
@@ -381,7 +373,6 @@ def figure_19(
     trials: int = 2000,
     seed: RandomSource = 19,
     workers: Workers = 1,
-    kernel: "bool | None" = None,
     compromise_model: CompromiseModelSpec = "uniform",
     backend: "str | None" = None,
 ) -> FigureResult:
@@ -399,7 +390,6 @@ def figure_19(
         workers=workers,
         metric="anonymity",
         overlapping=False,
-        kernel=kernel,
         compromise_model=compromise_model,
         backend=backend,
     )

@@ -1,9 +1,13 @@
-"""Shared test helpers: scripted event sources and the broadcast oracle."""
+"""Shared test helpers: scripted event sources and the two scalar oracles."""
 
 from __future__ import annotations
 
 from typing import Iterable, List, Sequence, Tuple
 
+import numpy as np
+
+from repro.adversary.observer import observed_path_anonymity
+from repro.adversary.tracer import PathTracer
 from repro.contacts.events import ContactEvent
 
 
@@ -77,3 +81,46 @@ class BroadcastEngine:
                 all_done = all_done and session.done
             if all_done:
                 return
+
+
+def block_copy_paths(block, trial: int, onion_routers: int, copies: int) -> List[List[int]]:
+    """Trial ``trial``'s per-copy hop-sender paths from a ``SecurityTrialBlock``.
+
+    ``copies`` lists of ``[source, member_1, …, member_K]`` — the layout
+    :func:`~repro.experiments.runners.sample_copy_paths` builds.
+    """
+    source = int(block.sources[trial])
+    members = block.copy_members[trial, :onion_routers, :copies]
+    return [
+        [source] + [int(members[k, c]) for k in range(onion_routers)]
+        for c in range(copies)
+    ]
+
+
+def reference_security_score(kernel, variants) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Equivalence oracle for :meth:`~repro.adversary.kernel.SecurityBatchKernel.score`.
+
+    Walks the kernel's block row by row: each trial's compromised set is
+    its row of the numpy reference mask, its traceable rate comes from
+    :class:`~repro.adversary.tracer.PathTracer` on copy 0's path, and its
+    anonymity from :func:`~repro.adversary.observer.observed_path_anonymity`
+    across all copies. It has the method's signature, so tests can
+    monkeypatch it over ``SecurityBatchKernel.score`` and rerun a runner
+    or figure through the scalar objects.
+    """
+    block, model = kernel.block, kernel.model
+    scored = []
+    for variant in variants:
+        eta = variant.onion_routers + 1
+        mask = model.mask_from_keys(block.compromise_keys, rate=variant.compromise_rate)
+        traceable = np.empty(block.trials)
+        anonymity = np.empty(block.trials)
+        for trial in range(block.trials):
+            compromised = {int(v) for v in np.flatnonzero(mask[trial])}
+            paths = block_copy_paths(block, trial, variant.onion_routers, variant.copies)
+            traceable[trial] = PathTracer(compromised).traceable_rate(paths[0])
+            anonymity[trial] = observed_path_anonymity(
+                paths, compromised, n=block.n, eta=eta, group_size=block.group_size
+            )
+        scored.append((traceable, anonymity))
+    return scored

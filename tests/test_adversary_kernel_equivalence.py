@@ -1,15 +1,18 @@
-"""Security kernel vs scalar scoring must be estimate-for-estimate identical.
+"""Security kernel vs the scalar oracle must be estimate-for-estimate identical.
 
 The :class:`~repro.adversary.kernel.SecurityBatchKernel` claims that for a
 shared :class:`~repro.adversary.kernel.SecurityTrialBlock` the vectorised
 run-length traceable rate and the LUT-based entropy-ratio anonymity equal
 the per-trial ``PathTracer`` / ``observed_path_anonymity`` walk exactly —
-not statistically, bit-for-bit: both paths consume the same sampled draws,
-the run-length sums are small exact integers, and the anonymity values come
-from the same ``path_anonymity_exact`` evaluations. These tests check the
-claim across grid shapes, compromise models, topologies, figure series, the
-legacy per-trial fallback for batch-incapable models, and the
-kernel→scalar degradation rung of the parallel chunk ladder.
+not statistically, bit-for-bit: both consume the same sampled draws, the
+run-length sums are small exact integers, and the anonymity values come
+from the same ``path_anonymity_exact`` evaluations. The walk is the test
+oracle :func:`tests.helpers.reference_security_score`, monkeypatched over
+``SecurityBatchKernel.score`` so runners, figures and the parallel merge
+run unchanged through it. These tests check the claim across grid shapes,
+compromise models, topologies, figure series and the two-worker merge,
+plus the rejection of sample-only models and the one-rung security chunk
+ladder.
 """
 
 import numpy as np
@@ -28,12 +31,23 @@ from repro.adversary.kernel import (
 from repro.analysis.anonymity import path_anonymity_exact
 from repro.analysis.traceable import traceable_rate_empirical
 from repro.experiments import runners
-from repro.experiments.parallel import _run_montecarlo_chunk
+from repro.experiments.parallel import (
+    WorkerPool,
+    _run_montecarlo_chunk,
+    run_parallel_montecarlo,
+)
 from repro.experiments.runners import (
     reference_node_weights,
     security_montecarlo,
     security_sweep_montecarlo,
 )
+from repro.utils.resilience import (
+    CHUNK_ERROR,
+    KERNEL_FALLBACK,
+    ExecutionReport,
+    RetryPolicy,
+)
+from tests.helpers import block_copy_paths, reference_security_score
 
 
 def variant(onion_routers=3, copies=1, rate=0.1):
@@ -53,6 +67,18 @@ MIXED_GRID = (
 )
 
 
+@pytest.fixture
+def oracle(monkeypatch):
+    """Run a thunk with the scalar oracle in place of the kernel's scoring."""
+
+    def run(thunk):
+        with monkeypatch.context() as patch:
+            patch.setattr(SecurityBatchKernel, "score", reference_security_score)
+            return thunk()
+
+    return run
+
+
 # ----------------------------------------------------------------------
 # single-point equivalence across the parameter space
 # ----------------------------------------------------------------------
@@ -62,24 +88,34 @@ class TestSinglePointEquivalence:
     @pytest.mark.parametrize("onion_routers", [1, 3, 7])
     @pytest.mark.parametrize("copies", [1, 3])
     @pytest.mark.parametrize("rate", [0.0, 0.1, 0.5])
-    def test_kernel_matches_scalar_exactly(self, onion_routers, copies, rate):
+    def test_kernel_matches_scalar_exactly(
+        self, oracle, onion_routers, copies, rate
+    ):
         args = (100, 3, onion_routers, copies, rate, 400)
-        kernel = security_montecarlo(*args, rng=11, kernel=True)
-        scalar = security_montecarlo(*args, rng=11, kernel=False)
+        kernel = security_montecarlo(*args, rng=11)
+        scalar = oracle(lambda: security_montecarlo(*args, rng=11))
         assert kernel == scalar
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_default_is_the_kernel_path(self, seed):
-        args = (60, 4, 3, 2, 0.2, 300)
-        default = security_montecarlo(*args, rng=seed)
-        kernel = security_montecarlo(*args, rng=seed, kernel=True)
-        assert default == kernel
+        # The runner's means are the kernel's scores of the block its own
+        # seed samples — nothing else sits between the two.
+        default = security_montecarlo(60, 4, 3, 2, 0.2, 300, rng=seed)
+        block = sample_security_block(
+            60, 4, k_max=3, l_max=2, trials=300, rng=np.random.default_rng(seed)
+        )
+        (traceable, anonymity), = SecurityBatchKernel(
+            block, CompromiseModel(60, 0.2)
+        ).score((variant(3, 2, 0.2),))
+        assert default == (traceable.sum() / 300, anonymity.sum() / 300)
 
-    def test_overlapping_groups_equivalence(self):
+    def test_overlapping_groups_equivalence(self, oracle):
         # Cambridge scale: disjoint groups impossible at n=12, g=10.
         args = (12, 10, 3, 1, 0.25, 400)
-        kernel = security_montecarlo(*args, rng=7, overlapping=True, kernel=True)
-        scalar = security_montecarlo(*args, rng=7, overlapping=True, kernel=False)
+        kernel = security_montecarlo(*args, rng=7, overlapping=True)
+        scalar = oracle(
+            lambda: security_montecarlo(*args, rng=7, overlapping=True)
+        )
         assert kernel == scalar
 
     def test_zero_compromise(self):
@@ -102,25 +138,25 @@ class TestSinglePointEquivalence:
 
 class TestFusedSweepEquivalence:
     @pytest.mark.parametrize("overlapping,n,g", [(False, 100, 3), (True, 12, 10)])
-    def test_mixed_grid_matches_scalar(self, overlapping, n, g):
-        kernel = security_sweep_montecarlo(
-            n, g, MIXED_GRID, 300, rng=5, overlapping=overlapping, kernel=True
-        )
-        scalar = security_sweep_montecarlo(
-            n, g, MIXED_GRID, 300, rng=5, overlapping=overlapping, kernel=False
-        )
+    def test_mixed_grid_matches_scalar(self, oracle, overlapping, n, g):
+        def run():
+            return security_sweep_montecarlo(
+                n, g, MIXED_GRID, 300, rng=5, overlapping=overlapping
+            )
+
+        kernel = run()
+        scalar = oracle(run)
         assert kernel == scalar
         assert len(kernel) == 2 * len(MIXED_GRID)
 
     @pytest.mark.parametrize("name", ["uniform", "bernoulli", "targeted", "stake"])
-    def test_every_builtin_model_matches_scalar(self, name):
-        kernel = security_sweep_montecarlo(
-            50, 3, MIXED_GRID, 200, rng=13, kernel=True, compromise_model=name
-        )
-        scalar = security_sweep_montecarlo(
-            50, 3, MIXED_GRID, 200, rng=13, kernel=False, compromise_model=name
-        )
-        assert kernel == scalar
+    def test_every_builtin_model_matches_scalar(self, oracle, name):
+        def run():
+            return security_sweep_montecarlo(
+                50, 3, MIXED_GRID, 200, rng=13, compromise_model=name
+            )
+
+        assert run() == oracle(run)
 
     def test_common_random_numbers_nest_uniform_masks(self):
         # Same block, rising rates: the uniform model compromises the
@@ -161,33 +197,36 @@ class TestFusedSweepEquivalence:
 
 
 # ----------------------------------------------------------------------
-# figure series: kernel and scalar produce the same figures
+# figure series: kernel and oracle produce the same figures
 # ----------------------------------------------------------------------
 
 
 class TestFigureSeriesEquivalence:
-    def test_figure_06_series_identical(self):
+    def test_figure_06_series_identical(self, oracle):
         from repro.experiments.security_figs import figure_06
 
         kernel = figure_06(trials=150)
-        scalar = figure_06(trials=150, kernel=False)
+        scalar = oracle(lambda: figure_06(trials=150))
+        assert len(kernel.series) == len(scalar.series)
         for a, b in zip(kernel.series, scalar.series):
             assert a.label == b.label
             assert a.points == b.points
 
-    def test_figure_12_series_identical(self):
+    def test_figure_12_series_identical(self, oracle):
         from repro.experiments.security_figs import figure_12
 
         kernel = figure_12(trials=150)
-        scalar = figure_12(trials=150, kernel=False)
+        scalar = oracle(lambda: figure_12(trials=150))
+        assert len(kernel.series) == len(scalar.series)
         for a, b in zip(kernel.series, scalar.series):
             assert a.points == b.points
 
-    def test_figure_19_series_identical(self):
+    def test_figure_19_series_identical(self, oracle):
         from repro.experiments.trace_figs import figure_19
 
         kernel = figure_19(trials=150)
-        scalar = figure_19(trials=150, kernel=False)
+        scalar = oracle(lambda: figure_19(trials=150))
+        assert len(kernel.series) == len(scalar.series)
         for a, b in zip(kernel.series, scalar.series):
             assert a.points == b.points
 
@@ -199,53 +238,38 @@ class TestFigureSeriesEquivalence:
 
 
 # ----------------------------------------------------------------------
-# batch-incapable models: the legacy per-trial loop
+# model checks: population, type, and sample-only extensions
 # ----------------------------------------------------------------------
 
 
 class _PerTrialOnly(CompromiseModel):
     """A custom adversary that only knows how to sample one trial."""
 
-    batch_capable = False
+    def sample(self, rng=None):
+        return self.sample_fixed_count(rng)
+
+
+class _PerTrialWithPriority(_PerTrialOnly):
+    """The same adversary, also exposing the key-column contract."""
+
+    def selection_priority(self, keys):
+        return super().selection_priority(keys)
 
 
 class TestIneligibleModels:
-    def test_ineligible_model_runs_legacy_loop(self):
-        model = _PerTrialOnly(50, 0.2)
-        traceable, anonymity = security_montecarlo(
-            50, 3, 3, 1, 0.2, 200, rng=17, compromise_model=model
-        )
-        assert 0.0 <= traceable <= 1.0
-        assert 0.0 <= anonymity <= 1.0
-
-    def test_ineligible_model_is_deterministic(self):
-        model = _PerTrialOnly(50, 0.2)
-        first = security_montecarlo(
-            50, 3, 3, 1, 0.2, 200, rng=17, compromise_model=model
-        )
-        second = security_montecarlo(
-            50, 3, 3, 1, 0.2, 200, rng=17, compromise_model=model
-        )
-        assert first == second
-
-    def test_mixed_grid_rate_mismatch_fails_loudly(self):
-        # A per-trial model is pinned to its own rate; a sweep variant
-        # asking for a different rate must not silently sample the wrong
-        # adversary.
-        model = _PerTrialOnly(50, 0.2)
-        grid = (variant(3, 1, 0.2), variant(3, 1, 0.4))
-        with pytest.raises(ValueError, match="pinned to rate"):
-            security_sweep_montecarlo(
-                50, 3, grid, 100, rng=0, compromise_model=model
+    def test_sample_only_model_rejected(self):
+        # Scoring runs off the key column only; a model that overrides
+        # sample() alone would silently be scored as the uniform model.
+        with pytest.raises(TypeError, match="selection_priority.*mask_from_keys"):
+            security_montecarlo(
+                50, 3, 3, 1, 0.2, 50, rng=0,
+                compromise_model=_PerTrialOnly(50, 0.2),
             )
-
-    def test_matching_rate_grid_allowed(self):
-        model = _PerTrialOnly(50, 0.2)
-        grid = (variant(3, 1, 0.2), variant(5, 3, 0.2))
-        flat = security_sweep_montecarlo(
-            50, 3, grid, 100, rng=0, compromise_model=model
+        accepted = security_montecarlo(
+            50, 3, 3, 1, 0.2, 50, rng=0,
+            compromise_model=_PerTrialWithPriority(50, 0.2),
         )
-        assert len(flat) == 4
+        assert accepted == security_montecarlo(50, 3, 3, 1, 0.2, 50, rng=0)
 
     def test_model_population_mismatch_rejected(self):
         with pytest.raises(ValueError, match="n=40"):
@@ -262,32 +286,38 @@ class TestIneligibleModels:
 
 
 # ----------------------------------------------------------------------
-# the degradation rung: kernel failure falls back to the scalar walk
+# the chunk ladder: a security chunk has a single rung
 # ----------------------------------------------------------------------
 
 
 class TestDegradationRung:
-    def test_chunk_ladder_degrades_kernel_to_scalar(self, monkeypatch):
+    def test_chunk_kernel_failure_reraises(self, monkeypatch):
         kwargs = dict(
             n=50, group_size=3, onion_routers=3, copies=1,
-            compromise_rate=0.2, kernel=True,
-        )
-        seed_seq = np.random.SeedSequence(123)
-        expected = security_montecarlo(
-            trials=150, rng=np.random.default_rng(seed_seq),
-            **dict(kwargs, kernel=False),
+            compromise_rate=0.2,
         )
 
         def broken_score(self, variants):
             raise RuntimeError("injected kernel failure")
 
         monkeypatch.setattr(SecurityBatchKernel, "score", broken_score)
-        payload = _run_montecarlo_chunk(
-            security_montecarlo, 150, np.random.SeedSequence(123), kwargs
-        )
-        assert payload.result == expected
-        assert payload.events, "the fallback must be recorded"
-        assert "injected kernel failure" in payload.events[0]["detail"]
+        with pytest.raises(RuntimeError, match="injected kernel failure"):
+            _run_montecarlo_chunk(
+                security_montecarlo, 150, np.random.SeedSequence(123), kwargs
+            )
+        # Supervised, the error is retried and then raised; no rung
+        # records a kernel fallback on the way.
+        report = ExecutionReport()
+        policy = RetryPolicy(max_retries=1, backoff=0.0, sleep=lambda _: None)
+        with WorkerPool(2, max_processes=1, policy=policy, report=report) as pool:
+            with pytest.raises(RuntimeError, match="injected kernel failure"):
+                run_parallel_montecarlo(
+                    security_montecarlo, trials=40, workers=pool, rng=1,
+                    chunks=2, **kwargs,
+                )
+        counts = report.counts()
+        assert counts.get(CHUNK_ERROR) == 2
+        assert KERNEL_FALLBACK not in counts
 
     def test_clean_chunk_records_no_events(self):
         payload = _run_montecarlo_chunk(
@@ -326,7 +356,7 @@ class TestKernelInternals:
         traceable, _ = kernel.score_variant(v)
         mask = model.mask_from_keys(block.compromise_keys, rate=0.3)
         for trial in range(block.trials):
-            path = block.copy_paths(trial, 4, 1)[0]
+            path = block_copy_paths(block, trial, 4, 1)[0]
             bits = [1 if node in set(np.flatnonzero(mask[trial])) else 0
                     for node in path]
             assert traceable[trial] == traceable_rate_empirical(bits)
@@ -383,19 +413,22 @@ class TestKernelInternals:
 
 
 class TestParallelAndWeights:
-    def test_worker_merge_identical_for_kernel_and_scalar(self):
-        from repro.experiments.parallel import run_parallel_montecarlo
-
+    def test_worker_merge_identical_for_kernel_and_scalar(self, oracle):
         common = dict(
             n=50, group_size=3, variants=list(MIXED_GRID), trials=120,
-            workers=2, chunks=2,
+            chunks=2, rng=31,
         )
         kernel = run_parallel_montecarlo(
-            security_sweep_montecarlo, rng=31, kernel=True, **common
+            security_sweep_montecarlo, workers=2, **common
         )
-        scalar = run_parallel_montecarlo(
-            security_sweep_montecarlo, rng=31, kernel=False, **common
-        )
+        # Two requested workers run inline, so the oracle patch is in
+        # effect for every chunk whatever the process start method.
+        with WorkerPool(2, max_processes=1) as pool:
+            scalar = oracle(
+                lambda: run_parallel_montecarlo(
+                    security_sweep_montecarlo, workers=pool, **common
+                )
+            )
         assert kernel == scalar
 
     def test_reference_weights_deterministic(self):
