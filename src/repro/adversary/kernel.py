@@ -46,9 +46,7 @@ byte-identity contract.
 
 from __future__ import annotations
 
-import logging
 import os
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
@@ -57,8 +55,8 @@ import numpy as np
 
 from repro.adversary.compromise import CompromiseModel
 from repro.analysis.anonymity import path_anonymity_exact
-from repro.utils.resilience import KERNEL_FALLBACK, ResilienceEvent
 from repro.core.onion_groups import OnionGroupDirectory
+from repro.sim.backend import ENV_VAR, KernelBackend, _KernelBackendMixin
 from repro.utils.rng import RandomSource, ensure_rng
 from repro.utils.validation import check_positive_int
 
@@ -70,8 +68,6 @@ __all__ = [
     "sample_security_block",
     "anonymity_lookup",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -103,9 +99,8 @@ class SecurityTrialBlock:
     ``copy_members``
         ``(trials, k_max, l_max)`` node ids: the member of hop ``k``'s
         onion group that copy ``l`` traverses. Copies hold distinct
-        members while the group has enough, then wrap — the vectorized
-        restatement of
-        :func:`~repro.experiments.runners.sample_copy_paths`.
+        members while the group has enough, then wrap around: copy ``l``
+        takes position ``l mod |group|`` of a uniform member order.
     ``compromise_keys``
         ``(trials, n)`` uniform keys consumed by
         :meth:`~repro.adversary.compromise.CompromiseModel.mask_from_keys`.
@@ -292,7 +287,7 @@ def sample_security_block(
 
     # Copy assignment: a uniform member order per (trial, hop); copy l
     # takes position l mod |group| — distinct members while they last,
-    # then wrap-around, matching sample_copy_paths.
+    # then wrap-around.
     member_keys = generator.random((trials, k_max, group_size))
     hop_sizes = sizes[route_groups]  # (trials, k_max)
     # Pad slots beyond the true group size out of contention.
@@ -348,7 +343,7 @@ def anonymity_lookup(n: int, eta: int, group_size: int) -> np.ndarray:
     return table
 
 
-class SecurityBatchKernel:
+class SecurityBatchKernel(_KernelBackendMixin):
     """Vectorized scorer of one :class:`SecurityTrialBlock`.
 
     Holds the block plus the compromise model and evaluates sweep variants
@@ -393,92 +388,30 @@ class SecurityBatchKernel:
         model: CompromiseModel,
         backend=None,
     ):
-        from repro.sim.backend import ENV_VAR, KernelBackend, resolve_backend
-
         if model.n != block.n:
             raise ValueError(
                 f"model covers n={model.n} nodes but the block holds n={block.n}"
             )
         self.block = block
         self.model = model
-        self._backend_fallbacks: List[str] = []
+        self._mask_cache: Dict[float, np.ndarray] = {}
         if isinstance(backend, KernelBackend):
             requested = backend.name
-        elif backend is None:
-            requested = os.environ.get(ENV_VAR) or "numpy"
         else:
-            requested = backend
-        self._backend = resolve_backend(
+            requested = backend or os.environ.get(ENV_VAR) or "numpy"
+        self._init_backend(
             backend,
-            on_fallback=lambda name, error: self._backend_fallbacks.append(
-                f"requested kernel backend {name!r} unavailable; degraded "
-                f"to numpy: {type(error).__name__}: {error}"
-            ),
+            {
+                "requested_backend": requested,
+                "trials": block.trials,
+                "variants_scored": 0,
+                "backend_seconds": 0.0,
+                "anonymity_lookup_hits": 0,
+                "anonymity_lookup_misses": 0,
+                "mask_cache_hits": 0,
+                "mask_cache_misses": 0,
+            },
         )
-        self._mask_cache: Dict[float, np.ndarray] = {}
-        self.stats: Dict = {
-            "backend": self._backend.name,
-            "requested_backend": requested,
-            "trials": block.trials,
-            "variants_scored": 0,
-            "backend_seconds": 0.0,
-            "anonymity_lookup_hits": 0,
-            "anonymity_lookup_misses": 0,
-            "mask_cache_hits": 0,
-            "mask_cache_misses": 0,
-        }
-
-    @property
-    def backend(self) -> str:
-        """Name of the backend scoring the security passes."""
-        return self._backend.name
-
-    @property
-    def backend_fallbacks(self) -> Tuple[str, ...]:
-        """Backend degradations taken so far (usually empty): a resolve-
-        time miss (requested backend unavailable) or a mid-scoring op
-        failure recomputed on numpy. Pure notes — degradations never
-        change outcomes, only wall time."""
-        return tuple(self._backend_fallbacks)
-
-    @property
-    def fallback_events(self) -> Tuple[ResilienceEvent, ...]:
-        """:attr:`backend_fallbacks` as resilience events, ready for the
-        engine/runner resilience logs."""
-        return tuple(
-            ResilienceEvent(
-                kind=KERNEL_FALLBACK,
-                where=type(self).__name__,
-                detail=note,
-                resolution="degraded",
-            )
-            for note in self._backend_fallbacks
-        )
-
-    def _op(self, name: str, *args):
-        """One backend op call: timed, and degraded to numpy mid-run when
-        a compiled implementation fails (ops are pure, so the numpy
-        recomputation sees identical inputs and outcomes are unchanged).
-        """
-        from repro.sim.backend import resolve_backend
-
-        start = time.perf_counter()
-        try:
-            return getattr(self._backend, name)(*args)
-        except Exception as error:
-            if self._backend.name == "numpy":
-                raise
-            note = (
-                f"{name} failed on backend {self._backend.name!r}; "
-                f"recomputed with numpy: {type(error).__name__}: {error}"
-            )
-            self._backend_fallbacks.append(note)
-            logger.warning("%s — %s", type(self).__name__, note)
-            self._backend = resolve_backend("numpy")
-            self.stats["backend"] = self._backend.name
-            return getattr(self._backend, name)(*args)
-        finally:
-            self.stats["backend_seconds"] += time.perf_counter() - start
 
     def score_variant(
         self, variant: SecuritySweepVariant

@@ -423,24 +423,6 @@ def simulated_delivery_curve(
 # ----------------------------------------------------------------------
 
 
-def sample_copy_paths(
-    route: OnionRoute, copies: int, rng: np.random.Generator
-) -> List[List[int]]:
-    """Sample the member each copy traverses in every onion group.
-
-    Copies hold *distinct* members of a group while enough members exist
-    (the protocol's ``Forward()`` predicate never places two live copies on
-    one node); beyond that the assignment wraps around.
-    """
-    paths = [[route.source] for _ in range(copies)]
-    for members in route.groups:
-        order = rng.permutation(len(members))
-        for copy_index in range(copies):
-            member = members[order[copy_index % len(members)]]
-            paths[copy_index].append(int(member))
-    return paths
-
-
 @lru_cache(maxsize=32)
 def reference_node_weights(n: int) -> Tuple[float, ...]:
     """Per-node aggregate contact rates on the paper's reference graph.

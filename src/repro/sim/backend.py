@@ -2,16 +2,15 @@
 
 The struct-of-arrays kernels (:mod:`repro.sim.kernel`,
 :mod:`repro.adversary.kernel`) spend their time in a handful of inner
-loops: the single-copy anycast-race search, the multi-copy flattened
-per-copy race, and the security Monte Carlo's scoring passes — the
-smallest-``k`` compromise-mask selection, the fused per-trial run-length
-+ exposure sweep, and the raw run-length scoring behind Eq. 1. This
-module puts those loops behind a small registry of interchangeable
+loops: the single-copy anycast-race trajectory walk, the multi-copy
+flattened per-copy race, and the security Monte Carlo's scoring passes —
+the smallest-``k`` compromise-mask selection, the fused per-trial
+run-length + exposure sweep, and the raw run-length scoring behind Eq. 1.
+This module puts those loops behind a small registry of interchangeable
 backends:
 
 ``numpy`` (default)
-    The vectorized searchsorted/reduceat implementation that has always
-    powered the kernels, moved here verbatim. Always available.
+    Vectorized searchsorted/reduceat implementations. Always available.
 ``cc``
     The same loops as a small C translation unit, compiled on first use
     by the system C compiler into a content-addressed cached shared
@@ -28,15 +27,19 @@ cross process boundaries, so parallel workers re-resolve and inherit the
 choice without pickling compiled state.
 
 Equivalence contract: every backend computes *exactly* the same integer
-results from the same columns. The compiled single-copy op goes one step
-further than a per-round drop-in — it walks each session's **entire
-trajectory** (every state-changing event index up to delivery, expiry, or
-the window edge) in one call, eliminating the per-round NumPy temporaries
-and Python bookkeeping; the kernel then applies each trajectory through
-the session's batched
+results from the same columns, and every kernel drives every backend
+through the same control flow. The single-copy op walks each session's
+**entire trajectory** (every state-changing event index up to delivery,
+expiry, or the window edge) in one call — numpy advances all sessions
+one hop per array round, cc runs the scalar loop — and the kernel
+applies each trajectory through the session's batched
 :meth:`~repro.core.single_copy.SingleCopySession.apply_transitions` hook,
 which re-validates every contact against the session's own acceptance
 predicate, so outcomes remain byte-identical by construction.
+
+:class:`_KernelBackendMixin` is the kernels' one seam onto a backend:
+it resolves the selection, and its :meth:`~_KernelBackendMixin._op`
+times every op call and degrades a failing compiled op to numpy.
 """
 
 from __future__ import annotations
@@ -48,9 +51,12 @@ import os
 import shutil
 import subprocess
 import tempfile
-from typing import Callable, Dict, Optional, Tuple
+from time import perf_counter
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
+
+from repro.utils.resilience import KERNEL_FALLBACK, ResilienceEvent
 
 __all__ = [
     "ENV_VAR",
@@ -100,6 +106,48 @@ def _numpy_first_events(
     in_pair = (pos < comp_len) & (found_comp // stride == pair_key)
     candidate[in_pair] = found_comp[in_pair] % stride
     return candidate
+
+
+def _numpy_group_candidates(
+    sorted_comp: np.ndarray,
+    stride: int,
+    n_nodes: int,
+    n_events: int,
+    starts: np.ndarray,
+    stops: np.ndarray,
+    targets: np.ndarray,
+    slots: np.ndarray,
+    q_holder: np.ndarray,
+    q_cursor: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """First-event candidates of each query against its whole target group.
+
+    Query ``i`` races holder ``q_holder[i]`` from cursor ``q_cursor[i]``
+    against every member of group ``slots[i]`` (a ragged gather). Returns
+    ``(candidate, group_starts)``: query ``i``'s candidates start at
+    ``candidate[group_starts[i]]``, so ``np.minimum.reduceat`` over
+    ``group_starts`` (or over any coarser set of query boundaries) takes
+    the race winners.
+    """
+    counts = stops[slots] - starts[slots]
+    total = int(counts.sum())
+    group_ends = np.cumsum(counts)
+    group_starts = group_ends - counts
+    flat_idx = (
+        np.arange(total, dtype=np.int64)
+        - np.repeat(group_starts, counts)
+        + np.repeat(starts[slots], counts)
+    )
+    candidate = _numpy_first_events(
+        sorted_comp,
+        stride,
+        n_nodes,
+        n_events,
+        np.repeat(q_holder, counts),
+        targets[flat_idx],
+        np.repeat(q_cursor, counts),
+    )
+    return candidate, group_starts
 
 
 def _numpy_run_length_square_sums(bits: np.ndarray) -> np.ndarray:
@@ -402,10 +450,9 @@ def _trajectory_cap(
 class KernelBackend:
     """Base class: the op surface every backend implements.
 
-    ``compiled`` distinguishes control flow in the kernels: the numpy
-    backend keeps the vectorized per-round sweep
-    (:meth:`single_next_events`), compiled backends precompute whole
-    per-session trajectories (:meth:`single_trajectories`) in one call.
+    Every backend implements every op, and the kernels drive them all
+    through one control flow. ``compiled`` only labels the backend in
+    the CLI's ``backends`` listing.
     """
 
     name = "?"
@@ -425,25 +472,6 @@ class KernelBackend:
         """Force any lazy compilation now (warm-up for benchmarks)."""
 
     # -- ops -----------------------------------------------------------
-
-    def single_next_events(
-        self,
-        sorted_comp: np.ndarray,
-        stride: int,
-        n_nodes: int,
-        n_events: int,
-        starts: np.ndarray,
-        stops: np.ndarray,
-        targets: np.ndarray,
-        act: np.ndarray,
-        holder: np.ndarray,
-        hop_slot: np.ndarray,
-        cursor: np.ndarray,
-        expiry: np.ndarray,
-    ) -> np.ndarray:  # pragma: no cover - interface
-        """One single-copy race round: the next firing event per active
-        session (``n_events`` when none is left in the window)."""
-        raise NotImplementedError
 
     def single_trajectories(
         self,
@@ -526,7 +554,7 @@ class NumpyBackend(KernelBackend):
     name = "numpy"
     compiled = False
 
-    def single_next_events(
+    def single_trajectories(
         self,
         sorted_comp,
         stride,
@@ -535,33 +563,48 @@ class NumpyBackend(KernelBackend):
         starts,
         stops,
         targets,
+        ev_a,
+        ev_b,
         act,
         holder,
         hop_slot,
+        last_slot,
         cursor,
         expiry,
     ):
-        slots = hop_slot[act]
-        counts = stops[slots] - starts[slots]
-        total = int(counts.sum())
-        # Ragged gather of every active session's current target group.
-        group_ends = np.cumsum(counts)
-        group_starts = group_ends - counts
-        flat_idx = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(group_starts, counts)
-            + np.repeat(starts[slots], counts)
-        )
-        q_target = targets[flat_idx]
-        q_holder = np.repeat(holder[act], counts)
-        q_cursor = np.repeat(cursor[act], counts)
-        candidate = _numpy_first_events(
-            sorted_comp, stride, n_nodes, n_events, q_holder, q_target, q_cursor
-        )
-        # The anycast race: first meeting with any group member wins,
-        # unless the TTL runs out first.
-        fire = np.minimum.reduceat(candidate, group_starts)
-        return np.minimum(fire, expiry[act])
+        n_act = len(act)
+        cap = _trajectory_cap(act, hop_slot, last_slot)
+        traj = np.zeros((n_act, cap), dtype=np.int64)
+        lens = np.zeros(n_act, dtype=np.int64)
+        dones = np.zeros(n_act, dtype=np.int64)
+        # One array round per hop: every session still walking advances
+        # by one state change, so all of them write trajectory column m.
+        rows = np.arange(n_act, dtype=np.int64)
+        h, slot, cur = holder[act], hop_slot[act], cursor[act]
+        end, last = expiry[act], last_slot[act]
+        m = 0
+        while rows.size:
+            candidate, group_starts = _numpy_group_candidates(
+                sorted_comp, stride, n_nodes, n_events,
+                starts, stops, targets, slot, h, cur,
+            )
+            # The anycast race: first meeting with any group member wins,
+            # unless the TTL runs out first.
+            best = np.minimum.reduceat(candidate, group_starts)
+            fire = np.minimum(best, end)
+            # No state-changing event left in the window: pending.
+            fired = fire < n_events
+            traj[rows[fired], m] = fire[fired]
+            lens[rows[fired]] += 1
+            m += 1
+            stop = fired & ((best >= end) | (slot == last))
+            dones[rows[stop]] = 1
+            keep = fired & ~stop
+            rows, fire = rows[keep], fire[keep]
+            h = ev_a[fire] + ev_b[fire] - h[keep]
+            slot, end, last = slot[keep] + 1, end[keep], last[keep]
+            cur = fire + 1
+        return traj, lens, dones
 
     def multi_next_events(
         self,
@@ -578,20 +621,9 @@ class NumpyBackend(KernelBackend):
         act_cursor,
         act_expiry,
     ):
-        counts = stops[c_slot] - starts[c_slot]
-        total = int(counts.sum())
-        group_ends = np.cumsum(counts)
-        group_starts = group_ends - counts
-        flat_idx = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(group_starts, counts)
-            + np.repeat(starts[c_slot], counts)
-        )
-        q_target = targets[flat_idx]
-        q_holder = np.repeat(c_holder, counts)
-        q_cursor = np.repeat(act_cursor[rows], counts)
-        candidate = _numpy_first_events(
-            sorted_comp, stride, n_nodes, n_events, q_holder, q_target, q_cursor
+        candidate, group_starts = _numpy_group_candidates(
+            sorted_comp, stride, n_nodes, n_events,
+            starts, stops, targets, c_slot, c_holder, act_cursor[rows],
         )
         # Per-session race across *all* copies: reduce at the first
         # flattened member of each session's first copy. ``rows`` is
@@ -978,3 +1010,85 @@ def resolve_backend(
                     error,
                 )
     return _instantiate("numpy")
+
+
+# ----------------------------------------------------------------------
+# the kernels' seam onto a backend
+# ----------------------------------------------------------------------
+
+
+class _KernelBackendMixin:
+    """Backend resolution, op calls and degradation shared by every kernel.
+
+    Kernels call backend ops only through :meth:`_op`, so one function
+    times them and one function degrades a failing compiled op to numpy.
+    A kernel sets ``self.stats`` (with ``backend`` and
+    ``backend_seconds`` keys) through :meth:`_init_backend`.
+    """
+
+    def _init_backend(self, backend, stats: Dict) -> None:
+        self._backend_fallbacks: List[str] = []
+        self._backend = resolve_backend(
+            backend,
+            on_fallback=lambda name, error: self._note_fallback(
+                f"requested kernel backend {name!r} unavailable; degraded "
+                f"to numpy: {type(error).__name__}: {error}"
+            ),
+        )
+        self.stats = {"backend": self._backend.name, **stats}
+
+    def _note_fallback(self, note: str) -> None:
+        self._backend_fallbacks.append(note)
+        logger.warning("%s — %s", type(self).__name__, note)
+
+    @property
+    def backend(self) -> str:
+        """Name of the backend currently running the kernel's ops."""
+        return self._backend.name
+
+    @property
+    def backend_fallbacks(self) -> Tuple[str, ...]:
+        """Backend degradations taken so far (usually empty).
+
+        A resolve-time miss (requested backend unavailable) or an op
+        failure recomputed on numpy. A degradation never changes
+        outcomes, only wall time: backend ops are pure, so the numpy
+        recomputation sees identical inputs.
+        """
+        return tuple(self._backend_fallbacks)
+
+    @property
+    def fallback_events(self) -> Tuple[ResilienceEvent, ...]:
+        """:attr:`backend_fallbacks` as
+        :data:`~repro.utils.resilience.KERNEL_FALLBACK` resilience events."""
+        return tuple(
+            ResilienceEvent(
+                kind=KERNEL_FALLBACK,
+                where=type(self).__name__,
+                detail=note,
+                resolution="degraded",
+            )
+            for note in self._backend_fallbacks
+        )
+
+    def _op(self, name: str, *args):
+        """Call backend op ``name``, timed into ``stats["backend_seconds"]``.
+
+        A failing numpy op re-raises. A failing compiled op is noted,
+        the kernel switches to numpy, and the op is retried once there.
+        """
+        started = perf_counter()
+        try:
+            return getattr(self._backend, name)(*args)
+        except Exception as error:
+            if self._backend.name == "numpy":
+                raise
+            self._note_fallback(
+                f"{name} failed on backend {self._backend.name!r}; "
+                f"recomputed with numpy: {type(error).__name__}: {error}"
+            )
+            self._backend = resolve_backend("numpy")
+            self.stats["backend"] = self._backend.name
+            return getattr(self._backend, name)(*args)
+        finally:
+            self.stats["backend_seconds"] += perf_counter() - started

@@ -292,10 +292,10 @@ class SimulationEngine:
         """Per-kernel profiling stats collected by the last kernel run.
 
         One dict per kernel instance the engine drove (see
-        ``BatchKernel.stats``): backend name, ``rounds``,
-        ``scalar_dispatches``, ``backend_seconds``, ``dispatch_seconds``,
-        and per-round active-set peak/total — the raw material for
-        ``bench_engine --mode backend``.
+        ``BatchKernel.stats``): backend name, ``rounds`` (backend race
+        calls), ``scalar_dispatches``, ``backend_seconds``,
+        ``dispatch_seconds``, and the active-set peak/total over those
+        calls — the raw material for ``bench_engine --mode backend``.
         """
         return tuple(dict(stats) for stats in self._kernel_stats)
 
@@ -323,15 +323,7 @@ class SimulationEngine:
     def _harvest_kernel(self, kernel) -> None:
         """Collect a kernel's stats and surface its backend degradations."""
         self._kernel_stats.append(dict(kernel.stats))
-        for note in kernel.backend_fallbacks:
-            self._fallbacks.append(
-                ResilienceEvent(
-                    kind=KERNEL_FALLBACK,
-                    where=type(kernel).__name__,
-                    detail=note,
-                    resolution="degraded",
-                )
-            )
+        self._fallbacks.extend(kernel.fallback_events)
 
     def _count_mode(self, mode: str, count: int) -> None:
         if count:

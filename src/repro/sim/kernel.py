@@ -17,20 +17,21 @@ changes state only at
 * the first event strictly after ``expires_at`` (TTL *expiry*).
 
 Everything else is provably a no-op, so the kernels locate those few
-state-changing events with vectorized searches and dispatch **only them**
-through the session's own
-:meth:`~repro.sim.protocol.ProtocolSession.on_contact_scalar` hook. The
+state-changing events with backend searches and dispatch **only them**
+through the session's own hooks
+(:meth:`~repro.sim.protocol.ProtocolSession.on_contact_scalar`, or its
+batched single-copy counterpart
+:meth:`~repro.core.single_copy.SingleCopySession.apply_transitions`). The
 outcome objects (paths, hop timestamps, transfers, status) are therefore
-built by the exact same code path as the engine's object loop —
-byte-identity with it is structural, not re-implemented.
+built by the session's own transition code, as in the engine's object
+loop — byte-identity with it is structural, not re-implemented.
 
 Two kernels share the composite-index machinery (:class:`_EventIndex`):
 
 * :class:`BatchKernel` — fault-free, keyring-free
   :class:`~repro.core.single_copy.SingleCopySession`. One copy, one holder
-  per session; each round advances every active session by exactly one
-  state change, so a batch with ``η`` hops finishes in at most ``η + 1``
-  rounds.
+  per session, so a session's future is one chain of races: one backend
+  call walks every session's whole trajectory through the window.
 * :class:`MultiCopyBatchKernel` — fault-free
   :class:`~repro.core.multi_copy.MultiCopySession` (Algorithm 2). The
   anycast race runs over *every live copy* of a session: the per-round
@@ -55,32 +56,32 @@ Backend seam
 The race searches run on a pluggable :mod:`repro.sim.backend` backend
 (``backend=`` on either kernel: a registered name, a resolved
 :class:`~repro.sim.backend.KernelBackend`, or None for the
-``REPRO_KERNEL_BACKEND``/numpy default). The numpy backend keeps the
-original vectorized per-round sweep. The compiled ``cc`` backend
-replaces the single-copy round loop wholesale: one call computes every
-session's *entire* trajectory of state-changing event indices, which the
-kernel applies through
+``REPRO_KERNEL_BACKEND``/numpy default), and every backend runs the same
+control flow. The single-copy kernel makes one ``single_trajectories``
+call per window: it returns every session's *entire* trajectory of
+state-changing event indices, which the kernel applies through
 :meth:`~repro.core.single_copy.SingleCopySession.apply_transitions` — one
 batched session call per trajectory instead of one Python dispatch per
 hop, with the session's own acceptance predicate re-checking every
 applied contact (a mispredicted race raises instead of corrupting
-state). Same transitions, same order, byte-identical outcomes. The
-multi-copy kernel keeps its round structure (ticket hand-offs depend on
-session-side spray arithmetic) and routes the per-round race through the
-backend op. A compiled backend that raises mid-sweep degrades to numpy
-*before* any un-dispatched state is lost (ops are pure), records the
-degradation on :attr:`backend_fallbacks`, and the sweep continues
-byte-identically.
+state). The multi-copy kernel keeps its round structure (ticket
+hand-offs depend on session-side spray arithmetic) and makes one
+``multi_next_events`` call per round. Every op goes through the shared
+:meth:`~repro.sim.backend._KernelBackendMixin._op`: a compiled op that
+raises degrades to numpy *before* any state is touched (ops are pure),
+the degradation is recorded on :attr:`backend_fallbacks`, and the sweep
+continues byte-identically.
 
 Each kernel keeps a ``stats`` dict for the profiling harness: backend
-name, ``rounds``, ``scalar_dispatches``, ``backend_seconds`` (time in
-backend ops), ``dispatch_seconds`` (time replaying events through
-sessions), and the per-round active-set peak/total.
+name, ``rounds`` (backend op calls: one per window for the single-copy
+kernel, one per race round for the multi-copy kernel),
+``scalar_dispatches``, ``backend_seconds`` (time in backend ops),
+``dispatch_seconds`` (time replaying events through sessions), and the
+active-set peak/total over those rounds.
 """
 
 from __future__ import annotations
 
-import logging
 from itertools import chain
 from time import perf_counter
 from typing import List, Sequence, Tuple
@@ -90,12 +91,10 @@ import numpy as np
 from repro.contacts.events import EventBlock
 from repro.core.multi_copy import MultiCopySession
 from repro.core.single_copy import SingleCopySession
-from repro.sim.backend import resolve_backend
+from repro.sim.backend import _KernelBackendMixin
 from repro.sim.protocol import ProtocolSession
 
 __all__ = ["BatchKernel", "MultiCopyBatchKernel", "KERNEL_CLASSES", "kernel_class_for"]
-
-logger = logging.getLogger(__name__)
 
 
 class _EventIndex:
@@ -104,8 +103,8 @@ class _EventIndex:
     Within one unordered node pair the stable argsort keeps chronological
     order, so "first event of pair P at index >= c" is a single
     :func:`numpy.searchsorted` against ``key * stride + index``. Both
-    kernels build their queries against this structure; ``min_nodes``
-    widens the key space to cover session nodes absent from the block.
+    kernels hand this structure to the backend ops; ``min_nodes`` widens
+    the key space to cover session nodes absent from the block.
     """
 
     def __init__(self, block: EventBlock, min_nodes: int):
@@ -121,29 +120,6 @@ class _EventIndex:
         event_key = lo * self.n_nodes + hi
         key_order = np.argsort(event_key, kind="stable")
         self.sorted_comp = event_key[key_order] * self.stride + key_order
-
-    def first_events(
-        self,
-        q_holder: np.ndarray,
-        q_target: np.ndarray,
-        q_cursor: np.ndarray,
-    ) -> np.ndarray:
-        """First event index ≥ cursor on each ``(holder, target)`` pair.
-
-        Pairs with no such event map to ``n_events`` (a sentinel that
-        always loses the subsequent minimum reductions).
-        """
-        from repro.sim.backend import _numpy_first_events
-
-        return _numpy_first_events(
-            self.sorted_comp,
-            self.stride,
-            self.n_nodes,
-            self.n_events,
-            q_holder,
-            q_target,
-            q_cursor,
-        )
 
 
 class _TargetTable:
@@ -186,29 +162,14 @@ class _TargetTable:
         self.max_node = int(self.targets.max()) if self.targets.size else 0
 
 
-def _window_bounds(
-    times: np.ndarray, session: ProtocolSession
-) -> Tuple[int, int]:
-    """(cursor, expiry) event indices for one session over the block.
-
-    Events before creation are no-ops; expiry fires at the first event
-    strictly past the deadline (``on_contact_scalar``'s
-    ``time < created_at`` / ``time > expires_at`` branches). The scalar
-    reference for :func:`_window_bounds_batch`, which both kernels use.
-    """
-    cursor = int(np.searchsorted(times, session.created_at, "left"))
-    expiry = int(np.searchsorted(times, session.expires_at, "right"))
-    return cursor, expiry
-
-
 def _window_bounds_batch(
     times: np.ndarray, created: np.ndarray, expires: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """(cursor, expiry) index arrays for a whole batch of sessions.
+    """(cursor, expiry) event indices for a whole batch of sessions.
 
-    Two batched :func:`numpy.searchsorted` calls replace the per-session
-    Python loop over :func:`_window_bounds` — same semantics, element for
-    element.
+    Events before creation are no-ops; expiry fires at the first event
+    strictly past the deadline (``on_contact_scalar``'s
+    ``time < created_at`` / ``time > expires_at`` branches).
     """
     cursor = np.searchsorted(times, created, side="left")
     expiry = np.searchsorted(times, expires, side="right")
@@ -218,61 +179,23 @@ def _window_bounds_batch(
     )
 
 
-_DIVERGENCE_MESSAGE = (
-    "dispatched a state-changing event the session did not accept; the "
-    "session state diverged from the kernel's race model"
-)
+def _delivery_stats() -> dict:
+    """Fresh ``stats`` counters of a delivery kernel."""
+    return {
+        "rounds": 0,
+        "scalar_dispatches": 0,
+        "backend_seconds": 0.0,
+        "dispatch_seconds": 0.0,
+        "active_peak": 0,
+        "active_total": 0,
+    }
 
 
-class _KernelBackendMixin:
-    """Backend resolution, per-phase stats, and mid-sweep degradation
-    shared by both batch kernels."""
-
-    def _init_backend(self, backend) -> None:
-        self._backend = resolve_backend(backend)
-        self._backend_fallbacks: List[str] = []
-        self.stats = {
-            "backend": self._backend.name,
-            "rounds": 0,
-            "scalar_dispatches": 0,
-            "backend_seconds": 0.0,
-            "dispatch_seconds": 0.0,
-            "active_peak": 0,
-            "active_total": 0,
-        }
-
-    @property
-    def backend(self) -> str:
-        """Name of the backend currently running the race searches."""
-        return self._backend.name
-
-    @property
-    def backend_fallbacks(self) -> Tuple[str, ...]:
-        """Mid-sweep backend degradations taken so far (usually empty).
-
-        Engine callers convert these into
-        :data:`~repro.utils.resilience.KERNEL_FALLBACK` resilience
-        events; a degradation never changes outcomes, only wall time —
-        backend ops are pure, so the numpy recomputation sees identical
-        inputs.
-        """
-        return tuple(self._backend_fallbacks)
-
-    def _degrade_backend(self, where: str, error: Exception) -> None:
-        note = (
-            f"{where} failed on backend {self._backend.name!r}; "
-            f"recomputed with numpy: {type(error).__name__}: {error}"
-        )
-        self._backend_fallbacks.append(note)
-        logger.warning("%s — %s", type(self).__name__, note)
-        self._backend = resolve_backend("numpy")
-        self.stats["backend"] = self._backend.name
-
-    def _note_round(self, n_active: int) -> None:
-        self.stats["rounds"] += 1
-        self.stats["active_total"] += n_active
-        if n_active > self.stats["active_peak"]:
-            self.stats["active_peak"] = n_active
+def _note_round(stats: dict, n_active: int) -> None:
+    stats["rounds"] += 1
+    stats["active_total"] += n_active
+    if n_active > stats["active_peak"]:
+        stats["active_peak"] = n_active
 
 
 class BatchKernel(_KernelBackendMixin):
@@ -305,7 +228,7 @@ class BatchKernel(_KernelBackendMixin):
             s for s, session in enumerate(self._sessions) if not session.done
         ]
         self._pending = len(self._alive)
-        self._init_backend(backend)
+        self._init_backend(backend, _delivery_stats())
 
     @staticmethod
     def supports(session: ProtocolSession) -> bool:
@@ -355,7 +278,8 @@ class BatchKernel(_KernelBackendMixin):
         their holder parked wherever the window left it.
 
         ``on_session_error(session, error)``, when given, receives any
-        exception a session's ``on_contact_scalar`` raises; the session is
+        exception a session raises while its trajectory is applied
+        (except the divergence guard's ``RuntimeError``); the session is
         dropped from the sweep and the rest continue (eligible sessions
         never interact, so the others are unaffected — the same containment
         the engine's quarantine gives the object loop). Without the
@@ -412,26 +336,13 @@ class BatchKernel(_KernelBackendMixin):
 
         index = _EventIndex(block, min_nodes=max_node + 1)
 
-        dispatched = 0
         act = np.nonzero(active)[0]
+        dispatched = 0
         if act.size:
-            if self._backend.compiled:
-                dispatched = self._sweep_compiled(
-                    index, table, act, holder, hop_slot, cursor, expiry,
-                    dropped, on_session_error,
-                )
-                if dispatched is None:
-                    # Compiled op failed before any dispatch; backend is
-                    # now numpy — rerun the window through the round loop.
-                    dispatched = self._sweep_rounds(
-                        index, table, act, active, holder, hop_slot,
-                        cursor, expiry, dropped, on_session_error,
-                    )
-            else:
-                dispatched = self._sweep_rounds(
-                    index, table, act, active, holder, hop_slot,
-                    cursor, expiry, dropped, on_session_error,
-                )
+            dispatched = self._sweep(
+                index, table, act, holder, hop_slot, cursor, expiry,
+                dropped, on_session_error,
+            )
 
         self._alive = [
             s
@@ -442,80 +353,11 @@ class BatchKernel(_KernelBackendMixin):
         self._dispatches += dispatched
         return dispatched
 
-    def _sweep_rounds(
-        self, index, table, act, active, holder, hop_slot, cursor, expiry,
-        dropped, on_session_error,
-    ) -> int:
-        """The vectorized per-round sweep (numpy backend control flow)."""
-        sessions = self._sessions
-        stats = self.stats
-        n_events = index.n_events
-        times = index.times
-        events_a = index.events_a
-        events_b = index.events_b
-        base = table.base
-
-        dispatched = 0
-        while act.size:
-            self._note_round(int(act.size))
-            started = perf_counter()
-            next_idx = self._backend.single_next_events(
-                index.sorted_comp,
-                index.stride,
-                index.n_nodes,
-                n_events,
-                table.start,
-                table.stop,
-                table.targets,
-                act,
-                holder,
-                hop_slot,
-                cursor,
-                expiry,
-            )
-            stats["backend_seconds"] += perf_counter() - started
-
-            # Sessions with no state-changing event left in the window stay
-            # pending — exactly what the object loop leaves behind.
-            finished = act[next_idx == n_events]
-            active[finished] = False
-
-            firing = next_idx < n_events
-            started = perf_counter()
-            for s, k in zip(act[firing].tolist(), next_idx[firing].tolist()):
-                session = sessions[s]
-                try:
-                    session.on_contact_scalar(
-                        float(times[k]), int(events_a[k]), int(events_b[k])
-                    )
-                except Exception as error:
-                    if on_session_error is None:
-                        raise
-                    on_session_error(session, error)
-                    active[s] = False
-                    dropped.add(s)
-                    continue
-                dispatched += 1
-                stats["scalar_dispatches"] += 1
-                if session.done:
-                    active[s] = False
-                    continue
-                if session.holder == holder[s]:  # pragma: no cover - guard
-                    raise RuntimeError(
-                        f"BatchKernel {_DIVERGENCE_MESSAGE}"
-                    )
-                holder[s] = session.holder
-                hop_slot[s] = base[s] + session.next_hop - 1
-                cursor[s] = k + 1
-            stats["dispatch_seconds"] += perf_counter() - started
-            act = np.nonzero(active)[0]
-        return dispatched
-
-    def _sweep_compiled(
+    def _sweep(
         self, index, table, act, holder, hop_slot, cursor, expiry,
         dropped, on_session_error,
-    ):
-        """Whole-trajectory sweep on a compiled backend.
+    ) -> int:
+        """Whole-trajectory sweep of the active sessions ``act``.
 
         One backend call computes every active session's full sequence of
         state-changing event indices; the loop below applies each
@@ -525,38 +367,30 @@ class BatchKernel(_KernelBackendMixin):
         the same transitions in the same order but costs one Python call
         per *session* instead of one per *hop*. The session re-validates
         every applied contact against its own acceptance predicate, so any
-        divergence between the compiled race and the session's transition
-        model raises instead of silently corrupting outcomes. Returns None
-        when the backend op itself failed (nothing dispatched; the caller
-        reruns on numpy).
+        divergence between the backend's race and the session's transition
+        model raises instead of silently corrupting outcomes.
         """
         sessions = self._sessions
         stats = self.stats
-        n_events = index.n_events
-        started = perf_counter()
-        try:
-            traj, lens, dones = self._backend.single_trajectories(
-                index.sorted_comp,
-                index.stride,
-                index.n_nodes,
-                n_events,
-                table.start,
-                table.stop,
-                table.targets,
-                index.events_a,
-                index.events_b,
-                act,
-                holder,
-                hop_slot,
-                table.last,
-                cursor,
-                expiry,
-            )
-        except Exception as error:
-            self._degrade_backend("single_trajectories", error)
-            return None
-        stats["backend_seconds"] += perf_counter() - started
-        self._note_round(int(act.size))
+        traj, lens, dones = self._op(
+            "single_trajectories",
+            index.sorted_comp,
+            index.stride,
+            index.n_nodes,
+            index.n_events,
+            table.start,
+            table.stop,
+            table.targets,
+            index.events_a,
+            index.events_b,
+            act,
+            holder,
+            hop_slot,
+            table.last,
+            cursor,
+            expiry,
+        )
+        _note_round(stats, int(act.size))
 
         dispatched = 0
         started = perf_counter()
@@ -599,8 +433,9 @@ class BatchKernel(_KernelBackendMixin):
             stats["scalar_dispatches"] += applied
             if applied != count or session.done != bool(dones_list[i]):
                 raise RuntimeError(  # pragma: no cover - guard
-                    f"BatchKernel [{self._backend.name}] "
-                    f"{_DIVERGENCE_MESSAGE}"
+                    f"BatchKernel [{self._backend.name}] dispatched a "
+                    "state-changing event the session did not accept; the "
+                    "session state diverged from the kernel's race model"
                 )
         stats["dispatch_seconds"] += perf_counter() - started
         return dispatched
@@ -642,7 +477,7 @@ class MultiCopyBatchKernel(_KernelBackendMixin):
             s for s, session in enumerate(self._sessions) if not session.done
         ]
         self._pending = len(self._alive)
-        self._init_backend(backend)
+        self._init_backend(backend, _delivery_stats())
 
     @staticmethod
     def supports(session: ProtocolSession) -> bool:
@@ -675,52 +510,6 @@ class MultiCopyBatchKernel(_KernelBackendMixin):
     # ------------------------------------------------------------------
     # the sweep
     # ------------------------------------------------------------------
-
-    def _race_round(
-        self, index, table, rows, c_holder, c_slot, act_cursor, act_expiry
-    ) -> np.ndarray:
-        """One per-session race over the flattened live copies.
-
-        Runs on the selected backend; a compiled backend that raises is
-        degraded to numpy and the round recomputed — the op is pure, so
-        the retry sees identical inputs and the sweep stays byte-exact.
-        """
-        started = perf_counter()
-        try:
-            next_idx = self._backend.multi_next_events(
-                index.sorted_comp,
-                index.stride,
-                index.n_nodes,
-                index.n_events,
-                table.start,
-                table.stop,
-                table.targets,
-                rows,
-                c_holder,
-                c_slot,
-                act_cursor,
-                act_expiry,
-            )
-        except Exception as error:
-            if self._backend.name == "numpy":
-                raise
-            self._degrade_backend("multi_next_events", error)
-            next_idx = self._backend.multi_next_events(
-                index.sorted_comp,
-                index.stride,
-                index.n_nodes,
-                index.n_events,
-                table.start,
-                table.stop,
-                table.targets,
-                rows,
-                c_holder,
-                c_slot,
-                act_cursor,
-                act_expiry,
-            )
-        self.stats["backend_seconds"] += perf_counter() - started
-        return next_idx
 
     def run(self, block: EventBlock, on_session_error=None) -> int:
         """Advance every session across ``block``; returns the dispatch count.
@@ -787,7 +576,7 @@ class MultiCopyBatchKernel(_KernelBackendMixin):
         dispatched = 0
         act = np.nonzero(active)[0]
         while act.size:
-            self._note_round(int(act.size))
+            _note_round(stats, int(act.size))
             # Flatten every active session's live copies. An active session
             # always has at least one live copy (all-terminated ⇒ done).
             c_row: List[int] = []  # position of the copy's session in act
@@ -798,9 +587,15 @@ class MultiCopyBatchKernel(_KernelBackendMixin):
                     c_row.append(row)
                     c_holder.append(holder_)
                     c_slot.append(slot_)
-            next_idx = self._race_round(
-                index,
-                table,
+            next_idx = self._op(
+                "multi_next_events",
+                index.sorted_comp,
+                index.stride,
+                index.n_nodes,
+                n_events,
+                table.start,
+                table.stop,
+                table.targets,
                 np.asarray(c_row, dtype=np.int64),
                 np.asarray(c_holder, dtype=np.int64),
                 np.asarray(c_slot, dtype=np.int64),

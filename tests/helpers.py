@@ -86,8 +86,9 @@ class BroadcastEngine:
 def block_copy_paths(block, trial: int, onion_routers: int, copies: int) -> List[List[int]]:
     """Trial ``trial``'s per-copy hop-sender paths from a ``SecurityTrialBlock``.
 
-    ``copies`` lists of ``[source, member_1, …, member_K]`` — the layout
-    :func:`~repro.experiments.runners.sample_copy_paths` builds.
+    ``copies`` lists of ``[source, member_1, …, member_K]``: at each hop
+    the copies hold distinct group members while the group has enough,
+    then wrap around.
     """
     source = int(block.sources[trial])
     members = block.copy_members[trial, :onion_routers, :copies]

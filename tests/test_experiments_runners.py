@@ -16,7 +16,6 @@ from repro.experiments.runners import (
     estimate_active_span,
     run_random_graph_batch,
     run_trace_batch,
-    sample_copy_paths,
     sample_endpoints,
     security_montecarlo,
     select_overlapping_route,
@@ -143,31 +142,6 @@ class TestSecurityMonteCarlo:
         )
         assert 0.0 < traceable < 1.0
         assert 0.0 < anonymity <= 1.0
-
-
-class TestSampleCopyPaths:
-    def test_shapes(self):
-        route = OnionRoute(
-            source=0, destination=9, group_ids=(0, 1), groups=((1, 2, 3), (4, 5, 6))
-        )
-        paths = sample_copy_paths(route, 3, ensure_rng(0))
-        assert len(paths) == 3
-        for path in paths:
-            assert len(path) == route.eta
-            assert path[0] == 0
-
-    def test_copies_use_distinct_members_when_possible(self):
-        route = OnionRoute(
-            source=0, destination=9, group_ids=(0,), groups=((1, 2, 3),)
-        )
-        paths = sample_copy_paths(route, 3, ensure_rng(1))
-        members = [path[1] for path in paths]
-        assert sorted(members) == [1, 2, 3]
-
-    def test_wraps_when_copies_exceed_group(self):
-        route = OnionRoute(source=0, destination=9, group_ids=(0,), groups=((1, 2),))
-        paths = sample_copy_paths(route, 5, ensure_rng(2))
-        assert {path[1] for path in paths} == {1, 2}
 
 
 class TestTraceBatch:

@@ -12,7 +12,8 @@ Backends (:mod:`repro.sim.backend`) promise three things:
   numpy and every compiled backend available in the environment.
 * **Resilience** — a compiled op that raises mid-run degrades to numpy
   without changing outcomes, recording the degradation on the kernel
-  (and, through the engine, as a resilience event).
+  (and, through the engine, as a resilience event). A numpy op that
+  raises is a real error: it propagates, with nothing recorded.
 
 The compiled-backend cases run the ``cc`` backend wherever a C compiler
 is on PATH; the fallback cases hide the compiler so they run everywhere.
@@ -49,7 +50,7 @@ from repro.sim.backend import (
     resolve_backend,
 )
 from repro.sim.engine import SimulationEngine
-from repro.sim.kernel import BatchKernel, MultiCopyBatchKernel
+from repro.sim.kernel import BatchKernel, MultiCopyBatchKernel, _EventIndex
 from repro.sim.message import Message
 from repro.utils.resilience import KERNEL_FALLBACK
 
@@ -303,19 +304,133 @@ class TestCompiledIdentity:
         compiled = resolve_backend(backend).run_length_square_sums(bits)
         assert np.array_equal(reference, compiled)
 
-    def test_stats_reflect_trajectory_sweep(self, backend):
-        fresh, block = single_copy_workload()
-        kernel = BatchKernel(fresh(), backend=backend)
-        kernel.run(block)
-        stats = kernel.stats
-        assert stats["backend"] == backend
-        # The compiled path computes whole trajectories: one backend round
-        # regardless of route depth.
-        assert stats["rounds"] == 1
-        assert stats["scalar_dispatches"] == kernel.dispatches > 0
-        assert stats["backend_seconds"] >= 0.0
-        assert stats["dispatch_seconds"] >= 0.0
-        assert stats["active_peak"] == stats["active_total"] > 0
+
+
+# ----------------------------------------------------------------------
+# the single-copy trajectory op, numpy vs cc vs a scalar walk
+# ----------------------------------------------------------------------
+
+
+TRAJECTORY_SEEDS = [0, 1, 2]
+
+
+def trajectory_problem(seed, n_nodes=10, n_events=400, sessions=60, max_hops=5,
+                       max_group=3):
+    """A seeded random ``single_trajectories`` argument tuple.
+
+    Sessions start at a random hop of a random-depth route with a random
+    cursor; a third have no deadline inside the window, the rest expire
+    up to 150 events after their cursor, so the batch mixes deliveries,
+    mid-route expiries and sessions left pending at the window edge.
+    """
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, n_nodes, n_events)
+    b = (a + rng.integers(1, n_nodes, n_events)) % n_nodes
+    index = _EventIndex(
+        EventBlock(np.arange(n_events, dtype=float), a, b), min_nodes=n_nodes
+    )
+    hops = rng.integers(1, max_hops + 1, sessions)
+    base = np.concatenate(([0], np.cumsum(hops)[:-1]))
+    sizes = rng.integers(1, max_group + 1, int(hops.sum()))
+    stops = np.cumsum(sizes)
+    starts = stops - sizes
+    targets = rng.integers(0, n_nodes, int(stops[-1]))
+    cursor = rng.integers(0, n_events, sessions)
+    expiry = np.where(
+        rng.random(sessions) < 1 / 3,
+        n_events,
+        np.minimum(cursor + rng.integers(0, 150, sessions), n_events),
+    )
+    act = np.flatnonzero(rng.random(sessions) < 0.8)
+    return (
+        index.sorted_comp, index.stride, index.n_nodes, index.n_events,
+        starts, stops, targets, index.events_a, index.events_b,
+        act,
+        rng.integers(0, n_nodes, sessions),  # holder
+        base + rng.integers(0, hops),  # hop_slot
+        base + hops - 1,  # last_slot
+        cursor,
+        expiry,
+    )
+
+
+def scalar_trajectories(problem):
+    """The race walked one session and one hop at a time, by linear scan.
+
+    Returns one ``(trajectory, done)`` pair per active session.
+    """
+    (_, _, _, n_events, starts, stops, targets, ev_a, ev_b,
+     act, holder, hop_slot, last_slot, cursor, expiry) = problem
+    walks = []
+    for s in act.tolist():
+        h, slot, cur = int(holder[s]), int(hop_slot[s]), int(cursor[s])
+        walk = []
+        while True:
+            best = n_events
+            for t in targets[starts[slot]:stops[slot]].tolist():
+                meets = ((ev_a == h) & (ev_b == t)) | ((ev_a == t) & (ev_b == h))
+                hits = np.flatnonzero(meets[cur:])
+                if hits.size:
+                    best = min(best, cur + int(hits[0]))
+            fire = min(best, int(expiry[s]))
+            if fire >= n_events:
+                walks.append((walk, False))
+                break
+            walk.append(fire)
+            if best >= expiry[s] or slot == last_slot[s]:
+                walks.append((walk, True))
+                break
+            h = int(ev_a[fire] + ev_b[fire]) - h
+            slot += 1
+            cur = fire + 1
+    return walks
+
+
+def op_walks(backend, problem):
+    traj, lens, dones = resolve_backend(backend).single_trajectories(*problem)
+    assert traj.shape[0] == lens.shape[0] == dones.shape[0] == len(problem[9])
+    return [
+        (traj[i, : lens[i]].tolist(), bool(dones[i])) for i in range(len(lens))
+    ]
+
+
+class TestSingleTrajectoriesOp:
+    @pytest.mark.parametrize("seed", TRAJECTORY_SEEDS)
+    def test_numpy_matches_scalar_walk(self, seed):
+        problem = trajectory_problem(seed)
+        walks = scalar_trajectories(problem)
+        assert op_walks("numpy", problem) == walks
+
+        # The problem covers every way a trajectory ends.
+        act, hop_slot, last_slot, expiry = (
+            problem[9], problem[11], problem[12], problem[14]
+        )
+        ends = set()
+        for s, (walk, done) in zip(act.tolist(), walks):
+            if not done:
+                ends.add("pending")
+            elif walk[-1] == expiry[s]:
+                ends.add("expired")
+            elif len(walk) == last_slot[s] - hop_slot[s] + 1:
+                ends.add("delivered")
+        assert ends == {"pending", "expired", "delivered"}
+        assert any(
+            walk and walk[-1] == expiry[s] and len(walk) > 1
+            for s, (walk, _) in zip(act.tolist(), walks)
+        ), "no session expired mid-route"
+
+    @pytest.mark.skipif(not COMPILED, reason="no compiled backend available")
+    @pytest.mark.parametrize("backend", COMPILED)
+    @pytest.mark.parametrize("seed", TRAJECTORY_SEEDS)
+    def test_compiled_matches_numpy(self, backend, seed):
+        problem = trajectory_problem(seed)
+        assert op_walks(backend, problem) == op_walks("numpy", problem)
+
+    @pytest.mark.parametrize("backend", ["numpy"] + COMPILED)
+    def test_empty_act(self, backend):
+        problem = list(trajectory_problem(0))
+        problem[9] = np.empty(0, dtype=np.int64)
+        assert op_walks(backend, tuple(problem)) == []
 
 
 # ----------------------------------------------------------------------
@@ -397,12 +512,68 @@ class TestMidRunDegradation:
         assert engine.kernel_stats and engine.kernel_stats[0]["backend"] == "numpy"
 
 
+class TestNumpyOpFailure:
+    """A failing numpy op is a real error: the shared ``_op`` re-raises it
+    after one call, with nothing recorded and nothing retried."""
+
+    @staticmethod
+    def explode(monkeypatch, op):
+        calls = []
+
+        def explode(self, *args, **kwargs):
+            calls.append(op)
+            raise ZeroDivisionError(f"injected numpy {op} failure")
+
+        monkeypatch.setattr(NumpyBackend, op, explode)
+        return calls
+
+    def test_single_copy_op_failure_propagates(self, monkeypatch):
+        fresh, block = single_copy_workload(sessions=20)
+        calls = self.explode(monkeypatch, "single_trajectories")
+        kernel = BatchKernel(fresh(), backend="numpy")
+        with pytest.raises(ZeroDivisionError, match="injected numpy"):
+            kernel.run(block)
+        assert calls == ["single_trajectories"]
+        assert kernel.backend == "numpy"
+        assert kernel.backend_fallbacks == ()
+        assert kernel.fallback_events == ()
+
+    def test_multi_copy_op_failure_propagates(self, monkeypatch):
+        _, block = single_copy_workload(n=20, sessions=1)
+        directory = OnionGroupDirectory(20, 3, rng=np.random.default_rng(0))
+        route = directory.select_route(0, 9, 2, rng=np.random.default_rng(0))
+        session = MultiCopySession(Message(0, 9, 0.0, 360.0), route, copies=2)
+        calls = self.explode(monkeypatch, "multi_next_events")
+        kernel = MultiCopyBatchKernel([session], backend="numpy")
+        with pytest.raises(ZeroDivisionError, match="injected numpy"):
+            kernel.run(block)
+        assert calls == ["multi_next_events"]
+        assert kernel.backend == "numpy"
+        assert kernel.backend_fallbacks == ()
+        assert kernel.fallback_events == ()
+
+
 # ----------------------------------------------------------------------
 # kernel bookkeeping shared by every backend
 # ----------------------------------------------------------------------
 
 
 class TestKernelBookkeeping:
+    @pytest.mark.parametrize("backend", ["numpy"] + COMPILED)
+    def test_stats_reflect_trajectory_sweep(self, backend):
+        fresh, block = single_copy_workload()
+        kernel = BatchKernel(fresh(), backend=backend)
+        kernel.run(block)
+        stats = kernel.stats
+        assert stats["backend"] == backend
+        # Every backend computes whole trajectories: one backend round
+        # regardless of route depth.
+        assert stats["rounds"] == 1
+        assert stats["scalar_dispatches"] == kernel.dispatches > 0
+        assert stats["backend_seconds"] >= 0.0
+        assert stats["dispatch_seconds"] >= 0.0
+        assert stats["active_peak"] == stats["active_total"] > 0
+
     def test_numpy_stats_and_pending(self):
         fresh, block = single_copy_workload()
         batch = fresh()

@@ -7,8 +7,9 @@ fused ``security_scores`` pass (Eq. 1 run-length square sums + Eq. 20
 exposure counts) must be byte-identical across numpy and every compiled
 backend available here, for every built-in compromise model and mixed
 fused grids; a compiled op that fails mid-run degrades to numpy without
-changing outcomes; and requesting ``cc`` without a C compiler resolves
-to numpy with a ``KernelFallback`` event — never an error.
+changing outcomes, while a failing numpy op propagates; and requesting
+``cc`` without a C compiler resolves to numpy with a ``KernelFallback``
+event — never an error.
 """
 
 import numpy as np
@@ -26,6 +27,7 @@ from repro.experiments.runners import (
 )
 from repro.sim.backend import (
     CcBackend,
+    NumpyBackend,
     _reset_backend_caches,
     resolve_backend,
 )
@@ -251,6 +253,28 @@ class TestMidRunDegradation:
         assert events and events[0].kind == KERNEL_FALLBACK
         assert events[0].resolution == "degraded"
         assert_scored_equal(reference, degraded)
+
+
+def test_numpy_op_failure_propagates(monkeypatch):
+    # A failing numpy op is a real error: the shared ``_op`` re-raises it
+    # after one call, with nothing recorded and nothing retried.
+    calls = []
+
+    def explode(self, *args, **kwargs):
+        calls.append("security_scores")
+        raise ZeroDivisionError("injected numpy security_scores failure")
+
+    monkeypatch.setattr(NumpyBackend, "security_scores", explode)
+    block = sample_security_block(
+        60, 4, k_max=3, l_max=1, trials=50, rng=np.random.default_rng(23)
+    )
+    kernel = SecurityBatchKernel(block, model_for("uniform", 60), backend="numpy")
+    with pytest.raises(ZeroDivisionError, match="injected numpy"):
+        kernel.score((variant(3, 1, 0.10),))
+    assert calls == ["security_scores"]
+    assert kernel.backend == "numpy"
+    assert kernel.backend_fallbacks == ()
+    assert kernel.fallback_events == ()
 
 
 class TestUnavailableFallback:
