@@ -5,10 +5,9 @@ Prints a markdown delta table (and appends it to ``$GITHUB_STEP_SUMMARY``
 when set, so it shows up on the workflow run page). Absolute numbers
 depend on machine speed, so they are reported as a trend signal only; the
 *ratio* metrics (producer speedup, columnar-vs-indexed,
-kernel-vs-columnar, its multicopy and trace variants, and
-parallel-vs-indexed) are machine-independent, and
-those are gated: a
-ratio regressing by more than ``--threshold`` percent
+kernel-vs-columnar and its multicopy and trace variants, and the compiled
+backend vs numpy on the single-copy kernel) are machine-independent, and
+those are gated: a ratio regressing by more than ``--threshold`` percent
 (default 25%) against the committed baseline fails the run. Pass
 ``--allow-regression`` to demote the gate back to report-only — e.g. when
 committing an intentional trade-off alongside a refreshed baseline.
@@ -91,23 +90,6 @@ METRICS = (
      ("speedup_kernel_multicopy_vs_columnar",), "x", True, True),
     ("trace kernel vs columnar dispatch",
      ("speedup_kernel_trace_vs_columnar",), "x", True, True),
-    ("security kernel trials/s",
-     ("results", "security-kernel", "trials_per_second"), "", True, False),
-    ("parallel speedup vs indexed",
-     ("results", "parallel", "speedup_vs_indexed"), "x", True, True),
-    ("parallel wall",
-     ("results", "parallel", "wall_seconds"), "s", False, False),
-    ("shared-arena parallel events/s",
-     ("results", "parallel-kernel", "events_per_second"), "", True, False),
-    ("shared-arena parallel vs serial kernel",
-     ("results", "parallel-kernel", "speedup_vs_serial_kernel"),
-     "x", True, True),
-    ("stream events/s",
-     ("results", "stream", "events_per_second_stream"), "", True, False),
-    ("stream vs full one-shot",
-     ("results", "stream", "speedup_stream_vs_full"), "x", True, True),
-    ("stream RSS saving",
-     ("results", "stream", "rss_saving_ratio"), "x", True, False),
     # The compiled-backend ratio is gated only when both runs timed a
     # compiled arm; a numpy-only environment simply omits the key and the
     # rows degrade to report-only/new.
@@ -115,12 +97,11 @@ METRICS = (
      ("speedup_backend_vs_numpy",), "x", True, True),
     ("backend-numpy events/s",
      ("results", "backend-numpy", "events_per_second"), "", True, False),
-    # Report-only: the security arms ride along in every --mode security
-    # run (including the hard-gated CI leg), and a compiled-vs-numpy
-    # ratio shifts with the runner's SIMD tier (np.partition dispatches
-    # AVX-512 where available), so gating it against a baseline from a
-    # different machine would flake. The compiled-backends CI leg asserts
-    # the digest identity and the key's presence explicitly.
+    # Report-only: a compiled-vs-numpy security ratio shifts with the
+    # runner's SIMD tier (np.partition dispatches AVX-512 where
+    # available), so gating it against a baseline from a different machine
+    # would flake. The compiled-backends CI leg asserts the digest
+    # identity and the key's presence explicitly.
     ("compiled backend vs numpy (security fused sweep)",
      ("speedup_security_backend_vs_numpy",), "x", True, False),
     ("security-backend-numpy grid scores/s",

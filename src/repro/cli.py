@@ -262,25 +262,6 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-L", "--copies", type=int, default=1)
 
 
-def _clamp_workers(requested: int, cpu_count: int) -> int:
-    """Cap ``--workers`` at the CPU count, warning once when it bites.
-
-    Oversubscribing buys nothing (the pool already sizes its processes to
-    the machine) but would pay for extra chunk setup; clamping keeps the
-    chunk layout and per-chunk seeds aligned with what actually runs. The
-    warning tells the user reproduction now follows the clamped count.
-    """
-    if requested <= cpu_count:
-        return requested
-    print(
-        f"warning: --workers {requested} exceeds the {cpu_count} available "
-        f"CPU(s); clamping to {cpu_count} (chunk layout and seeds follow "
-        "the clamped count)",
-        file=sys.stderr,
-    )
-    return cpu_count
-
-
 def _run_figure(args: argparse.Namespace) -> int:
     func = _FIGURES[args.number]
     kwargs = {}
@@ -328,14 +309,12 @@ def _run_figure(args: argparse.Namespace) -> int:
         # runs reuses the same worker processes instead of forking per call.
         # The pool is supervised — chunk timeouts, crash recovery, bounded
         # seed-exact retries — so a flaky worker degrades the run instead
-        # of aborting it.
-        import os
-
+        # of aborting it. The pool caps its processes at the CPU count, so
+        # the figure is the same on every host.
         from repro.experiments.parallel import WorkerPool
         from repro.utils.resilience import RetryPolicy
 
-        workers = _clamp_workers(args.workers, os.cpu_count() or 1)
-        with WorkerPool(workers, policy=RetryPolicy()) as pool:
+        with WorkerPool(args.workers, policy=RetryPolicy()) as pool:
             kwargs["workers"] = pool
             result = func(**kwargs)
         if pool.report:

@@ -21,7 +21,6 @@ block (e.g. one shipped to a worker process) through either interface.
 from __future__ import annotations
 
 import heapq
-import io
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -69,10 +68,9 @@ class EventBlock:
 
     ``times`` (float64), ``a`` and ``b`` (int64) have equal length and are
     chronological; event ``k`` is the contact ``(times[k], a[k], b[k])``.
-    The block is the wire format of the shared-stream parallel protocol:
-    :meth:`to_bytes` / :meth:`from_bytes` round-trip it through an
-    uncompressed ``.npz`` payload small enough to pickle to worker
-    processes (three arrays instead of one object per event).
+    Worker processes receive a block through the shared-memory arena
+    (:mod:`repro.experiments.shm`), which maps the three columns instead
+    of copying them.
     """
 
     times: np.ndarray
@@ -116,18 +114,6 @@ class EventBlock:
             a=np.array([e.a for e in items], dtype=np.int64),
             b=np.array([e.b for e in items], dtype=np.int64),
         )
-
-    def to_bytes(self) -> bytes:
-        """Serialise to an uncompressed ``.npz`` payload."""
-        buffer = io.BytesIO()
-        np.savez(buffer, times=self.times, a=self.a, b=self.b)
-        return buffer.getvalue()
-
-    @classmethod
-    def from_bytes(cls, payload: bytes) -> "EventBlock":
-        """Inverse of :meth:`to_bytes`."""
-        with np.load(io.BytesIO(payload)) as archive:
-            return cls(times=archive["times"], a=archive["a"], b=archive["b"])
 
 
 class ColumnarEventSource:

@@ -32,7 +32,6 @@ def delivery_sweep_series(
     sessions_per_graph: int,
     rng: RandomSource,
     workers: Workers = 1,
-    kernel: Optional[bool] = None,
     backend: Optional[str] = None,
 ) -> List[Tuple[Series, Series]]:
     """(Analysis, Simulation) series pairs for a fused parameter sweep.
@@ -47,12 +46,11 @@ def delivery_sweep_series(
     (deterministic for a fixed seed); one worker keeps the seed-exact
     serial behaviour.
 
-    ``kernel`` follows the runner convention: the default ``None`` lets
-    eligible fault-free single-copy *and* multi-copy batches run through
-    the struct-of-arrays kernels, with byte-identical outcomes either way.
-    ``backend`` names the kernel compute backend (``"numpy"`` or ``"cc"``;
-    see :mod:`repro.sim.backend`) — outcomes are byte-identical
-    across backends, only the sweep speed changes.
+    Eligible fault-free single-copy *and* multi-copy batches run through
+    the struct-of-arrays kernels. ``backend`` names the kernel compute
+    backend (``"numpy"`` or ``"cc"``; see :mod:`repro.sim.backend`) —
+    outcomes are byte-identical across backends, only the sweep speed
+    changes.
     """
     generator = ensure_rng(rng)
     deadlines = config.deadlines
@@ -81,7 +79,6 @@ def delivery_sweep_series(
             workers=workers,
             rng=graph_rng,
             shared_events=shared,
-            kernel=kernel,
             backend=backend,
             graph=graph,
             horizon=config.max_deadline,
@@ -118,7 +115,6 @@ def delivery_variant_series(
     rng: RandomSource,
     label: str,
     workers: Workers = 1,
-    kernel: Optional[bool] = None,
     backend: Optional[str] = None,
 ) -> Tuple[Series, Series]:
     """One (Analysis, Simulation) series pair for a single variant.
@@ -139,7 +135,6 @@ def delivery_variant_series(
         sessions_per_graph=sessions_per_graph,
         rng=rng,
         workers=workers,
-        kernel=kernel,
         backend=backend,
     )[0]
 
@@ -153,7 +148,6 @@ def _sweep_figure(
     sessions_per_graph: int,
     seed: RandomSource,
     workers: Workers,
-    kernel: Optional[bool],
     backend: Optional[str] = None,
 ) -> FigureResult:
     """Shared body of the fused delivery-rate figures."""
@@ -164,7 +158,6 @@ def _sweep_figure(
         sessions_per_graph=sessions_per_graph,
         rng=ensure_rng(seed),
         workers=workers,
-        kernel=kernel,
         backend=backend,
     )
     analysis = [a for a, _ in pairs]
@@ -186,7 +179,6 @@ def figure_04(
     sessions_per_graph: int = 40,
     seed: RandomSource = 4,
     workers: Workers = 1,
-    kernel: Optional[bool] = None,
     backend: Optional[str] = None,
 ) -> FigureResult:
     """Fig. 4 — delivery rate vs deadline for group sizes g ∈ {1, 5, 10}.
@@ -212,7 +204,6 @@ def figure_04(
         sessions_per_graph,
         seed,
         workers,
-        kernel,
         backend,
     )
 
@@ -224,7 +215,6 @@ def figure_05(
     sessions_per_graph: int = 40,
     seed: RandomSource = 5,
     workers: Workers = 1,
-    kernel: Optional[bool] = None,
     backend: Optional[str] = None,
 ) -> FigureResult:
     """Fig. 5 — delivery rate vs deadline for K ∈ {3, 5, 10} onion routers.
@@ -249,7 +239,6 @@ def figure_05(
         sessions_per_graph,
         seed,
         workers,
-        kernel,
         backend,
     )
 
@@ -261,7 +250,6 @@ def figure_10(
     sessions_per_graph: int = 40,
     seed: RandomSource = 10,
     workers: Workers = 1,
-    kernel: Optional[bool] = None,
     backend: Optional[str] = None,
 ) -> FigureResult:
     """Fig. 10 — delivery rate vs deadline for L ∈ {1, 3, 5} copies (g = 5).
@@ -291,6 +279,5 @@ def figure_10(
         sessions_per_graph,
         seed,
         workers,
-        kernel,
         backend,
     )

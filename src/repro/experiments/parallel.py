@@ -151,10 +151,12 @@ def _terminate_executor(executor: concurrent.futures.ProcessPoolExecutor) -> Non
 class WorkerPool:
     """A persistent process pool shared across many parallel calls.
 
-    ``workers`` is the *requested* parallelism: it fixes the default chunk
-    layout and the per-chunk seed assignment, so a batch run with the same
-    master seed and requested workers merges to the same result on every
-    machine. The pool itself sizes its processes to
+    ``workers`` is the *requested* parallelism. It only selects between
+    the serial path (``workers=1``, seed-exact with the serial runners)
+    and the chunked one; the chunk layout and per-chunk seeds come from
+    :func:`default_chunk_count` of the workload size, so a batch run with
+    the same master seed merges to the same result for every requested
+    count ≥ 2 on every machine. The pool itself sizes its processes to
     ``min(workers, os.cpu_count())`` (override with ``max_processes``) and
     runs tasks inline — no subprocesses, no pickling — when that effective
     size is one, which is both the single-CPU degradation and the cheap
@@ -287,8 +289,9 @@ def worker_count(workers: Workers) -> int:
 def workers_metadata(workers: Workers) -> dict:
     """JSON-safe execution metadata for run results and bench records.
 
-    Reports the *requested* parallelism (which fixes chunk layout and
-    seeds) next to the *effective* process count the machine allowed, and —
+    Reports the *requested* parallelism (1 selects the serial path; any
+    larger count the same chunk layout and seeds) next to the *effective*
+    process count the machine allowed, and —
     when ``workers`` is a supervised :class:`WorkerPool` whose report holds
     incidents — the structured resilience summary.
     """
@@ -721,19 +724,6 @@ def _run_batch_chunk(
     )
 
 
-def _materialize_shared_block(payload):
-    """The worker-side block behind a shared payload.
-
-    A :class:`~repro.experiments.shm.BlockDescriptor` reattaches
-    zero-copy (cached per segment name, so warm workers pay one ``mmap``
-    per sweep); legacy npz bytes still deserialise, keeping pre-arena
-    callers of the chunk functions working.
-    """
-    if isinstance(payload, BlockDescriptor):
-        return attach_block(payload)
-    return EventBlock.from_bytes(payload)
-
-
 def _share_block(workers: "Workers", block) -> Tuple[BlockDescriptor, SharedBlockArena | None]:
     """Register ``block`` for shipping; ``(descriptor, arena-to-unlink)``.
 
@@ -761,7 +751,7 @@ def _run_shared_batch_chunk(
     reattaches it and replays it through a fresh cursor (rebuilt per
     ladder rung, since a partially consumed cursor must never be reused).
     """
-    block = _materialize_shared_block(payload)
+    block = attach_block(payload)
     return _run_chunk_with_ladder(
         batch_fn,
         getattr(batch_fn, "__name__", "batch"),
@@ -981,7 +971,7 @@ def _run_shared_fused_sweep_chunk(
     kwargs: dict,
 ) -> _ChunkPayload:
     """Fused-sweep chunk replaying a shared columnar event stream."""
-    block = _materialize_shared_block(payload)
+    block = attach_block(payload)
     return _run_chunk_with_ladder(
         sweep_fn,
         getattr(sweep_fn, "__name__", "sweep"),
@@ -1079,7 +1069,7 @@ def _run_shared_montecarlo_chunk(
     no copies — and the trial-weighted merge reproduces the full-block
     estimate.
     """
-    block = _materialize_shared_block(payload)
+    block = attach_block(payload)
     chunk_block = block.slice_trials(offset, offset + trials)
     return _run_chunk_with_ladder(
         mc_fn,

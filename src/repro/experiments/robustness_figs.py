@@ -53,7 +53,6 @@ def figure_r1(
     sessions: int = 150,
     seed: RandomSource = 201,
     workers: Workers = 1,
-    kernel: bool = True,
 ) -> FigureResult:
     """Delivery rate vs node availability: churned-graph model vs churn sim.
 
@@ -61,10 +60,9 @@ def figure_r1(
     gets an independent spawned RNG so adding a level never perturbs the
     others. ``mean_cycle`` is short relative to inter-contact times
     (Table II means are 10–360 min), putting the churn in the fast regime
-    where the availability-scaling equivalence is tight. ``kernel``
-    forwards the struct-of-arrays batch-kernel knob to the runners; it
-    only bites on the fault-free arms (scaled-graph simulation, full
-    availability), and outcomes are byte-identical either way.
+    where the availability-scaling equivalence is tight. The fault-free
+    arms (scaled-graph simulation, full availability) run through the
+    struct-of-arrays batch kernels.
 
     Three series: the real churn process, a fault-free simulation of the
     availability-scaled graph (these two coinciding is the equivalence
@@ -110,7 +108,6 @@ def figure_r1(
             copies=config.copies,
             horizon=deadline,
             churn=churn,
-            kernel=kernel,
         )
         churn_points.append((availability, _delivered_fraction(pairs, deadline)))
         model = sum(
@@ -146,7 +143,6 @@ def figure_r1(
             onion_routers=config.onion_routers,
             copies=config.copies,
             horizon=deadline,
-            kernel=kernel,
         )
         scaled_points.append((availability, _delivered_fraction(scaled, deadline)))
 
@@ -178,7 +174,6 @@ def figure_r2(
     max_retries: int = 3,
     seed: RandomSource = 202,
     workers: Workers = 1,
-    kernel: bool = True,
 ) -> FigureResult:
     """Delivery rate vs greyhole drop probability, with/without recovery.
 
@@ -187,9 +182,8 @@ def figure_r2(
     differ only in ``p`` and in whether custody recovery runs. The analysis
     arm is the survival-scaled Eq. 6 averaged over the no-recovery batch's
     routes; recovery has no analytical counterpart here — the figure *is*
-    the measurement of what it buys back. ``kernel`` forwards the batch
-    kernel knob; greyhole sessions carry a fault plan and fall back to
-    the object path, so it only bites if a variant is fault-free.
+    the measurement of what it buys back. Greyhole sessions carry a
+    fault plan, so they run in the engine's object loop.
     """
     rng = ensure_rng(seed)
     graph = random_contact_graph(config.n, config.mean_intercontact_range, rng=rng)
@@ -225,7 +219,6 @@ def figure_r2(
             copies=config.copies,
             horizon=deadline,
             relays=relays,
-            kernel=kernel,
         )
         plain_points.append((drop_prob, _delivered_fraction(pairs, deadline)))
         model = sum(
@@ -264,7 +257,6 @@ def figure_r2(
             horizon=deadline,
             relays=recovery_relays,
             recovery=recovery,
-            kernel=kernel,
         )
         recovered_points.append(
             (drop_prob, _delivered_fraction(recovered, deadline))

@@ -3,9 +3,9 @@
 The parallel layer ships immutable struct-of-arrays blocks —
 :class:`~repro.contacts.events.EventBlock` contact windows and
 :class:`~repro.adversary.kernel.SecurityTrialBlock` Monte Carlo samples —
-to worker processes. Serialising them (npz bytes through the task pickle)
-copies every column once per chunk; with 32 chunks over a million-event
-window that is thirty-two full copies of data that never changes.
+to worker processes. Pickling them into every task would copy every
+column once per chunk; with 32 chunks over a million-event window that is
+thirty-two full copies of data that never changes.
 
 :class:`SharedBlockArena` instead registers each block's numpy columns
 once in a :mod:`multiprocessing.shared_memory` segment and hands out a

@@ -1,23 +1,20 @@
 """Tests for the onion-dtn command-line interface."""
 
+import os
+
 import pytest
 
-from repro.cli import _clamp_workers, main
+from repro.cli import main
 
 
-class TestClampWorkers:
-    def test_within_budget_is_silent(self, capsys):
-        assert _clamp_workers(2, 8) == 2
-        assert _clamp_workers(8, 8) == 8
-        assert capsys.readouterr().err == ""
-
-    def test_oversubscription_clamps_with_one_warning(self, capsys):
-        assert _clamp_workers(8, 2) == 2
-        err = capsys.readouterr().err
-        assert err.count("warning:") == 1
-        assert "--workers 8" in err
-        assert "clamping to 2" in err
-        assert "seeds" in err  # the warning explains the reproduction impact
+class TestWorkers:
+    def test_figure_does_not_depend_on_the_cpu_count(self, capsys, monkeypatch):
+        argv = ["figure", "r1", "--sessions", "4", "--workers", "2"]
+        assert main(argv) == 0
+        unpatched = capsys.readouterr().out
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == unpatched
 
 
 class TestList:

@@ -47,17 +47,6 @@ class TestEventBlock:
         assert len(block) == 2
         assert _events_tuples(block) == _events_tuples(events)
 
-    def test_bytes_roundtrip_is_exact(self):
-        block = EventBlock(
-            times=np.array([0.25, 1.5, 7.125]),
-            a=np.array([3, 1, 2]),
-            b=np.array([9, 4, 5]),
-        )
-        clone = EventBlock.from_bytes(block.to_bytes())
-        assert np.array_equal(clone.times, block.times)
-        assert np.array_equal(clone.a, block.a)
-        assert np.array_equal(clone.b, block.b)
-
     def test_rejects_mismatched_columns(self):
         with pytest.raises(ValueError):
             EventBlock(

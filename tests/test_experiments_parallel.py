@@ -200,6 +200,12 @@ class TestWorkerPool:
         with WorkerPool(4, max_processes=1) as pool:
             constrained = _batch(graph, workers=pool)
         assert constrained == chunked
+        assert _batch(graph, workers=2) == chunked
+        # Chunks draw from spawned seeds, a different sample than the
+        # serial stream: the delivered count may wobble, never collapse.
+        serial = _batch(graph, workers=1)
+        delivered = [sum(outcome[0] for outcome in run) for run in (serial, chunked)]
+        assert abs(delivered[0] - delivered[1]) <= max(5, int(0.05 * len(serial)))
 
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ the kernel-family ratio rows, including the multicopy and trace pairs.
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -115,3 +116,14 @@ def test_mismatched_workloads_stay_report_only():
     current["workload"]["sessions"] = 100
     baseline = report(speedup_kernel_multicopy_vs_columnar=20.0)
     assert bench_delta.find_regressions(current, baseline, threshold=25.0) == []
+
+
+def test_every_metric_resolves_in_the_committed_baseline():
+    # A row whose path the committed report lacks never reports or gates
+    # anything: it would be dead weight in the table.
+    baseline = json.loads((ROOT / "BENCH_engine.json").read_text())
+    missing = [
+        label for label, path, *_ in bench_delta.METRICS
+        if bench_delta._get(baseline, *path) is None
+    ]
+    assert missing == []
