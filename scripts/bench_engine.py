@@ -101,32 +101,40 @@ BACKEND_ONION_ROUTERS = 10
 BACKEND_SESSIONS = 2000
 
 
-def count_events(graph, group_size, onion_routers, sessions, horizon, seed):
-    """Events the engine dispatches for the batch's seeded stream.
+def batch_stream(graph, seed, group_size=None, onion_routers=None, sessions=0):
+    """The seeded contact process as the batch's engine finds it.
 
-    Replays the exact RNG consumption order of ``run_random_graph_batch``
-    (directory, process block pre-draws, per-session endpoint/route draws)
-    so the counted stream is the one the timed runs actually see.
+    With ``group_size``, replays ``run_random_graph_batch``'s whole draw
+    order before any event is produced: the directory, the process's
+    block pre-draws, then each session's endpoint and route draws. Without
+    it, the bare seeded process.
     """
     generator = np.random.default_rng(seed)
-    directory = OnionGroupDirectory(graph.n, group_size, rng=generator)
+    if group_size is not None:
+        directory = OnionGroupDirectory(graph.n, group_size, rng=generator)
     process = ExponentialContactProcess(graph, rng=generator)
     for _ in range(sessions):
         source, destination = sample_endpoints(graph.n, generator)
         directory.select_route(source, destination, onion_routers, rng=generator)
-    return sum(1 for _ in process.events_until(horizon))
+    return process
 
 
-def produce_events(graph, seed, horizon, columnar, group_size=None):
+def count_events(graph, group_size, onion_routers, sessions, horizon, seed):
+    """Events the engine dispatches for the batch's seeded stream."""
+    stream = batch_stream(graph, seed, group_size, onion_routers, sessions)
+    return sum(1 for _ in stream.events_until(horizon))
+
+
+def produce_events(
+    graph, seed, horizon, columnar, group_size=None, onion_routers=None, sessions=0
+):
     """Produce the seeded contact stream; returns its event count.
 
-    With ``group_size``, the batch's directory draw is replayed first, so
-    the stream is the one the engine run over the same seed sees.
+    With the batch's ``group_size``, ``onion_routers`` and ``sessions``,
+    the stream is the one the engine run over the same seed sees (see
+    :func:`batch_stream`), so it matches :func:`count_events`.
     """
-    generator = np.random.default_rng(seed)
-    if group_size is not None:
-        OnionGroupDirectory(graph.n, group_size, rng=generator)
-    process = ExponentialContactProcess(graph, rng=generator)
+    process = batch_stream(graph, seed, group_size, onion_routers, sessions)
     if columnar:
         return len(process.events_until_columnar(horizon))
     return sum(1 for _ in process.events_until(horizon))
@@ -293,7 +301,9 @@ def graph_benchmark(
     seconds = {
         kind: best_of(
             call_arm(
-                lambda kind=kind: produce_events(graph, seed, horizon, kind, group_size)
+                lambda kind=kind: produce_events(
+                    graph, seed, horizon, kind, group_size, onion_routers, sessions
+                )
             ),
             repeat,
         )[0]

@@ -312,9 +312,8 @@ def _run_figure(args: argparse.Namespace) -> int:
         # of aborting it. The pool caps its processes at the CPU count, so
         # the figure is the same on every host.
         from repro.experiments.parallel import WorkerPool
-        from repro.utils.resilience import RetryPolicy
 
-        with WorkerPool(args.workers, policy=RetryPolicy()) as pool:
+        with WorkerPool(args.workers) as pool:
             kwargs["workers"] = pool
             result = func(**kwargs)
         if pool.report:

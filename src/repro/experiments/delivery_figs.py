@@ -6,7 +6,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.contacts.events import ExponentialContactProcess
 from repro.contacts.random_graph import random_contact_graph
 from repro.experiments.config import DEFAULT_CONFIG, PaperConfig
 from repro.experiments.result import FigureResult, Series
@@ -14,7 +13,7 @@ from repro.experiments.parallel import (
     workers_metadata,
     Workers,
     run_parallel_fused_sweep,
-    worker_count,
+    shared_contact_block,
 )
 from repro.experiments.runners import (
     SweepVariant,
@@ -56,7 +55,6 @@ def delivery_sweep_series(
     deadlines = config.deadlines
     analysis_totals = [np.zeros(len(deadlines)) for _ in variants]
     outcomes_per_variant: List[list] = [[] for _ in variants]
-    parallel = worker_count(workers) > 1
     for graph_rng in spawn_rng(generator, graphs):
         graph = random_contact_graph(
             config.n, config.mean_intercontact_range, rng=graph_rng
@@ -65,20 +63,15 @@ def delivery_sweep_series(
         # and ship it to every chunk instead of re-sampling per chunk. The
         # block draw advances graph_rng, so parallel results are a different
         # (equally valid) sample than serial — workers=1 stays untouched.
-        shared = (
-            ExponentialContactProcess(graph, rng=graph_rng).events_until_columnar(
-                config.max_deadline
-            )
-            if parallel
-            else None
-        )
         sweep = run_parallel_fused_sweep(
             run_fused_graph_sweep,
             variants=variants,
             sessions_per_variant=sessions_per_graph,
             workers=workers,
             rng=graph_rng,
-            shared_events=shared,
+            shared_events=shared_contact_block(
+                workers, graph, graph_rng, config.max_deadline
+            ),
             backend=backend,
             graph=graph,
             horizon=config.max_deadline,

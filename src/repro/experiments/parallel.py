@@ -27,31 +27,38 @@ Two amortisation mechanisms make the parallel path profitable:
   effective process count; the pool sizes its actual processes to the
   machine (and degrades to inline execution on a single-CPU host), so the
   merged results are identical everywhere.
-* ``shared_events`` — the contact-event stream is generated (or loaded)
-  once, registered in a :class:`~repro.experiments.shm.SharedBlockArena`,
-  and reattached zero-copy by every chunk through
+* ``shared_events`` — the contact-event stream is generated once
+  (:func:`shared_contact_block`) or loaded, registered in the pool's
+  :class:`~repro.experiments.shm.SharedBlockArena`, and reattached
+  zero-copy by every chunk through
   :class:`~repro.contacts.events.ColumnarEventSource`: only a tiny
   ``(shm_name, dtype, shape, offset)`` descriptor travels through the
   task pickle, warm workers cache the mapping per segment name, and the
-  owner unlinks the segments on completion, crash, and interrupt alike.
+  owning pool unlinks the segments on close, after completion, crash,
+  and interrupt alike.
 
-Supervision: passing a :class:`~repro.utils.resilience.RetryPolicy`
-(directly or on the pool) upgrades ``parallel_map`` to a *supervised*
-dispatcher: every chunk gets a wall-clock budget, a hung or SIGKILLed
-worker is detected, the pool is rebuilt, and the affected chunks are
+Supervision: every multi-worker dispatch goes through one supervisor.
+A :class:`WorkerPool` carries a :class:`~repro.utils.resilience.RetryPolicy`
+(``RetryPolicy()`` unless given) and an
+:class:`~repro.utils.resilience.ExecutionReport`; an ``int`` worker count
+runs on a private pool that closes after the call and logs any incident
+at WARNING. Every chunk gets the policy's wall-clock budget, a hung or
+SIGKILLed worker is detected, the pool is rebuilt, and the affected chunks are
 re-executed from their original ``SeedSequence.spawn`` seeds — so a sweep
 that survived timeouts, crashes, and transient exceptions merges to a
 result byte-identical to an unfailed run. Failures are classified
-(:mod:`repro.utils.resilience`) and recorded on an
-:class:`~repro.utils.resilience.ExecutionReport`; the degradation ladder
-runs chunk-level (kernel → object loop inside a retried chunk)
-and sweep-level (pool → serial once ``max_pool_restarts`` is exhausted).
+(:mod:`repro.utils.resilience`) and recorded on the pool's report; the
+degradation ladder runs chunk-level (kernel → object loop inside a
+retried chunk) and sweep-level (pool → serial once
+``max_pool_restarts`` is exhausted).
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import inspect
+import logging
 import os
 import pickle
 import time
@@ -61,7 +68,11 @@ from typing import Any, Callable, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.contacts.events import ColumnarEventSource, EventBlock
+from repro.contacts.events import (
+    ColumnarEventSource,
+    EventBlock,
+    ExponentialContactProcess,
+)
 from repro.experiments.shm import (
     BlockDescriptor,
     SharedBlockArena,
@@ -79,6 +90,7 @@ from repro.utils.resilience import (
 from repro.utils.rng import RandomSource, ensure_rng
 from repro.utils.validation import check_positive_int
 
+logger = logging.getLogger(__name__)
 
 #: Default number of chunks a parallel run splits into. Fixed (instead of
 #: the requested worker count) so the chunk layout — and therefore the
@@ -124,30 +136,6 @@ def spawn_chunk_seeds(rng: RandomSource, count: int) -> List[np.random.SeedSeque
     return list(seed_seq.spawn(count))
 
 
-def _terminate_executor(executor: concurrent.futures.ProcessPoolExecutor) -> None:
-    """Kill an executor's worker processes and release its resources.
-
-    ``shutdown()`` alone joins the workers, which hangs forever on a hung or
-    signal-blocked chunk — so the processes are terminated first, then the
-    executor is shut down without waiting, then the corpses are reaped.
-    """
-    processes = list((getattr(executor, "_processes", None) or {}).values())
-    for process in processes:
-        try:
-            process.terminate()
-        except Exception:  # pragma: no cover - already-dead race
-            pass
-    executor.shutdown(wait=False, cancel_futures=True)
-    for process in processes:
-        try:
-            process.join(timeout=5.0)
-            if process.is_alive():  # pragma: no cover - uninterruptible state
-                process.kill()
-                process.join(timeout=5.0)
-        except Exception:  # pragma: no cover - already-reaped race
-            pass
-
-
 class WorkerPool:
     """A persistent process pool shared across many parallel calls.
 
@@ -158,16 +146,16 @@ class WorkerPool:
     the same master seed merges to the same result for every requested
     count ≥ 2 on every machine. The pool itself sizes its processes to
     ``min(workers, os.cpu_count())`` (override with ``max_processes``) and
-    runs tasks inline — no subprocesses, no pickling — when that effective
-    size is one, which is both the single-CPU degradation and the cheap
-    path for ``workers=1``.
+    runs tasks inline — no subprocesses — when that effective size is
+    one, which is both the single-CPU degradation and the cheap path for
+    ``workers=1``.
 
-    A pool constructed with a :class:`~repro.utils.resilience.RetryPolicy`
-    is *supervised*: every ``parallel_map`` call through it gets per-chunk
-    timeouts, crash detection with pool rebuilds, and bounded seed-exact
-    retries, with incidents recorded on ``report`` (an
-    :class:`~repro.utils.resilience.ExecutionReport`, created automatically
-    when a policy is given).
+    Every pool is supervised: each ``parallel_map`` call through it gets
+    per-chunk timeouts, crash detection with pool rebuilds, and bounded
+    seed-exact retries under ``policy`` (a
+    :class:`~repro.utils.resilience.RetryPolicy`, ``RetryPolicy()`` by
+    default), with incidents recorded on ``report`` (a fresh
+    :class:`~repro.utils.resilience.ExecutionReport` by default).
 
     Use as a context manager to reuse one warm pool across a whole figure
     sweep::
@@ -193,10 +181,8 @@ class WorkerPool:
         self._processes = min(workers, cap)
         self._executor: concurrent.futures.ProcessPoolExecutor | None = None
         self._arena: SharedBlockArena | None = None
-        self.policy = policy
-        if report is None and policy is not None:
-            report = ExecutionReport()
-        self.report = report
+        self.policy = policy if policy is not None else RetryPolicy()
+        self.report = report if report is not None else ExecutionReport()
 
     @property
     def workers(self) -> int:
@@ -262,11 +248,29 @@ class WorkerPool:
         Unlike :meth:`close`, the pool stays usable — the next submission
         lazily builds a fresh executor. This is the restart primitive the
         supervisor uses after a crash or timeout, and the prompt-shutdown
-        path on :class:`KeyboardInterrupt`.
+        path on :class:`KeyboardInterrupt`. ``shutdown()`` alone would join
+        the workers, which hangs forever on a hung or signal-blocked chunk,
+        so the processes are terminated first, then the executor is shut
+        down without waiting, then the corpses are reaped.
         """
         executor, self._executor = self._executor, None
-        if executor is not None:
-            _terminate_executor(executor)
+        if executor is None:
+            return
+        processes = list((getattr(executor, "_processes", None) or {}).values())
+        for process in processes:
+            try:
+                process.terminate()
+            except Exception:  # pragma: no cover - already-dead race
+                pass
+        executor.shutdown(wait=False, cancel_futures=True)
+        for process in processes:
+            try:
+                process.join(timeout=5.0)
+                if process.is_alive():  # pragma: no cover - uninterruptible state
+                    process.kill()
+                    process.join(timeout=5.0)
+            except Exception:  # pragma: no cover - already-reaped race
+                pass
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -291,9 +295,9 @@ def workers_metadata(workers: Workers) -> dict:
 
     Reports the *requested* parallelism (1 selects the serial path; any
     larger count the same chunk layout and seeds) next to the *effective*
-    process count the machine allowed, and —
-    when ``workers`` is a supervised :class:`WorkerPool` whose report holds
-    incidents — the structured resilience summary.
+    process count the machine allowed, and — when ``workers`` is a
+    :class:`WorkerPool` whose report holds incidents — the structured
+    resilience summary.
     """
     requested = worker_count(workers)
     if isinstance(workers, WorkerPool):
@@ -306,50 +310,22 @@ def workers_metadata(workers: Workers) -> dict:
     return meta
 
 
-def _inline_map(fn: Callable[..., Any], tasks: Sequence[Tuple[Any, ...]]) -> List[Any]:
-    results = []
-    for index, task in enumerate(tasks):
-        try:
-            # Replicate process-pool semantics: every chunk works on its own
-            # pickled copy of the arguments, so stateful task state (churn
-            # schedules, fault RNGs) is never shared across chunks and the
-            # merged result is identical to a real multi-process run.
-            results.append(fn(*pickle.loads(pickle.dumps(task))))
-        except Exception as error:
-            error.add_note(f"parallel_map: chunk {index}/{len(tasks)} failed (inline)")
-            raise
-    return results
+def shared_contact_block(
+    workers: Workers, graph, rng: RandomSource, horizon: float
+) -> EventBlock | None:
+    """The contact block a graph batch ships to its chunks, or ``None``.
 
-
-def _collect(
-    fn: Callable[..., Any],
-    tasks: Sequence[Tuple[Any, ...]],
-    executor: concurrent.futures.ProcessPoolExecutor,
-    terminate: Callable[[], None] | None = None,
-) -> List[Any]:
-    futures = [executor.submit(fn, *task) for task in tasks]
-    results = []
-    for index, future in enumerate(futures):
-        try:
-            results.append(future.result())
-        except BaseException as error:
-            # Don't leave stragglers running a doomed batch: cancel
-            # everything not yet started before propagating.
-            for later in futures[index + 1:]:
-                later.cancel()
-            if not isinstance(error, Exception):
-                # KeyboardInterrupt / SystemExit: chunks already running
-                # would make shutdown join forever — kill the workers so the
-                # interrupt lands promptly and no process leaks.
-                if terminate is not None:
-                    terminate()
-                raise
-            error.add_note(
-                f"parallel_map: chunk {index}/{len(futures)} failed; "
-                "outstanding chunks cancelled"
-            )
-            raise
-    return results
+    One worker runs the serial runner on the caller's generator, which
+    samples its own stream, so nothing is drawn and ``None`` comes back.
+    More workers get ``graph``'s exponential stream up to ``horizon``,
+    drawn once from ``rng`` and replayed whole by every chunk. The draw
+    advances ``rng``, so pass this as a call argument of the
+    ``run_parallel_*`` entry point: it then runs before the chunk seeds
+    are spawned from the same generator.
+    """
+    if worker_count(workers) == 1:
+        return None
+    return ExponentialContactProcess(graph, rng=rng).events_until_columnar(horizon)
 
 
 def _inline_supervised(
@@ -393,18 +369,18 @@ def _supervised_map(
     fn: Callable[..., Any],
     tasks: Sequence[Tuple[Any, ...]],
     pool: WorkerPool,
-    policy: RetryPolicy,
-    report: ExecutionReport,
 ) -> List[Any]:
     """Dispatch chunks with timeouts, crash recovery, and bounded retries.
 
-    Submission is bounded to the pool's process count so a chunk's
+    The pool's ``policy`` bounds the retries and its ``report`` records
+    every incident. Submission is bounded to the pool's process count so a chunk's
     wall-clock budget starts ticking when it actually starts running. A
     timed-out or crashed pool is killed and rebuilt (bounded by
     ``policy.max_pool_restarts``, after which the whole sweep degrades to
     serial in-process execution), and the affected chunks re-execute from
     their original argument tuples — same seeds, byte-identical results.
     """
+    policy, report = pool.policy, pool.report
     total = len(tasks)
     results: List[Any] = [None] * total
     if pool.processes == 1 or report.degraded_to_serial:
@@ -571,59 +547,53 @@ def _supervised_map(
         raise
 
 
+@contextlib.contextmanager
+def _pool_for(workers: Workers):
+    """``workers`` as a :class:`WorkerPool` for the span of one call.
+
+    A pool is used as is and left running. An ``int`` gets a private pool
+    that closes (unlinking its arena) when the call ends; any incident it
+    recorded is logged at WARNING, since no caller holds its report.
+    """
+    if isinstance(workers, WorkerPool):
+        yield workers
+        return
+    with WorkerPool(workers) as pool:
+        try:
+            yield pool
+        finally:
+            if pool.report:
+                logger.warning(
+                    "private %d-worker pool: %s",
+                    pool.workers,
+                    pool.report.describe(),
+                )
+
+
 def parallel_map(
     fn: Callable[..., Any],
     tasks: Sequence[Tuple[Any, ...]],
     workers: Workers,
-    *,
-    policy: RetryPolicy | None = None,
-    report: ExecutionReport | None = None,
 ) -> List[Any]:
-    """Apply ``fn`` to argument tuples on a process pool; ordered results.
+    """Apply ``fn`` to argument tuples on a supervised pool; ordered results.
 
-    ``workers`` is either an ``int`` (a private pool is created for this
-    call and torn down afterwards) or a :class:`WorkerPool` (the shared
-    pool is reused and left running). Either way the *effective* process
-    count is capped at the machine's CPU count, and an effective count of
-    one runs inline — no pool, no pickling. ``fn`` and every argument must
-    be picklable when subprocesses are used.
+    ``workers`` is either an ``int`` (a private :class:`WorkerPool` is
+    created for this call and closed afterwards) or a :class:`WorkerPool`
+    (the shared pool is reused and left running). Either way the
+    *effective* process count is capped at the machine's CPU count, and an
+    effective count of one runs inline — no subprocesses, but each task
+    still works on a pickled copy of its arguments. ``fn`` and every
+    argument must be picklable when subprocesses are used.
 
-    With a :class:`~repro.utils.resilience.RetryPolicy` (passed here or
-    carried by the pool), dispatch is *supervised*: per-chunk wall-clock
-    timeouts, crash detection with pool rebuilds, bounded seed-exact
-    retries, and incident rows on ``report``. Without one, a chunk failure
-    cancels the outstanding chunks and re-raises with the failing chunk
-    index attached as a note; :class:`KeyboardInterrupt` terminates the
-    workers promptly instead of hanging on shutdown.
+    Dispatch is always supervised under the pool's ``policy``: per-chunk
+    wall-clock timeouts, crash detection with pool rebuilds, bounded
+    seed-exact retries, and incident rows on the pool's ``report``. A
+    chunk whose retries are exhausted re-raises with its index attached
+    as a note; :class:`KeyboardInterrupt` terminates the workers promptly
+    instead of hanging on shutdown.
     """
-    if isinstance(workers, WorkerPool):
-        if policy is None:
-            policy = workers.policy
-        if report is None:
-            report = workers.report
-        if policy is not None:
-            return _supervised_map(
-                fn, tasks, workers, policy, report if report is not None else ExecutionReport()
-            )
-        if workers.processes == 1:
-            return _inline_map(fn, tasks)
-        return _collect(
-            fn, tasks, workers._ensure_executor(), terminate=workers.terminate
-        )
-    check_positive_int(workers, "workers")
-    if policy is not None:
-        with WorkerPool(workers, policy=policy, report=report) as pool:
-            return _supervised_map(fn, tasks, pool, policy, pool.report)
-    processes = min(workers, os.cpu_count() or 1)
-    if processes == 1:
-        return _inline_map(fn, tasks)
-    executor = concurrent.futures.ProcessPoolExecutor(max_workers=processes)
-    try:
-        return _collect(
-            fn, tasks, executor, terminate=lambda: _terminate_executor(executor)
-        )
-    finally:
-        executor.shutdown(wait=True, cancel_futures=True)
+    with _pool_for(workers) as pool:
+        return _supervised_map(fn, tasks, pool)
 
 
 class _ChunkPayload(NamedTuple):
@@ -639,12 +609,9 @@ class _ChunkPayload(NamedTuple):
     events: List[dict]
 
 
-def _unwrap_chunk(part: Any, report: ExecutionReport | None) -> Any:
-    if isinstance(part, _ChunkPayload):
-        if report is not None and part.events:
-            report.extend(part.events)
-        return part.result
-    return part
+def _unwrap_chunk(part: _ChunkPayload, report: ExecutionReport) -> Any:
+    report.extend(part.events)
+    return part.result
 
 
 def _supports_keyword(fn: Callable[..., Any], name: str) -> bool:
@@ -671,31 +638,39 @@ def _degradation_rungs(
 
 def _run_chunk_with_ladder(
     batch_fn: Callable[..., Any],
-    where: str,
+    seed_seq: np.random.SeedSequence,
     kwargs: dict,
-    call: Callable[[dict], Any],
+    fixed: dict,
+    block: EventBlock | None = None,
 ) -> _ChunkPayload:
     """Run one chunk, degrading kernel → object loop on failure.
 
-    ``call(rung_kwargs)`` must rebuild every piece of chunk state (the
-    generator, the event cursor) from the chunk seed, so each rung
-    re-executes from scratch and a degraded rung's outcome is byte-identical
-    to a clean run of that rung — which is itself byte-identical to the
-    kernel path by the dispatch-equivalence contract. Only the last rung's
-    failure propagates (and is then subject to the supervisor's retries).
+    Each rung calls ``batch_fn(**fixed, rng=..., **rung_kwargs)`` with a
+    generator rebuilt from the chunk seed and, given a shared ``block``, a
+    fresh ``events=`` cursor over it (a partially consumed cursor must
+    never be reused). Each rung thus re-executes from scratch, and a
+    degraded rung's outcome is byte-identical to a clean run of that rung
+    — which is itself byte-identical to the kernel path by the
+    dispatch-equivalence contract. Only the last rung's failure propagates
+    (and is then subject to the supervisor's retries).
     """
     rungs = _degradation_rungs(batch_fn, kwargs)
     events: List[dict] = []
     for k, (label, rung_kwargs) in enumerate(rungs):
+        if block is not None:
+            rung_kwargs = dict(rung_kwargs, events=ColumnarEventSource(block))
         try:
-            return _ChunkPayload(call(rung_kwargs), events)
+            result = batch_fn(
+                **fixed, rng=np.random.default_rng(seed_seq), **rung_kwargs
+            )
+            return _ChunkPayload(result, events)
         except Exception as error:
             if k + 1 == len(rungs):
                 raise
             events.append(
                 ResilienceEvent(
                     kind=KERNEL_FALLBACK,
-                    where=where,
+                    where=getattr(batch_fn, "__name__", "chunk"),
                     attempt=k + 1,
                     detail=(
                         f"{type(error).__name__}: {error} under {label}; "
@@ -714,28 +689,7 @@ def _run_batch_chunk(
     kwargs: dict,
 ) -> _ChunkPayload:
     """One worker's share of a session batch (module-level for pickling)."""
-    return _run_chunk_with_ladder(
-        batch_fn,
-        getattr(batch_fn, "__name__", "batch"),
-        kwargs,
-        lambda rung_kwargs: batch_fn(
-            sessions=sessions, rng=np.random.default_rng(seed_seq), **rung_kwargs
-        ),
-    )
-
-
-def _share_block(workers: "Workers", block) -> Tuple[BlockDescriptor, SharedBlockArena | None]:
-    """Register ``block`` for shipping; ``(descriptor, arena-to-unlink)``.
-
-    A :class:`WorkerPool` owns its arena (unlinked at ``close()``, shared
-    across sweep points); ``int`` workers get a per-call arena the caller
-    must unlink in a ``finally`` — the :class:`KeyboardInterrupt` /
-    crash-safety contract.
-    """
-    if isinstance(workers, WorkerPool):
-        return workers.share_block(block), None
-    arena = SharedBlockArena()
-    return arena.register(block), arena
+    return _run_chunk_with_ladder(batch_fn, seed_seq, kwargs, {"sessions": sessions})
 
 
 def _run_shared_batch_chunk(
@@ -748,37 +702,11 @@ def _run_shared_batch_chunk(
     """Batch chunk replaying a shared columnar event stream.
 
     The parent registers the :class:`EventBlock` once; every chunk
-    reattaches it and replays it through a fresh cursor (rebuilt per
-    ladder rung, since a partially consumed cursor must never be reused).
+    reattaches it and replays it through a fresh cursor per ladder rung.
     """
-    block = attach_block(payload)
     return _run_chunk_with_ladder(
-        batch_fn,
-        getattr(batch_fn, "__name__", "batch"),
-        kwargs,
-        lambda rung_kwargs: batch_fn(
-            sessions=sessions,
-            rng=np.random.default_rng(seed_seq),
-            events=ColumnarEventSource(block),
-            **rung_kwargs,
-        ),
+        batch_fn, seed_seq, kwargs, {"sessions": sessions}, attach_block(payload)
     )
-
-
-def _resolve_supervision(
-    workers: Workers,
-    policy: RetryPolicy | None,
-    report: ExecutionReport | None,
-) -> Tuple[RetryPolicy | None, ExecutionReport | None]:
-    """Adopt a pool's policy/report when the caller didn't pass their own."""
-    if isinstance(workers, WorkerPool):
-        if policy is None:
-            policy = workers.policy
-        if report is None:
-            report = workers.report
-    if policy is not None and report is None:
-        report = ExecutionReport()
-    return policy, report
 
 
 def _concat_chunks(_sizes: List[int], parts: List[Any]) -> list:
@@ -800,19 +728,16 @@ def _dispatch_chunks(
     shared: Any = None,
     shared_keyword: str = "events",
     shared_type: type = EventBlock,
-    kernel: bool | None = None,
-    backend: str | None = None,
-    policy: RetryPolicy | None = None,
-    report: ExecutionReport | None = None,
 ) -> Any:
     """The shared body of the ``run_parallel_*`` entry points.
 
-    ``kernel``/``backend`` are folded into ``kwargs`` when not ``None``.
     ``workers == 1`` calls ``fn`` directly with the caller's ``rng`` (and
     ``shared`` as ``shared_keyword=``). Otherwise ``total`` is split by
     :func:`chunk_sizes`, each chunk gets a :func:`spawn_chunk_seeds`
-    child, ``shared`` travels through an arena as a descriptor, and the
-    unwrapped chunk results go to ``merge(sizes, parts)`` in chunk order.
+    child, ``shared`` travels through the pool's arena as a descriptor,
+    and the unwrapped chunk results go to ``merge(sizes, parts)`` in chunk
+    order. An ``int`` count runs on a private pool, so the arena always
+    belongs to a pool and is unlinked when that pool closes.
     ``chunk_fns`` is the ``(plain, shared)`` chunk-function pair; a shared
     ``block`` is sliced by trial-row offset, a shared event stream is
     replayed whole by every chunk.
@@ -822,11 +747,6 @@ def _dispatch_chunks(
             f"shared {shared_keyword} must be of type {shared_type.__name__}, "
             f"got {type(shared).__name__}"
         )
-    if kernel is not None:
-        kwargs = dict(kwargs, kernel=kernel)
-    if backend is not None:
-        kwargs = dict(kwargs, backend=backend)
-    policy, report = _resolve_supervision(workers, policy, report)
     if worker_count(workers) == 1:
         if shared is not None:
             kwargs = dict(kwargs, **{shared_keyword: shared})
@@ -836,34 +756,28 @@ def _dispatch_chunks(
     )
     seeds = spawn_chunk_seeds(rng, len(sizes))
     plain_chunk, shared_chunk = chunk_fns
-    own_arena: SharedBlockArena | None = None
-    if shared is None:
-        chunk_fn = plain_chunk
-        tasks = [(fn, size, seed, kwargs) for size, seed in zip(sizes, seeds)]
-    else:
-        chunk_fn = shared_chunk
-        payload, own_arena = _share_block(workers, shared)
-        if shared_keyword == "block":
-            offsets = np.concatenate(([0], np.cumsum(sizes)))[:-1]
-            tasks = [
-                (fn, size, int(offset), seed, payload, kwargs)
-                for size, offset, seed in zip(sizes, offsets, seeds)
-            ]
+    with _pool_for(workers) as pool:
+        if shared is None:
+            chunk_fn = plain_chunk
+            tasks = [(fn, size, seed, kwargs) for size, seed in zip(sizes, seeds)]
         else:
-            tasks = [
-                (fn, size, seed, payload, kwargs)
-                for size, seed in zip(sizes, seeds)
-            ]
-    try:
+            chunk_fn = shared_chunk
+            payload = pool.share_block(shared)
+            if shared_keyword == "block":
+                offsets = np.concatenate(([0], np.cumsum(sizes)))[:-1]
+                tasks = [
+                    (fn, size, int(offset), seed, payload, kwargs)
+                    for size, offset, seed in zip(sizes, offsets, seeds)
+                ]
+            else:
+                tasks = [
+                    (fn, size, seed, payload, kwargs)
+                    for size, seed in zip(sizes, seeds)
+                ]
         parts = [
-            _unwrap_chunk(part, report)
-            for part in parallel_map(
-                chunk_fn, tasks, workers, policy=policy, report=report
-            )
+            _unwrap_chunk(part, pool.report)
+            for part in parallel_map(chunk_fn, tasks, pool)
         ]
-    finally:
-        if own_arena is not None:
-            own_arena.unlink()
     return merge(sizes, parts)
 
 
@@ -874,10 +788,6 @@ def run_parallel_batch(
     rng: RandomSource = None,
     chunks: int | None = None,
     shared_events: EventBlock | None = None,
-    kernel: bool | None = None,
-    backend: str | None = None,
-    policy: RetryPolicy | None = None,
-    report: ExecutionReport | None = None,
     **kwargs: Any,
 ) -> list:
     """Run a session batch split across ``workers`` processes.
@@ -911,24 +821,17 @@ def run_parallel_batch(
         (``batch_fn`` must accept an ``events=`` keyword) through a
         shared-memory arena — chunks reattach it zero-copy. Without it
         each chunk regenerates its own event stream from the chunk seed.
-    kernel:
-        When not ``None``, forwarded to ``batch_fn`` as its ``kernel=``
-        knob (struct-of-arrays sweep for eligible sessions in every
-        chunk). ``None`` omits the keyword, so ``batch_fn``'s own default
-        applies.
-    backend:
-        When not ``None``, forwarded to ``batch_fn`` as its ``backend=``
-        kernel-backend name (see :mod:`repro.sim.backend`). Backends are
-        addressed by *name* so the knob pickles cleanly into worker
-        processes — each worker resolves (and dlopens) its
-        own backend instance.
-    policy / report:
-        Optional :class:`~repro.utils.resilience.RetryPolicy` and
-        :class:`~repro.utils.resilience.ExecutionReport` for supervised
-        dispatch; defaults are adopted from ``workers`` when it is a
-        supervised :class:`WorkerPool`. Chunk-level degradation events
-        (kernel → object loop) recorded inside workers are merged
-        into the report.
+        :func:`shared_contact_block` draws it for graph batches.
+    kwargs:
+        Every other keyword goes to ``batch_fn`` in every chunk — the
+        graph, the horizon, and knobs such as ``kernel=`` and
+        ``backend=``. Backends travel by *name* (see
+        :mod:`repro.sim.backend`), so they pickle cleanly into worker
+        processes and each worker resolves its own instance.
+
+    Multi-worker runs are supervised by the pool (see
+    :func:`parallel_map`); chunk-level degradation events (kernel →
+    object loop) recorded inside workers are merged into its ``report``.
 
     Results are concatenated in chunk order, so the merged list is
     deterministic for a fixed master seed and — because the default chunk
@@ -939,8 +842,7 @@ def run_parallel_batch(
     return _dispatch_chunks(
         batch_fn, "sessions", sessions, workers, rng, chunks, kwargs,
         (_run_batch_chunk, _run_shared_batch_chunk), _concat_chunks,
-        shared=shared_events, kernel=kernel, backend=backend,
-        policy=policy, report=report,
+        shared=shared_events,
     )
 
 
@@ -952,14 +854,7 @@ def _run_fused_sweep_chunk(
 ) -> _ChunkPayload:
     """One worker's share of a fused sweep (module-level for pickling)."""
     return _run_chunk_with_ladder(
-        sweep_fn,
-        getattr(sweep_fn, "__name__", "sweep"),
-        kwargs,
-        lambda rung_kwargs: sweep_fn(
-            sessions_per_variant=sessions_per_variant,
-            rng=np.random.default_rng(seed_seq),
-            **rung_kwargs,
-        ),
+        sweep_fn, seed_seq, kwargs, {"sessions_per_variant": sessions_per_variant}
     )
 
 
@@ -971,17 +866,12 @@ def _run_shared_fused_sweep_chunk(
     kwargs: dict,
 ) -> _ChunkPayload:
     """Fused-sweep chunk replaying a shared columnar event stream."""
-    block = attach_block(payload)
     return _run_chunk_with_ladder(
         sweep_fn,
-        getattr(sweep_fn, "__name__", "sweep"),
+        seed_seq,
         kwargs,
-        lambda rung_kwargs: sweep_fn(
-            sessions_per_variant=sessions_per_variant,
-            rng=np.random.default_rng(seed_seq),
-            events=ColumnarEventSource(block),
-            **rung_kwargs,
-        ),
+        {"sessions_per_variant": sessions_per_variant},
+        attach_block(payload),
     )
 
 
@@ -993,10 +883,6 @@ def run_parallel_fused_sweep(
     rng: RandomSource = None,
     chunks: int | None = None,
     shared_events: EventBlock | None = None,
-    kernel: bool | None = None,
-    backend: str | None = None,
-    policy: RetryPolicy | None = None,
-    report: ExecutionReport | None = None,
     **kwargs: Any,
 ) -> list:
     """Run a fused parameter-grid sweep split across ``workers`` processes.
@@ -1014,7 +900,7 @@ def run_parallel_fused_sweep(
     ``sessions_per_variant``), following the
     :func:`run_parallel_batch` conventions for ``rng``, ``chunks``,
     ``shared_events`` (graph sweeps only — trace sweeps replay the trace
-    themselves), ``kernel``, ``backend``, and ``policy``/``report``.
+    themselves), and the keywords forwarded to ``sweep_fn``.
     """
     def merge(_sizes: List[int], parts: List[Any]) -> list:
         merged: list = [[] for _ in variants]
@@ -1032,8 +918,7 @@ def run_parallel_fused_sweep(
         sweep_fn, "sessions_per_variant", sessions_per_variant, workers, rng,
         chunks, dict(kwargs, variants=list(variants)),
         (_run_fused_sweep_chunk, _run_shared_fused_sweep_chunk), merge,
-        shared=shared_events, kernel=kernel, backend=backend,
-        policy=policy, report=report,
+        shared=shared_events,
     )
 
 
@@ -1044,14 +929,7 @@ def _run_montecarlo_chunk(
     kwargs: dict,
 ) -> _ChunkPayload:
     """One worker's share of a Monte Carlo estimate (module-level)."""
-    return _run_chunk_with_ladder(
-        mc_fn,
-        getattr(mc_fn, "__name__", "montecarlo"),
-        kwargs,
-        lambda rung_kwargs: mc_fn(
-            trials=trials, rng=np.random.default_rng(seed_seq), **rung_kwargs
-        ),
-    )
+    return _run_chunk_with_ladder(mc_fn, seed_seq, kwargs, {"trials": trials})
 
 
 def _run_shared_montecarlo_chunk(
@@ -1069,18 +947,9 @@ def _run_shared_montecarlo_chunk(
     no copies — and the trial-weighted merge reproduces the full-block
     estimate.
     """
-    block = attach_block(payload)
-    chunk_block = block.slice_trials(offset, offset + trials)
+    chunk_block = attach_block(payload).slice_trials(offset, offset + trials)
     return _run_chunk_with_ladder(
-        mc_fn,
-        getattr(mc_fn, "__name__", "montecarlo"),
-        kwargs,
-        lambda rung_kwargs: mc_fn(
-            trials=trials,
-            rng=np.random.default_rng(seed_seq),
-            block=chunk_block,
-            **rung_kwargs,
-        ),
+        mc_fn, seed_seq, kwargs, {"trials": trials, "block": chunk_block}
     )
 
 
@@ -1091,9 +960,6 @@ def run_parallel_montecarlo(
     rng: RandomSource = None,
     chunks: int | None = None,
     shared_block=None,
-    backend: str | None = None,
-    policy: RetryPolicy | None = None,
-    report: ExecutionReport | None = None,
     **kwargs: Any,
 ) -> Tuple[float, ...]:
     """Parallel trial-mean estimator for Monte Carlo runners.
@@ -1112,11 +978,10 @@ def run_parallel_montecarlo(
     :func:`~repro.experiments.runners.security_sweep_montecarlo`), so the
     sampling cost is paid once and the workers only score.
 
-    ``backend`` follows the :func:`run_parallel_batch` convention:
-    ``None`` omits the keyword, a name is forwarded to ``mc_fn`` (backends
-    travel by name so they pickle into workers). Security runners have no
+    Other keywords (``backend=`` among them) go to ``mc_fn`` in every
+    chunk, as in :func:`run_parallel_batch`. Security runners have no
     ``kernel`` knob, so a failing chunk has no lower rung to degrade to:
-    its error goes to the supervisor's retries (or propagates).
+    its error goes to the supervisor's retries.
     """
     from repro.adversary.kernel import SecurityTrialBlock
 
@@ -1148,6 +1013,5 @@ def run_parallel_montecarlo(
         mc_fn, "trials", trials, workers, rng, chunks, kwargs,
         (_run_montecarlo_chunk, _run_shared_montecarlo_chunk), merge,
         shared=shared_block, shared_keyword="block",
-        shared_type=SecurityTrialBlock, backend=backend,
-        policy=policy, report=report,
+        shared_type=SecurityTrialBlock,
     )

@@ -21,8 +21,12 @@ from repro.adversary.dropping import DroppingRelays
 from repro.contacts.random_graph import random_contact_graph
 from repro.experiments.config import DEFAULT_CONFIG, PaperConfig
 from repro.experiments.result import FigureResult, Series
-from repro.contacts.events import ExponentialContactProcess
-from repro.experiments.parallel import Workers, run_parallel_batch, worker_count, workers_metadata
+from repro.experiments.parallel import (
+    Workers,
+    run_parallel_batch,
+    shared_contact_block,
+    workers_metadata,
+)
 from repro.experiments.runners import (
     RouteOutcome,
     run_faulty_graph_batch,
@@ -73,7 +77,6 @@ def figure_r1(
     rng = ensure_rng(seed)
     graph = random_contact_graph(config.n, config.mean_intercontact_range, rng=rng)
     children = spawn_rng(rng, 2 * len(availabilities))
-    parallel = worker_count(workers) > 1
 
     model_points: List[Tuple[float, float]] = []
     churn_points: List[Tuple[float, float]] = []
@@ -89,19 +92,12 @@ def figure_r1(
         )
         # Parallel chunks share one pre-generated base stream; the churn
         # filter still wraps it per chunk (filters are per-event iterators).
-        shared = (
-            ExponentialContactProcess(graph, rng=churn_rng).events_until_columnar(
-                deadline
-            )
-            if parallel
-            else None
-        )
         pairs = run_parallel_batch(
             run_faulty_graph_batch,
             sessions=sessions,
             workers=workers,
             rng=churn_rng,
-            shared_events=shared,
+            shared_events=shared_contact_block(workers, graph, churn_rng, deadline),
             graph=graph,
             group_size=config.group_size,
             onion_routers=config.onion_routers,
@@ -125,19 +121,12 @@ def figure_r1(
         model_points.append((availability, model))
 
         thinned = churned_graph(graph, availability)
-        scaled_shared = (
-            ExponentialContactProcess(thinned, rng=scaled_rng).events_until_columnar(
-                deadline
-            )
-            if parallel
-            else None
-        )
         scaled = run_parallel_batch(
             run_random_graph_batch,
             sessions=sessions,
             workers=workers,
             rng=scaled_rng,
-            shared_events=scaled_shared,
+            shared_events=shared_contact_block(workers, thinned, scaled_rng, deadline),
             graph=thinned,
             group_size=config.group_size,
             onion_routers=config.onion_routers,
@@ -192,7 +181,6 @@ def figure_r2(
     ).compromised
     recovery = RecoveryPolicy(custody_timeout=custody_timeout, max_retries=max_retries)
     children = spawn_rng(rng, 2 * len(drop_probs))
-    parallel = worker_count(workers) > 1
 
     model_points: List[Tuple[float, float]] = []
     plain_points: List[Tuple[float, float]] = []
@@ -200,19 +188,12 @@ def figure_r2(
     for index, drop_prob in enumerate(drop_probs):
         plain_rng, recovery_rng = children[2 * index], children[2 * index + 1]
         relays = DroppingRelays(compromised, drop_prob, rng=plain_rng)
-        shared = (
-            ExponentialContactProcess(graph, rng=plain_rng).events_until_columnar(
-                deadline
-            )
-            if parallel
-            else None
-        )
         pairs = run_parallel_batch(
             run_faulty_graph_batch,
             sessions=sessions,
             workers=workers,
             rng=plain_rng,
-            shared_events=shared,
+            shared_events=shared_contact_block(workers, graph, plain_rng, deadline),
             graph=graph,
             group_size=config.group_size,
             onion_routers=config.onion_routers,
@@ -237,19 +218,14 @@ def figure_r2(
         model_points.append((drop_prob, model))
 
         recovery_relays = DroppingRelays(compromised, drop_prob, rng=recovery_rng)
-        recovery_shared = (
-            ExponentialContactProcess(graph, rng=recovery_rng).events_until_columnar(
-                deadline
-            )
-            if parallel
-            else None
-        )
         recovered = run_parallel_batch(
             run_faulty_graph_batch,
             sessions=sessions,
             workers=workers,
             rng=recovery_rng,
-            shared_events=recovery_shared,
+            shared_events=shared_contact_block(
+                workers, graph, recovery_rng, deadline
+            ),
             graph=graph,
             group_size=config.group_size,
             onion_routers=config.onion_routers,

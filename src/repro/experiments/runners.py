@@ -138,6 +138,79 @@ def _make_session(
     )
 
 
+def _place_graph_sessions(
+    engine: SimulationEngine,
+    n: int,
+    directory: OnionGroupDirectory,
+    variant: SweepVariant,
+    deadline: float,
+    sessions: int,
+    generator: np.random.Generator,
+    faults: Optional[FaultPlan] = None,
+    recovery: Optional[RecoveryPolicy] = None,
+) -> List[RouteOutcome]:
+    """Register one grid point's sessions, created at 0; (route, outcome)s.
+
+    Each session draws its endpoints, then its route over ``directory``.
+    """
+    pairs: List[RouteOutcome] = []
+    for _ in range(sessions):
+        source, destination = sample_endpoints(n, generator)
+        route = directory.select_route(
+            source, destination, variant.onion_routers, rng=generator
+        )
+        message = Message(
+            source=source, destination=destination, created_at=0.0, deadline=deadline
+        )
+        session = _make_session(
+            message, route, variant.copies, variant.spray_policy, faults, recovery
+        )
+        engine.add_session(session)
+        pairs.append((route, session.outcome()))
+    return pairs
+
+
+def _run_graph_variants(
+    graph: ContactGraph,
+    variants: Sequence[SweepVariant],
+    horizon: float,
+    deadline: float,
+    sessions_per_variant: int,
+    rng: RandomSource,
+    events,
+    **engine_options,
+) -> List[List[RouteOutcome]]:
+    """Shared body of the random-graph batch and the fused graph sweep.
+
+    Draw order: the first variant's group directory, then the contact
+    process's block pre-draws, then that variant's sessions; every later
+    variant draws its directory and then its sessions. A batch is the
+    sweep with one variant, so both runners consume the generator alike.
+    ``engine_options`` go to :class:`~repro.sim.engine.SimulationEngine`.
+    """
+    generator = ensure_rng(rng)
+    results: List[List[RouteOutcome]] = []
+    engine: Optional[SimulationEngine] = None
+    for variant in variants:
+        directory = OnionGroupDirectory(
+            graph.n, variant.group_size, rng=generator
+        )
+        if engine is None:
+            if events is None:
+                source = ExponentialContactProcess(graph, rng=generator)
+            else:
+                source = as_event_source(events)
+            engine = SimulationEngine(source, horizon=horizon, **engine_options)
+        results.append(
+            _place_graph_sessions(
+                engine, graph.n, directory, variant, deadline,
+                sessions_per_variant, generator,
+            )
+        )
+    engine.run()
+    return results
+
+
 def run_random_graph_batch(
     graph: ContactGraph,
     group_size: int,
@@ -163,7 +236,8 @@ def run_random_graph_batch(
     statistically equivalent to independent runs and much cheaper).
     ``consume`` (``"auto"``, ``"stream"`` or ``"iterator"``) is forwarded
     to :class:`~repro.sim.engine.SimulationEngine`; every mode produces
-    byte-identical outcomes.
+    byte-identical outcomes. The batch is :func:`run_fused_graph_sweep`
+    with one variant.
 
     ``events`` overrides the sampled contact process with a pre-generated
     source (an :class:`~repro.contacts.events.EventBlock` or any event
@@ -191,41 +265,13 @@ def run_random_graph_batch(
     ``"cc"``; see :mod:`repro.sim.backend`) and is forwarded
     to the engine. Outcomes are byte-identical across backends.
     """
-    generator = ensure_rng(rng)
-    directory = OnionGroupDirectory(graph.n, group_size, rng=generator)
-    if events is None:
-        source = ExponentialContactProcess(graph, rng=generator)
-    else:
-        source = as_event_source(events)
-    engine = SimulationEngine(
-        source,
-        horizon=horizon,
-        consume=consume,
-        stream_window=stream_window,
-        max_window_events=max_window_events,
-        kernel=kernel,
-        backend=backend,
-    )
-    message_deadline = horizon if deadline is None else deadline
-    pairs: List[RouteOutcome] = []
-    live: List[ProtocolSession] = []
-    for _ in range(sessions):
-        source, destination = sample_endpoints(graph.n, generator)
-        route = directory.select_route(
-            source, destination, onion_routers, rng=generator
-        )
-        message = Message(
-            source=source,
-            destination=destination,
-            created_at=0.0,
-            deadline=message_deadline,
-        )
-        session = _make_session(message, route, copies, spray_policy)
-        engine.add_session(session)
-        live.append(session)
-        pairs.append((route, session.outcome()))
-    engine.run()
-    return pairs
+    return _run_graph_variants(
+        graph,
+        [SweepVariant("", group_size, onion_routers, copies, spray_policy)],
+        horizon, horizon if deadline is None else deadline, sessions, rng, events,
+        consume=consume, kernel=kernel, stream_window=stream_window,
+        max_window_events=max_window_events, backend=backend,
+    )[0]
 
 
 def run_fused_graph_sweep(
@@ -255,47 +301,11 @@ def run_fused_graph_sweep(
     """
     if not variants:
         raise ValueError("run_fused_graph_sweep needs at least one variant")
-    generator = ensure_rng(rng)
-    results: List[List[RouteOutcome]] = []
-    engine: Optional[SimulationEngine] = None
-    for variant in variants:
-        directory = OnionGroupDirectory(
-            graph.n, variant.group_size, rng=generator
-        )
-        if engine is None:
-            # The contact process is created after the first directory so a
-            # single-variant sweep replays run_random_graph_batch's exact
-            # draw order (directory, then process pre-draws, then routes).
-            if events is None:
-                source = ExponentialContactProcess(graph, rng=generator)
-            else:
-                source = as_event_source(events)
-            engine = SimulationEngine(
-                source,
-                horizon=horizon,
-                consume=consume,
-                stream_window=stream_window,
-                max_window_events=max_window_events,
-                kernel=kernel,
-                backend=backend,
-            )
-        pairs: List[RouteOutcome] = []
-        for _ in range(sessions_per_variant):
-            src, dst = sample_endpoints(graph.n, generator)
-            route = directory.select_route(
-                src, dst, variant.onion_routers, rng=generator
-            )
-            message = Message(
-                source=src, destination=dst, created_at=0.0, deadline=horizon
-            )
-            session = _make_session(
-                message, route, variant.copies, variant.spray_policy
-            )
-            engine.add_session(session)
-            pairs.append((route, session.outcome()))
-        results.append(pairs)
-    engine.run()
-    return results
+    return _run_graph_variants(
+        graph, variants, horizon, horizon, sessions_per_variant, rng, events,
+        consume=consume, kernel=kernel, stream_window=stream_window,
+        max_window_events=max_window_events, backend=backend,
+    )
 
 
 def run_faulty_graph_batch(
@@ -349,26 +359,12 @@ def run_faulty_graph_batch(
     plan: Optional[FaultPlan] = None
     if failstop is not None or relays is not None:
         plan = FaultPlan(failstop=failstop, relays=relays)
-    engine = SimulationEngine(
-        events,
-        horizon=horizon,
-        kernel=kernel,
-        backend=backend,
+    engine = SimulationEngine(events, horizon=horizon, kernel=kernel, backend=backend)
+    pairs = _place_graph_sessions(
+        engine, graph.n, directory,
+        SweepVariant("", group_size, onion_routers, copies, spray_policy),
+        horizon, sessions, generator, plan, recovery,
     )
-    pairs: List[RouteOutcome] = []
-    for _ in range(sessions):
-        source, destination = sample_endpoints(graph.n, generator)
-        route = directory.select_route(
-            source, destination, onion_routers, rng=generator
-        )
-        message = Message(
-            source=source, destination=destination, created_at=0.0, deadline=horizon
-        )
-        session = _make_session(
-            message, route, copies, spray_policy, faults=plan, recovery=recovery
-        )
-        engine.add_session(session)
-        pairs.append((route, session.outcome()))
     engine.run()
     return pairs
 
@@ -645,21 +641,19 @@ def _place_trace_sessions(
     contacts_by_node: Dict[int, List[float]],
     directory: Optional[OnionGroupDirectory],
     overlapping: bool,
-    group_size: int,
-    onion_routers: int,
-    copies: int,
-    spray_policy: SprayPolicy,
+    variant: SweepVariant,
     deadline: float,
     sessions: int,
     generator: np.random.Generator,
 ) -> List[RouteOutcome]:
-    """Register ``sessions`` trace-placed sessions; returns (route, outcome)s.
+    """Register one grid point's trace-placed sessions; (route, outcome)s.
 
     Sparse traces degrade gracefully: when placement stalls (too few nodes
     ever have a first-half contact), the batch runs with however many
     sessions could be placed — logged as a warning — rather than
     discarding the partial work.
     """
+    k, g = variant.onion_routers, variant.group_size
     pairs: List[RouteOutcome] = []
     attempts = 0
     while len(pairs) < sessions:
@@ -679,17 +673,13 @@ def _place_trace_sessions(
         starts = contacts_by_node[source]
         created_at = float(starts[generator.integers(len(starts))])
         if overlapping:
-            route = select_overlapping_route(
-                n, source, destination, onion_routers, group_size, generator
-            )
+            route = select_overlapping_route(n, source, destination, k, g, generator)
         else:
             try:
-                route = directory.select_route(
-                    source, destination, onion_routers, rng=generator
-                )
+                route = directory.select_route(source, destination, k, rng=generator)
             except ValueError:
                 route = select_overlapping_route(
-                    n, source, destination, onion_routers, group_size, generator
+                    n, source, destination, k, g, generator
                 )
         message = Message(
             source=source,
@@ -697,7 +687,7 @@ def _place_trace_sessions(
             created_at=created_at,
             deadline=deadline,
         )
-        session = _make_session(message, route, copies, spray_policy)
+        session = _make_session(message, route, variant.copies, variant.spray_policy)
         engine.add_session(session)
         pairs.append((route, session.outcome()))
     return pairs
@@ -724,47 +714,20 @@ def run_trace_batch(
     first-half contact involving its source (see
     :func:`_first_half_contact_starts`); callers should check
     ``len(result)`` against ``sessions`` when partial placement on a
-    sparse trace matters.
+    sparse trace matters. The batch is :func:`run_fused_trace_sweep` with
+    one variant.
 
     ``kernel`` defaults to on — :class:`~repro.contacts.events.TraceReplayProcess`
     serves columnar windows, so eligible sessions are swept by the
     struct-of-arrays kernels directly over the replayed trace; see
     :func:`run_random_graph_batch`.
     """
-    generator = ensure_rng(rng)
-    trace = trace.normalized()
-    n = trace.n
-    if n < 3:
-        raise ValueError("trace too small for onion routing")
-    directory = (
-        None if overlapping else OnionGroupDirectory(n, group_size, rng=generator)
-    )
-    contacts_by_node = _first_half_contact_starts(trace)
-    engine = SimulationEngine(
-        TraceReplayProcess(trace),
-        horizon=trace.end + 1.0,
-        consume=consume,
-        stream_window=stream_window,
-        max_window_events=max_window_events,
-        kernel=kernel,
+    return run_fused_trace_sweep(
+        trace, [SweepVariant("", group_size, onion_routers, copies)], deadline,
+        sessions, rng, overlapping, consume=consume, kernel=kernel,
+        stream_window=stream_window, max_window_events=max_window_events,
         backend=backend,
-    )
-    pairs = _place_trace_sessions(
-        engine,
-        n,
-        contacts_by_node,
-        directory,
-        overlapping,
-        group_size,
-        onion_routers,
-        copies,
-        SprayPolicy.SOURCE,
-        deadline,
-        sessions,
-        generator,
-    )
-    engine.run()
-    return pairs
+    )[0]
 
 
 def run_fused_trace_sweep(
@@ -817,18 +780,8 @@ def run_fused_trace_sweep(
         )
         results.append(
             _place_trace_sessions(
-                engine,
-                n,
-                contacts_by_node,
-                directory,
-                overlapping,
-                variant.group_size,
-                variant.onion_routers,
-                variant.copies,
-                variant.spray_policy,
-                deadline,
-                sessions_per_variant,
-                generator,
+                engine, n, contacts_by_node, directory, overlapping, variant,
+                deadline, sessions_per_variant, generator,
             )
         )
     engine.run()

@@ -19,9 +19,10 @@ once per sweep rather than once per chunk.
 Lifecycle rules (see ARCHITECTURE.md "Memory & parallelism"):
 
 * the *owner* process (the one that called ``register``) is solely
-  responsible for ``unlink()`` — callers wrap sweeps in ``try/finally``
-  (``run_parallel_batch`` for ad-hoc arenas, ``WorkerPool.close()`` for
-  pool-owned ones), so segments disappear on normal completion and on
+  responsible for ``unlink()`` — every arena belongs to a
+  :class:`~repro.experiments.parallel.WorkerPool` whose ``close()``
+  unlinks it (an ``int`` worker count runs on a private pool closed when
+  the call ends), so segments disappear on normal completion and on
   ``KeyboardInterrupt``;
 * workers never own a segment's :mod:`multiprocessing.resource_tracker`
   entry — they attach with ``track=False``, or on older Pythons leave the
@@ -247,8 +248,9 @@ class SharedBlockArena:
 
     One arena per ownership scope: a :class:`WorkerPool` owns one for its
     lifetime (unlinked in ``close()``, *kept* across ``terminate()`` pool
-    restarts so requeued chunks can reattach), and the ad-hoc
-    ``workers=int`` paths create one per call under ``try/finally``.
+    restarts so requeued chunks can reattach); a ``workers=int`` call
+    runs on a private pool, so its arena lives exactly as long as the
+    call.
     ``register`` is idempotent per block object, so fused sweeps that
     ship the same window at every grid point allocate one segment total.
     """

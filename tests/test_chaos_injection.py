@@ -175,11 +175,22 @@ class TestSupervisedRetry:
         (tmp_path / "fail-1.fuse").write_text("armed")
         report = ExecutionReport()
         tasks = [(seed, n, str(tmp_path)) for seed, n in TASKS]
-        results = parallel_map(
-            _draw_fail_once, tasks, 4, policy=_no_sleep_policy(), report=report
-        )
+        with WorkerPool(
+            4, max_processes=1, policy=_no_sleep_policy(), report=report
+        ) as pool:
+            results = parallel_map(_draw_fail_once, tasks, pool)
         assert results == CLEAN
         assert report.counts() == {CHUNK_ERROR: 1}
+
+    def test_int_workers_retry_a_failing_chunk(self, tmp_path, caplog):
+        # An int count runs on a private supervised pool: the failing chunk
+        # is retried from its own arguments and the incident is logged.
+        (tmp_path / "fail-3.fuse").write_text("armed")
+        tasks = [(seed, n, str(tmp_path)) for seed, n in TASKS]
+        with caplog.at_level("WARNING", logger="repro.experiments.parallel"):
+            results = parallel_map(_draw_fail_once, tasks, 4)
+        assert results == CLEAN
+        assert any(CHUNK_ERROR in record.message for record in caplog.records)
 
 
 class TestKeyboardInterruptShutdown:

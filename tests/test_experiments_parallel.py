@@ -221,15 +221,6 @@ class TestParallelMapErrors:
             parallel_map(_boom, tasks, 1)
         assert any("chunk 2/4" in note for note in excinfo.value.__notes__)
 
-    def test_pooled_failure_notes_chunk_and_cancels(self):
-        tasks = [(k,) for k in range(4)]
-        with WorkerPool(2, max_processes=2) as pool:
-            with pytest.raises(RuntimeError) as excinfo:
-                parallel_map(_boom, tasks, pool)
-        notes = "\n".join(excinfo.value.__notes__)
-        assert "chunk 2/4" in notes
-        assert "cancelled" in notes
-
 
 def _empty_mc(trials, rng):
     return ()

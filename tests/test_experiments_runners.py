@@ -1,5 +1,6 @@
 """Tests for the experiment runner machinery."""
 
+import hashlib
 import logging
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from repro.adversary.dropping import DroppingRelays
 from repro.contacts.graph import ContactGraph
+from repro.contacts.random_graph import random_contact_graph
 from repro.contacts.synthetic import cambridge_like_trace
 from repro.contacts.traces import ContactRecord, ContactTrace
 from repro.core.route import OnionRoute
@@ -237,3 +239,73 @@ class TestSparseTrace:
         assert any("trace too sparse" in r.message for r in caplog.records)
         for route, outcome in batch:  # ... and the placed sessions are real
             assert route.eta == 3
+
+
+def _outcome_digest(pairs) -> str:
+    canonical = "\n".join(f"{route!r}|{outcome!r}" for route, outcome in pairs)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+class TestPinnedRandomStreams:
+    """The batch runners keep their random streams, outcome for outcome.
+
+    The digests were recorded from the standalone batch bodies that the
+    fused sweeps' one-variant case replaced; any change to a runner's
+    draw order, session placement or deadline handling breaks them.
+    """
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return random_contact_graph(30, rng=np.random.default_rng(41))
+
+    @pytest.mark.parametrize(
+        "consume, copies, deadline, expected",
+        [
+            ("auto", 1, None, "f9b2daad93ac440aa3d74782f2196360e831d2f44e25c5f7e71ca8c7cac6ef02"),
+            ("stream", 1, None, "f9b2daad93ac440aa3d74782f2196360e831d2f44e25c5f7e71ca8c7cac6ef02"),
+            ("iterator", 1, None, "f9b2daad93ac440aa3d74782f2196360e831d2f44e25c5f7e71ca8c7cac6ef02"),
+            ("auto", 3, None, "96ce8a371314eec5f2f1174cd5370c8e132492cfd6e646000f3c9fadae6a4d4b"),
+            ("iterator", 3, None, "96ce8a371314eec5f2f1174cd5370c8e132492cfd6e646000f3c9fadae6a4d4b"),
+            ("stream", 1, 150.0, "93ac0792e4f034779a3b7d7e1dee1f1c5c117f2d545a765ac6bc5eb5ea024823"),
+            ("auto", 3, 150.0, "7383b847d95c1bb729e74bf35dfe6ad9d19bf0da16a024972923eb54b453f006"),
+        ],
+    )
+    def test_random_graph_batch(self, graph, consume, copies, deadline, expected):
+        pairs = run_random_graph_batch(
+            graph, 4, 2, copies, horizon=400.0, sessions=30, rng=42,
+            consume=consume, deadline=deadline,
+        )
+        assert _outcome_digest(pairs) == expected
+
+    @pytest.mark.parametrize(
+        "overlapping, group_size, expected",
+        [
+            (False, 3, "da80092be69a0a1a551c870d6d0848d0b3fd19896ba1cea4f1cab203d2450cc4"),
+            (True, 10, "87a3142e9834859a7c8fdb2bc8d4e2151703a78215930b9991ddeee320130fef"),
+        ],
+    )
+    def test_trace_batch(self, overlapping, group_size, expected):
+        pairs = run_trace_batch(
+            cambridge_like_trace(days=2, rng=43), group_size, 3, copies=1,
+            deadline=3600.0, sessions=20, rng=44, overlapping=overlapping,
+        )
+        assert _outcome_digest(pairs) == expected
+
+    def test_faulty_batch_under_churn(self, graph):
+        pairs = run_faulty_graph_batch(
+            graph, 4, 2, 1, horizon=400.0, sessions=30, rng=46,
+            churn=NodeChurnSchedule.from_availability(30, 0.7, 20.0, rng=45),
+        )
+        assert _outcome_digest(pairs) == (
+            "0500569fc539ab3380f5016457d2c7cc7976996ad3395fb7b2aa7804a9068255"
+        )
+
+    def test_faulty_batch_greyhole_with_recovery(self, graph):
+        pairs = run_faulty_graph_batch(
+            graph, 4, 2, 2, horizon=400.0, sessions=30, rng=48,
+            relays=DroppingRelays.sample(30, 0.3, 0.5, rng=47),
+            recovery=RecoveryPolicy(custody_timeout=30.0, max_retries=2),
+        )
+        assert _outcome_digest(pairs) == (
+            "428f1ba07880fd3315a4f16c303d5efe6ccdd7a8e887c73b47386078c142f2e1"
+        )

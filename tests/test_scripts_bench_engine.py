@@ -2,7 +2,8 @@
 
 Each backend arm reports its best-of-N wall. The layer seconds on the
 same row must come from that same fastest attempt, so they can never add
-up to more than the wall.
+up to more than the wall. The generation time an engine row subtracts
+must likewise be measured on the stream that row's batch consumes.
 """
 
 from __future__ import annotations
@@ -77,3 +78,17 @@ def test_security_backend_bench_stats_come_from_the_timed_attempt(monkeypatch):
     assert identity["security_backend"]
     for name, row in rows.items():
         assert row["backend_seconds"] <= row["wall_seconds"] + 1e-4, (name, row)
+
+
+def test_produced_stream_is_the_counted_batch_stream():
+    # The batch draws every endpoint and route before the engine pulls its
+    # first window, so the timed generation must replay those draws too.
+    graph = random_contact_graph(
+        40, DEFAULT_CONFIG.mean_intercontact_range, rng=np.random.default_rng(SEED)
+    )
+    batch = (5, 3, SESSIONS)
+    counted = bench_engine.count_events(graph, *batch, HORIZON, SEED)
+    for columnar in (True, False):
+        assert bench_engine.produce_events(
+            graph, SEED, HORIZON, columnar, *batch
+        ) == counted
