@@ -16,11 +16,17 @@ by ``L`` (after Spyropoulos et al.), i.e. multiplies each rate by ``L``.
 
 from __future__ import annotations
 
-from typing import Sequence
+from functools import lru_cache
+from typing import TYPE_CHECKING, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.analysis.hypoexponential import Hypoexponential, Method
 from repro.contacts.graph import ContactGraph
 from repro.utils.validation import check_non_negative, check_positive_int
+
+if TYPE_CHECKING:
+    from repro.core.route import OnionRoute
 
 
 def onion_path_rates(
@@ -120,6 +126,45 @@ def delivery_rate_from_rates(
     check_positive_int(copies, "copies")
     boosted = [rate * copies for rate in hop_rates]
     return float(Hypoexponential(boosted, method=method).cdf(deadline))
+
+
+@lru_cache(maxsize=4096)
+def _hypoexponential_for(rates: Tuple[float, ...]) -> Hypoexponential:
+    """Memoized Hypoexponential keyed by the (boosted) rate tuple.
+
+    Delivery-curve sweeps evaluate the same route realisation at many
+    deadlines and copy counts; the instance caches its Eq. 5 coefficients
+    and uniformized transition matrix, so reusing it skips both rebuilds.
+    """
+    return Hypoexponential(rates)
+
+
+def analysis_delivery_curve(
+    graph: ContactGraph,
+    routes: Sequence["OnionRoute"],
+    deadlines: Sequence[float],
+    copies: int = 1,
+) -> List[Tuple[float, float]]:
+    """Average the Eq. 6/7 model over concrete route realisations.
+
+    This is the one route-set evaluator: every figure or model that
+    averages the delivery model over routes calls it. Routes containing an unreachable hop (zero aggregate rate — possible on
+    sparse trace-estimated graphs) contribute zero delivery probability,
+    matching what the protocol would experience.
+    """
+    deadline_arr = np.asarray(list(deadlines), dtype=float)
+    total = np.zeros_like(deadline_arr)
+    for route in routes:
+        try:
+            rates = onion_path_rates(
+                graph, route.source, route.groups, route.destination
+            )
+        except ValueError:
+            continue  # unreachable hop: contributes zeros
+        boosted = tuple(rate * copies for rate in rates)
+        total += np.asarray(_hypoexponential_for(boosted).cdf(deadline_arr))
+    mean = total / max(len(routes), 1)
+    return [(float(t), float(p)) for t, p in zip(deadline_arr, mean)]
 
 
 def expected_path_delay(

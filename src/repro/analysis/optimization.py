@@ -12,12 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.analysis.anonymity import path_anonymity_multicopy
 from repro.analysis.cost import multi_copy_cost_bound
-from repro.analysis.delivery import onion_path_rates
-from repro.analysis.hypoexponential import Hypoexponential
+from repro.analysis.delivery import analysis_delivery_curve
 from repro.analysis.traceable import traceable_rate_model
 from repro.contacts.graph import ContactGraph
 from repro.core.onion_groups import OnionGroupDirectory
@@ -55,22 +52,21 @@ def _mean_delivery(
     routes: int,
     rng,
 ) -> float:
+    """Average Eq. 7 over random routes; unreachable routes count as zero.
+
+    The caller only asks for (K, g) points where K distinct non-endpoint
+    groups exist, so route selection cannot fail here.
+    """
     directory = OnionGroupDirectory(graph.n, group_size, rng=rng)
-    total = 0.0
+    sampled = []
     for _ in range(routes):
         source, destination = rng.choice(graph.n, size=2, replace=False)
-        try:
-            route = directory.select_route(
+        sampled.append(
+            directory.select_route(
                 int(source), int(destination), onion_routers, rng=rng
             )
-            rates = onion_path_rates(
-                graph, route.source, route.groups, route.destination
-            )
-            boosted = [rate * copies for rate in rates]
-            total += float(Hypoexponential(boosted).cdf(deadline))
-        except ValueError:
-            pass  # infeasible or unreachable configuration sample
-    return total / routes
+        )
+    return analysis_delivery_curve(graph, sampled, (deadline,), copies)[0][1]
 
 
 def evaluate_configurations(

@@ -11,11 +11,17 @@ Subcommands::
     onion-dtn simulate --availability 0.8 --drop-prob 0.5 ...  # with faults
     onion-dtn trace stats FILE              # inspect a haggle-format trace
     onion-dtn backends                      # kernel backends + availability
+
+The kernel compute backend is chosen by ``$REPRO_KERNEL_BACKEND`` (``numpy``
+by default, or ``cc``) for every subcommand; outcomes are byte-identical
+across backends, so ``REPRO_KERNEL_BACKEND=cc onion-dtn figure 5`` prints
+what the default run prints, only faster or slower.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Callable, Dict, Union
 
@@ -74,9 +80,6 @@ _MC_FIGS = {6, 7, 8, 9, 12, 13, 15, 16, 18, 19}
 # Figures whose batches run through the parallel layer; e1/e2 drive one
 # shared engine inline and stay serial.
 _PARALLEL_FIGS = (_SIM_FIGS | _MC_FIGS) - {"e1", "e2"}
-# Figures whose runners thread a kernel-backend selection down to the
-# struct-of-arrays kernels (delivery, security, and trace figures).
-_BACKEND_FIGS = {4, 5, 6, 7, 8, 9, 10, 12, 13, 14, 15, 16, 17, 18, 19}
 
 
 def _figure_key(value: str) -> FigureKey:
@@ -147,21 +150,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default uniform: fixed-count uniform compromise)",
     )
     figure.add_argument(
-        "--sessions", type=int, default=None,
+        "--sessions", type=_positive_int, default=None,
         help="simulated sessions (delivery/cost figures)",
     )
     figure.add_argument(
         "--workers", type=_positive_int, default=1,
         help="worker processes for the simulation/Monte Carlo batches "
         "(default 1: serial, seed-exact with historical runs)",
-    )
-    figure.add_argument(
-        "--kernel-backend",
-        choices=tuple(BACKENDS),
-        default=None,
-        help="kernel compute backend (default: $REPRO_KERNEL_BACKEND or "
-        "numpy; the compiled backend degrades to numpy when unavailable, "
-        "outcomes are byte-identical either way; see `onion-dtn backends`)",
     )
     figure.add_argument("--markdown", action="store_true")
     figure.add_argument(
@@ -278,27 +273,15 @@ def _run_figure(args: argparse.Namespace) -> int:
             )
             return 2
         kwargs["compromise_model"] = args.compromise_model
-    if args.kernel_backend is not None:
-        if args.number not in _BACKEND_FIGS:
-            print(
-                f"error: --kernel-backend only applies to the kernel-swept "
-                f"figures ({', '.join(str(k) for k in sorted(_BACKEND_FIGS))})",
-                file=sys.stderr,
-            )
+    # Fail fast on a bad $REPRO_KERNEL_BACKEND instead of surfacing a
+    # traceback from deep inside the sweep at resolve time.
+    env_backend = os.environ.get(ENV_VAR)
+    if env_backend:
+        try:
+            check_backend_name(env_backend)
+        except ValueError as exc:
+            print(f"error: ${ENV_VAR}: {exc}", file=sys.stderr)
             return 2
-        kwargs["backend"] = args.kernel_backend
-    else:
-        # Fail fast on a bad $REPRO_KERNEL_BACKEND instead of surfacing a
-        # traceback from deep inside the sweep at resolve time.
-        import os
-
-        env_backend = os.environ.get(ENV_VAR)
-        if env_backend:
-            try:
-                check_backend_name(env_backend)
-            except ValueError as exc:
-                print(f"error: ${ENV_VAR}: {exc}", file=sys.stderr)
-                return 2
     if args.sessions is not None and args.number in _SIM_FIGS:
         if args.number in (4, 5, 10, 11):
             kwargs["sessions_per_graph"] = args.sessions
@@ -541,14 +524,11 @@ def _run_backends(args: argparse.Namespace) -> int:
 
     Always exits 0 — an unavailable backend is an expected state (it
     degrades to numpy at resolve time), not an error. The output is the
-    introspection counterpart of ``--kernel-backend``: each row names a
-    valid selection and what selecting it would actually run.
+    introspection counterpart of ``$REPRO_KERNEL_BACKEND``: each row names
+    a valid selection and what selecting it would actually run.
     """
-    import os
-
     env_backend = os.environ.get(ENV_VAR)
-    print("kernel backends (select with --kernel-backend or "
-          f"${ENV_VAR}):")
+    print(f"kernel backends (select with ${ENV_VAR}):")
     for name, cls in BACKENDS.items():
         if cls.available():
             status = "available"

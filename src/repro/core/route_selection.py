@@ -22,8 +22,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Optional, Set
 
-from repro.analysis.delivery import onion_path_rates
-from repro.analysis.hypoexponential import Hypoexponential
+from repro.analysis.delivery import delivery_rate
 from repro.contacts.graph import ContactGraph
 from repro.core.onion_groups import OnionGroupDirectory
 from repro.core.route import OnionRoute
@@ -77,10 +76,9 @@ class RateAwareSelector:
                 source, destination, onion_routers, rng=self._rng
             )
             try:
-                rates = onion_path_rates(
-                    self._graph, source, route.groups, destination
+                score = delivery_rate(
+                    self._graph, source, route.groups, destination, self._deadline
                 )
-                score = float(Hypoexponential(rates).cdf(self._deadline))
             except ValueError:
                 score = 0.0  # unreachable hop
             if score > best_score:

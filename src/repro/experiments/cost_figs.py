@@ -71,27 +71,6 @@ def measured_transmissions_sweep(
     return [float(np.mean(per_variant)) for per_variant in counts]
 
 
-def measured_transmissions(
-    config: PaperConfig,
-    onion_routers: int,
-    copies: int,
-    graphs: int,
-    sessions_per_graph: int,
-    rng: RandomSource,
-    workers: Workers = 1,
-) -> float:
-    """Mean transmissions per message for a single (K, L) variant."""
-    return measured_transmissions_sweep(
-        config,
-        onion_routers=onion_routers,
-        copy_counts=[copies],
-        graphs=graphs,
-        sessions_per_graph=sessions_per_graph,
-        rng=rng,
-        workers=workers,
-    )[0]
-
-
 def figure_11(
     copy_counts: Sequence[int] = (1, 2, 3, 4, 5),
     onion_router_counts: Sequence[int] = (3, 5),

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -31,7 +31,6 @@ def delivery_sweep_series(
     sessions_per_graph: int,
     rng: RandomSource,
     workers: Workers = 1,
-    backend: Optional[str] = None,
 ) -> List[Tuple[Series, Series]]:
     """(Analysis, Simulation) series pairs for a fused parameter sweep.
 
@@ -46,10 +45,9 @@ def delivery_sweep_series(
     serial behaviour.
 
     Eligible fault-free single-copy *and* multi-copy batches run through
-    the struct-of-arrays kernels. ``backend`` names the kernel compute
-    backend (``"numpy"`` or ``"cc"``; see :mod:`repro.sim.backend`) —
-    outcomes are byte-identical across backends, only the sweep speed
-    changes.
+    the struct-of-arrays kernels, on the compute backend named by
+    ``$REPRO_KERNEL_BACKEND`` (see :mod:`repro.sim.backend`) — outcomes
+    are byte-identical across backends, only the sweep speed changes.
     """
     generator = ensure_rng(rng)
     deadlines = config.deadlines
@@ -72,7 +70,6 @@ def delivery_sweep_series(
             shared_events=shared_contact_block(
                 workers, graph, graph_rng, config.max_deadline
             ),
-            backend=backend,
             graph=graph,
             horizon=config.max_deadline,
         )
@@ -98,40 +95,6 @@ def delivery_sweep_series(
     return pairs
 
 
-def delivery_variant_series(
-    config: PaperConfig,
-    group_size: int,
-    onion_routers: int,
-    copies: int,
-    graphs: int,
-    sessions_per_graph: int,
-    rng: RandomSource,
-    label: str,
-    workers: Workers = 1,
-    backend: Optional[str] = None,
-) -> Tuple[Series, Series]:
-    """One (Analysis, Simulation) series pair for a single variant.
-
-    Single-point convenience wrapper over :func:`delivery_sweep_series`.
-    """
-    return delivery_sweep_series(
-        config,
-        [
-            SweepVariant(
-                label=label,
-                group_size=group_size,
-                onion_routers=onion_routers,
-                copies=copies,
-            )
-        ],
-        graphs=graphs,
-        sessions_per_graph=sessions_per_graph,
-        rng=rng,
-        workers=workers,
-        backend=backend,
-    )[0]
-
-
 def _sweep_figure(
     figure_id: str,
     title: str,
@@ -141,7 +104,6 @@ def _sweep_figure(
     sessions_per_graph: int,
     seed: RandomSource,
     workers: Workers,
-    backend: Optional[str] = None,
 ) -> FigureResult:
     """Shared body of the fused delivery-rate figures."""
     pairs = delivery_sweep_series(
@@ -151,7 +113,6 @@ def _sweep_figure(
         sessions_per_graph=sessions_per_graph,
         rng=ensure_rng(seed),
         workers=workers,
-        backend=backend,
     )
     analysis = [a for a, _ in pairs]
     simulation = [s for _, s in pairs]
@@ -172,7 +133,6 @@ def figure_04(
     sessions_per_graph: int = 40,
     seed: RandomSource = 4,
     workers: Workers = 1,
-    backend: Optional[str] = None,
 ) -> FigureResult:
     """Fig. 4 — delivery rate vs deadline for group sizes g ∈ {1, 5, 10}.
 
@@ -197,7 +157,6 @@ def figure_04(
         sessions_per_graph,
         seed,
         workers,
-        backend,
     )
 
 
@@ -208,7 +167,6 @@ def figure_05(
     sessions_per_graph: int = 40,
     seed: RandomSource = 5,
     workers: Workers = 1,
-    backend: Optional[str] = None,
 ) -> FigureResult:
     """Fig. 5 — delivery rate vs deadline for K ∈ {3, 5, 10} onion routers.
 
@@ -232,7 +190,6 @@ def figure_05(
         sessions_per_graph,
         seed,
         workers,
-        backend,
     )
 
 
@@ -243,7 +200,6 @@ def figure_10(
     sessions_per_graph: int = 40,
     seed: RandomSource = 10,
     workers: Workers = 1,
-    backend: Optional[str] = None,
 ) -> FigureResult:
     """Fig. 10 — delivery rate vs deadline for L ∈ {1, 3, 5} copies (g = 5).
 
@@ -272,5 +228,4 @@ def figure_10(
         sessions_per_graph,
         seed,
         workers,
-        backend,
     )

@@ -15,7 +15,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.analysis.delivery import onion_path_rates
+from repro.analysis.delivery import analysis_delivery_curve
 from repro.analysis.hypoexponential import Hypoexponential
 from repro.contacts.events import ExponentialContactProcess
 from repro.contacts.random_graph import random_contact_graph
@@ -46,8 +46,8 @@ def figure_e1(
     directory = OnionGroupDirectory(config.n, group_size, rng=rng)
     deadlines = np.asarray(config.deadlines)
 
-    paper_total = np.zeros(len(deadlines))
     refined_total = np.zeros(len(deadlines))
+    routes = []
     outcomes = []
     engine = SimulationEngine(
         ExponentialContactProcess(graph, rng=rng), horizon=config.max_deadline
@@ -57,9 +57,7 @@ def figure_e1(
         route = directory.select_route(
             int(source), int(destination), config.onion_routers, rng=rng
         )
-        paper_total += Hypoexponential(
-            onion_path_rates(graph, route.source, route.groups, route.destination)
-        ).cdf(deadlines)
+        routes.append(route)
         refined_total += Hypoexponential(
             refined_onion_path_rates(
                 graph, route.source, route.groups, route.destination
@@ -72,6 +70,7 @@ def figure_e1(
         engine.add_session(session)
         outcomes.append(session.outcome())
     engine.run()
+    paper = analysis_delivery_curve(graph, routes, deadlines)
 
     return FigureResult(
         figure_id="Fig. E1",
@@ -81,7 +80,7 @@ def figure_e1(
         series=(
             Series(
                 label="Paper model (Eq. 6)",
-                points=tuple(zip(deadlines, paper_total / sessions)),
+                points=tuple(paper),
             ),
             Series(
                 label="Refined model",

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from repro.analysis.robustness import churned_delivery_rate, greyhole_delivery_rate
+from repro.analysis.delivery import analysis_delivery_curve
+from repro.analysis.robustness import greyhole_delivery_rate
 from repro.adversary.dropping import DroppingRelays
 from repro.contacts.random_graph import random_contact_graph
 from repro.experiments.config import DEFAULT_CONFIG, PaperConfig
@@ -106,21 +107,12 @@ def figure_r1(
             churn=churn,
         )
         churn_points.append((availability, _delivered_fraction(pairs, deadline)))
-        model = sum(
-            churned_delivery_rate(
-                graph,
-                route.source,
-                route.groups,
-                route.destination,
-                deadline,
-                availability,
-                copies=config.copies,
-            )
-            for route, _ in pairs
-        ) / len(pairs)
-        model_points.append((availability, model))
-
         thinned = churned_graph(graph, availability)
+        curve = analysis_delivery_curve(
+            thinned, [route for route, _ in pairs], (deadline,), config.copies
+        )
+        model_points.append((availability, curve[0][1]))
+
         scaled = run_parallel_batch(
             run_random_graph_batch,
             sessions=sessions,

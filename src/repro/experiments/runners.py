@@ -28,8 +28,9 @@ from repro.adversary.kernel import (
     SecurityTrialBlock,
     sample_security_block,
 )
-from repro.analysis.delivery import onion_path_rates
-from repro.analysis.hypoexponential import Hypoexponential
+# Re-exported: the delivery and trace figures import the route-set
+# evaluator from here.
+from repro.analysis.delivery import analysis_delivery_curve  # noqa: F401
 from repro.contacts.events import (
     ExponentialContactProcess,
     TraceReplayProcess,
@@ -367,44 +368,6 @@ def run_faulty_graph_batch(
     )
     engine.run()
     return pairs
-
-
-@lru_cache(maxsize=4096)
-def _hypoexponential_for(rates: Tuple[float, ...]) -> Hypoexponential:
-    """Memoized Hypoexponential keyed by the (boosted) rate tuple.
-
-    Delivery-curve sweeps evaluate the same route realisation at many
-    deadlines and copy counts; the instance caches its Eq. 5 coefficients
-    and uniformized transition matrix, so reusing it skips both rebuilds.
-    """
-    return Hypoexponential(rates)
-
-
-def analysis_delivery_curve(
-    graph: ContactGraph,
-    routes: Sequence[OnionRoute],
-    deadlines: Sequence[float],
-    copies: int = 1,
-) -> List[Tuple[float, float]]:
-    """Average the Eq. 6/7 model over concrete route realisations.
-
-    Routes containing an unreachable hop (zero aggregate rate — possible on
-    sparse trace-estimated graphs) contribute zero delivery probability,
-    matching what the protocol would experience.
-    """
-    deadline_arr = np.asarray(list(deadlines), dtype=float)
-    total = np.zeros_like(deadline_arr)
-    for route in routes:
-        try:
-            rates = onion_path_rates(
-                graph, route.source, route.groups, route.destination
-            )
-        except ValueError:
-            continue  # unreachable hop: contributes zeros
-        boosted = tuple(rate * copies for rate in rates)
-        total += np.asarray(_hypoexponential_for(boosted).cdf(deadline_arr))
-    mean = total / max(len(routes), 1)
-    return [(float(t), float(p)) for t, p in zip(deadline_arr, mean)]
 
 
 def simulated_delivery_curve(

@@ -55,7 +55,6 @@ def fused_security_points(
     rng: RandomSource,
     overlapping: bool = False,
     compromise_model: CompromiseModelSpec = "uniform",
-    backend: "str | None" = None,
 ) -> List[Tuple[float, float]]:
     """(traceable, anonymity) per ``(K, L, c)`` grid point, one fused call.
 
@@ -82,7 +81,6 @@ def fused_security_points(
         rng=rng,
         overlapping=overlapping,
         compromise_model=compromise_model,
-        backend=backend,
     )
     return [(flat[2 * k], flat[2 * k + 1]) for k in range(len(variants))]
 
@@ -94,7 +92,6 @@ def figure_06(
     seed: RandomSource = 6,
     workers: Workers = 1,
     compromise_model: CompromiseModelSpec = "uniform",
-    backend: "str | None" = None,
 ) -> FigureResult:
     """Fig. 6 — traceable rate vs compromised rate for K ∈ {3, 5, 10}."""
     generator = ensure_rng(seed)
@@ -123,7 +120,6 @@ def figure_06(
         workers,
         generator,
         compromise_model=compromise_model,
-        backend=backend,
     )
     for row, onion_routers in enumerate(onion_router_counts):
         points = tuple(
@@ -149,7 +145,6 @@ def figure_07(
     seed: RandomSource = 7,
     workers: Workers = 1,
     compromise_model: CompromiseModelSpec = "uniform",
-    backend: "str | None" = None,
 ) -> FigureResult:
     """Fig. 7 — traceable rate vs number of onion relays for c/n ∈ {10, 20, 30}%."""
     generator = ensure_rng(seed)
@@ -177,7 +172,6 @@ def figure_07(
         workers,
         generator,
         compromise_model=compromise_model,
-        backend=backend,
     )
     for row, rate in enumerate(compromise_rates):
         points = tuple(
@@ -202,7 +196,6 @@ def figure_08(
     seed: RandomSource = 8,
     workers: Workers = 1,
     compromise_model: CompromiseModelSpec = "uniform",
-    backend: "str | None" = None,
 ) -> FigureResult:
     """Fig. 8 — path anonymity vs compromised rate for g ∈ {1, 5, 10}."""
     generator = ensure_rng(seed)
@@ -231,8 +224,7 @@ def figure_08(
             workers,
             generator,
             compromise_model=compromise_model,
-            backend=backend,
-        )
+            )
         points = tuple(
             (rate, scored[col][1]) for col, rate in enumerate(rates)
         )
@@ -255,7 +247,6 @@ def figure_09(
     seed: RandomSource = 9,
     workers: Workers = 1,
     compromise_model: CompromiseModelSpec = "uniform",
-    backend: "str | None" = None,
 ) -> FigureResult:
     """Fig. 9 — path anonymity vs group size for c/n ∈ {10, 20, 30}%."""
     generator = ensure_rng(seed)
@@ -285,8 +276,7 @@ def figure_09(
                 workers,
                 generator,
                 compromise_model=compromise_model,
-                backend=backend,
-            )
+                    )
         )
     for row, rate in enumerate(compromise_rates):
         points = tuple(
@@ -311,7 +301,6 @@ def figure_12(
     seed: RandomSource = 12,
     workers: Workers = 1,
     compromise_model: CompromiseModelSpec = "uniform",
-    backend: "str | None" = None,
 ) -> FigureResult:
     """Fig. 12 — path anonymity vs compromised rate for L ∈ {1, 3, 5} (g = 5)."""
     generator = ensure_rng(seed)
@@ -348,7 +337,6 @@ def figure_12(
         workers,
         generator,
         compromise_model=compromise_model,
-        backend=backend,
     )
     for row, copies in enumerate(copy_counts):
         points = tuple(
@@ -375,7 +363,6 @@ def figure_13(
     seed: RandomSource = 13,
     workers: Workers = 1,
     compromise_model: CompromiseModelSpec = "uniform",
-    backend: "str | None" = None,
 ) -> FigureResult:
     """Fig. 13 — path anonymity vs group size for L ∈ {1, 3, 5} (c/n = 10%)."""
     generator = ensure_rng(seed)
@@ -411,8 +398,7 @@ def figure_13(
                 workers,
                 generator,
                 compromise_model=compromise_model,
-                backend=backend,
-            )
+                    )
         )
     for row, copies in enumerate(copy_counts):
         points = tuple(

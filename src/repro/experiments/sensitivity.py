@@ -10,15 +10,12 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-import numpy as np
-
 from repro.analysis.anonymity import (
     expected_compromised_on_path,
     path_anonymity,
     path_entropy,
 )
-from repro.analysis.delivery import onion_path_rates
-from repro.analysis.hypoexponential import Hypoexponential
+from repro.analysis.delivery import analysis_delivery_curve
 from repro.analysis.traceable import traceable_rate_model
 from repro.contacts.random_graph import random_contact_graph
 from repro.core.onion_groups import OnionGroupDirectory
@@ -38,20 +35,15 @@ def _mean_model_delivery(
     """Average Eq. 6 over random routes; unreachable routes count as zero."""
     graph = random_contact_graph(n=n, density=density, rng=rng)
     directory = OnionGroupDirectory(n, group_size, rng=rng)
-    total = 0.0
+    sampled = []
     for _ in range(routes):
         source, destination = rng.choice(n, size=2, replace=False)
-        route = directory.select_route(
-            int(source), int(destination), onion_routers, rng=rng
-        )
-        try:
-            rates = onion_path_rates(
-                graph, route.source, route.groups, route.destination
+        sampled.append(
+            directory.select_route(
+                int(source), int(destination), onion_routers, rng=rng
             )
-            total += float(Hypoexponential(rates).cdf(deadline))
-        except ValueError:
-            pass  # unreachable hop on a sparse graph
-    return total / routes
+        )
+    return analysis_delivery_curve(graph, sampled, (deadline,))[0][1]
 
 
 def network_size_sensitivity(

@@ -54,7 +54,6 @@ def _trace_delivery_sweep(
     overlapping: bool,
     labels: Sequence[str],
     workers: Workers = 1,
-    backend: Optional[str] = None,
 ) -> List[List[Series]]:
     """(Analysis, Simulation) series per L, fused over one trace replay.
 
@@ -80,7 +79,6 @@ def _trace_delivery_sweep(
         sessions_per_variant=sessions,
         workers=workers,
         rng=generator,
-        backend=backend,
         trace=normalized,
         deadline=max(deadlines),
         overlapping=overlapping,
@@ -119,7 +117,6 @@ def _trace_security_figure(
     overlapping: bool,
     workers: Workers = 1,
     compromise_model: CompromiseModelSpec = "uniform",
-    backend: "str | None" = None,
 ) -> FigureResult:
     """Shared body of the trace security figures (15, 16, 18, 19).
 
@@ -167,7 +164,6 @@ def _trace_security_figure(
         generator,
         overlapping=overlapping,
         compromise_model=compromise_model,
-        backend=backend,
     )
     metric_index = 0 if metric == "traceable" else 1
     for row, copies in enumerate(simulated_copies):
@@ -202,7 +198,6 @@ def figure_14(
     sessions: int = 50,
     seed: RandomSource = 14,
     workers: Workers = 1,
-    backend: Optional[str] = None,
 ) -> FigureResult:
     """Fig. 14 — delivery rate vs deadline (s) on the Cambridge-like trace."""
     generator = ensure_rng(seed)
@@ -219,7 +214,6 @@ def figure_14(
         overlapping=True,
         labels=("L=1",),
         workers=workers,
-        backend=backend,
     )[0]
     return FigureResult(
         figure_id="Fig. 14",
@@ -238,7 +232,6 @@ def figure_15(
     seed: RandomSource = 15,
     workers: Workers = 1,
     compromise_model: CompromiseModelSpec = "uniform",
-    backend: "str | None" = None,
 ) -> FigureResult:
     """Fig. 15 — traceable rate vs compromised rate (Cambridge-like trace)."""
     return _trace_security_figure(
@@ -255,7 +248,6 @@ def figure_15(
         metric="traceable",
         overlapping=True,
         compromise_model=compromise_model,
-        backend=backend,
     )
 
 
@@ -266,7 +258,6 @@ def figure_16(
     seed: RandomSource = 16,
     workers: Workers = 1,
     compromise_model: CompromiseModelSpec = "uniform",
-    backend: "str | None" = None,
 ) -> FigureResult:
     """Fig. 16 — path anonymity vs compromised rate (Cambridge-like trace)."""
     return _trace_security_figure(
@@ -283,7 +274,6 @@ def figure_16(
         metric="anonymity",
         overlapping=True,
         compromise_model=compromise_model,
-        backend=backend,
     )
 
 
@@ -299,7 +289,6 @@ def figure_17(
     sessions: int = 50,
     seed: RandomSource = 17,
     workers: Workers = 1,
-    backend: Optional[str] = None,
 ) -> FigureResult:
     """Fig. 17 — delivery rate vs deadline (log s) on the Infocom-like trace.
 
@@ -323,7 +312,6 @@ def figure_17(
         overlapping=False,
         labels=tuple(f"L={copies}" for copies in copy_counts),
         workers=workers,
-        backend=backend,
     )
     analysis_half = [pair[0] for pair in pairs]
     simulation_half = [pair[1] for pair in pairs]
@@ -345,7 +333,6 @@ def figure_18(
     seed: RandomSource = 18,
     workers: Workers = 1,
     compromise_model: CompromiseModelSpec = "uniform",
-    backend: "str | None" = None,
 ) -> FigureResult:
     """Fig. 18 — traceable rate vs compromised rate (Infocom-like trace)."""
     return _trace_security_figure(
@@ -362,7 +349,6 @@ def figure_18(
         metric="traceable",
         overlapping=False,
         compromise_model=compromise_model,
-        backend=backend,
     )
 
 
@@ -374,7 +360,6 @@ def figure_19(
     seed: RandomSource = 19,
     workers: Workers = 1,
     compromise_model: CompromiseModelSpec = "uniform",
-    backend: "str | None" = None,
 ) -> FigureResult:
     """Fig. 19 — path anonymity vs compromised rate (Infocom-like trace)."""
     return _trace_security_figure(
@@ -391,5 +376,4 @@ def figure_19(
         metric="anonymity",
         overlapping=False,
         compromise_model=compromise_model,
-        backend=backend,
     )

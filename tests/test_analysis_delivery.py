@@ -6,13 +6,18 @@ import numpy as np
 import pytest
 
 from repro.analysis.delivery import (
+    analysis_delivery_curve,
     delivery_rate,
     delivery_rate_from_rates,
     delivery_rate_multicopy,
     expected_path_delay,
     onion_path_rates,
 )
+from repro.analysis.hypoexponential import Hypoexponential
 from repro.contacts.graph import ContactGraph
+from repro.contacts.random_graph import random_contact_graph
+from repro.core.onion_groups import OnionGroupDirectory
+from repro.experiments.config import DEFAULT_CONFIG
 
 
 @pytest.fixture
@@ -135,3 +140,164 @@ class TestExpectedPathDelay:
         single = expected_path_delay(graph, 0, GROUPS, 19, copies=1)
         triple = expected_path_delay(graph, 0, GROUPS, 19, copies=3)
         assert triple == pytest.approx(single / 3)
+
+
+# ----------------------------------------------------------------------
+# analysis_delivery_curve: the one route-set evaluator
+# ----------------------------------------------------------------------
+#
+# Each figure or model that averages Eq. 6/7 over routes calls
+# analysis_delivery_curve. The oracles below are the per-route loops those
+# callers once ran by hand — a scalar Hypoexponential per route, summed in
+# route order — and the tests demand exact equality with them.
+
+
+def _scalar_model(graph, route, deadline, copies=1):
+    """Eq. 6/7 for one route with a fresh scalar Hypoexponential."""
+    rates = onion_path_rates(graph, route.source, route.groups, route.destination)
+    return float(Hypoexponential([rate * copies for rate in rates]).cdf(deadline))
+
+
+def _loop_mean(graph, routes, deadline, copies=1):
+    """Per-route mean of the scalar model; unreachable routes add zero."""
+    total = 0.0
+    for route in routes:
+        try:
+            total += _scalar_model(graph, route, deadline, copies)
+        except ValueError:
+            pass
+    return total / len(routes)
+
+
+def _loop_mean_model_delivery(
+    n, density, group_size, onion_routers, deadline, routes, rng
+):
+    """The sensitivity figures' route draw followed by the per-route loop."""
+    graph = random_contact_graph(n=n, density=density, rng=rng)
+    directory = OnionGroupDirectory(n, group_size, rng=rng)
+    sampled = []
+    for _ in range(routes):
+        source, destination = rng.choice(n, size=2, replace=False)
+        sampled.append(
+            directory.select_route(int(source), int(destination), onion_routers, rng=rng)
+        )
+    return _loop_mean(graph, sampled, deadline)
+
+
+def _loop_mean_delivery(
+    graph, group_size, onion_routers, copies, deadline, routes, rng
+):
+    """The configuration search's route draw followed by the per-route loop."""
+    directory = OnionGroupDirectory(graph.n, group_size, rng=rng)
+    sampled = []
+    for _ in range(routes):
+        source, destination = rng.choice(graph.n, size=2, replace=False)
+        sampled.append(
+            directory.select_route(int(source), int(destination), onion_routers, rng=rng)
+        )
+    return _loop_mean(graph, sampled, deadline, copies)
+
+
+class TestAnalysisDeliveryCurve:
+    def test_runners_reexports_the_evaluator(self):
+        from repro.experiments import runners
+
+        assert runners.analysis_delivery_curve is analysis_delivery_curve
+
+    def test_figure_r1_analysis_is_mean_of_churned_delivery_rate(self, monkeypatch):
+        from repro.analysis.robustness import churned_delivery_rate
+        from repro.experiments import robustness_figs
+
+        churn_batches = []
+        real_batch = robustness_figs.run_parallel_batch
+
+        def recording_batch(fn, **kwargs):
+            pairs = real_batch(fn, **kwargs)
+            if fn is robustness_figs.run_faulty_graph_batch:
+                churn_batches.append((kwargs["graph"], pairs))
+            return pairs
+
+        monkeypatch.setattr(robustness_figs, "run_parallel_batch", recording_batch)
+        availabilities = (1.0, 0.6, 0.2)
+        result = robustness_figs.figure_r1(
+            availabilities=availabilities, deadline=360.0, sessions=12, seed=5
+        )
+        assert len(churn_batches) == len(availabilities)
+        expected = []
+        for availability, (graph, pairs) in zip(availabilities, churn_batches):
+            total = 0.0
+            for route, _ in pairs:
+                total += churned_delivery_rate(
+                    graph, route.source, route.groups, route.destination,
+                    360.0, availability, copies=DEFAULT_CONFIG.copies,
+                )
+            expected.append((availability, total / len(pairs)))
+        assert result.get("Analysis: Eq. 6 on churned graph").points == tuple(expected)
+
+    def test_sensitivity_series_equal_the_per_route_loop(self, monkeypatch):
+        from repro.experiments import sensitivity
+
+        def figures():
+            return (
+                sensitivity.network_size_sensitivity(sizes=(30, 60), routes=12, seed=3),
+                sensitivity.density_sensitivity(
+                    densities=(0.1, 0.3, 1.0), n=40, routes=15, seed=4
+                ),
+            )
+
+        evaluated = figures()
+        monkeypatch.setattr(
+            sensitivity, "_mean_model_delivery", _loop_mean_model_delivery
+        )
+        assert figures() == evaluated
+
+    def test_configuration_delivery_equals_the_per_route_loop(self, monkeypatch):
+        from repro.analysis import optimization
+
+        graphs = (
+            random_contact_graph(30, (10, 360), rng=4),
+            random_contact_graph(30, density=0.3, rng=6),
+        )
+
+        def scores():
+            return [
+                optimization.evaluate_configurations(
+                    graph, 300.0, 0.1, routes_per_point=8, rng=7
+                )
+                for graph in graphs
+            ]
+
+        evaluated = scores()
+        monkeypatch.setattr(optimization, "_mean_delivery", _loop_mean_delivery)
+        assert scores() == evaluated
+
+    def test_figure_e1_paper_series_equals_the_per_route_loop(self, monkeypatch):
+        from repro.experiments import extension_figs
+
+        graphs, routes = [], []
+        real_graph = extension_figs.random_contact_graph
+        real_select = OnionGroupDirectory.select_route
+
+        def recording_graph(*args, **kwargs):
+            graphs.append(real_graph(*args, **kwargs))
+            return graphs[-1]
+
+        def recording_select(self, *args, **kwargs):
+            routes.append(real_select(self, *args, **kwargs))
+            return routes[-1]
+
+        monkeypatch.setattr(extension_figs, "random_contact_graph", recording_graph)
+        monkeypatch.setattr(OnionGroupDirectory, "select_route", recording_select)
+        result = extension_figs.figure_e1(sessions=15, seed=3)
+        assert len(graphs) == 1 and len(routes) == 15
+        deadlines = np.asarray(DEFAULT_CONFIG.deadlines)
+        total = np.zeros(len(deadlines))
+        for route in routes:
+            rates = onion_path_rates(
+                graphs[0], route.source, route.groups, route.destination
+            )
+            total += Hypoexponential(rates).cdf(deadlines)
+        expected = tuple(
+            (float(t), float(p)) for t, p in zip(deadlines, total / len(routes))
+        )
+        assert result.get("Paper model (Eq. 6)").points == expected

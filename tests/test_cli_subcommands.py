@@ -171,6 +171,16 @@ class TestFigureKeys:
         with pytest.raises(SystemExit):
             main(["figure", "zz"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["4", "--sessions", "0"], ["4", "--sessions", "-3"], ["r1", "--sessions", "0"]],
+    )
+    def test_non_positive_sessions_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figure", *argv])
+        assert excinfo.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+
 
 # Backends the registry once held; selecting one must now fail loudly.
 REMOVED_BACKENDS = ("numba", "cupy")
@@ -200,10 +210,20 @@ class TestBackends:
             _reset_backend_caches()
 
     @pytest.mark.parametrize("name", REMOVED_BACKENDS)
-    def test_removed_backend_name_is_rejected(self, capsys, name):
+    def test_removed_backend_name_is_rejected(self, capsys, monkeypatch, name):
+        from repro.sim.backend import ENV_VAR
+
+        monkeypatch.setenv(ENV_VAR, name)
+        assert main(["figure", "4", "--sessions", "2"]) == 2
+        err = capsys.readouterr().err
+        assert f"${ENV_VAR}" in err and name in err
+
+    def test_kernel_backend_flag_is_gone(self, capsys):
+        # The environment variable is the only backend selection.
         with pytest.raises(SystemExit) as excinfo:
-            main(["figure", "4", "--kernel-backend", name])
+            main(["figure", "4", "--kernel-backend", "cc"])
         assert excinfo.value.code == 2
+        assert "--kernel-backend" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", REMOVED_BACKENDS)
     def test_removed_backend_in_env_raises(self, monkeypatch, name):
