@@ -12,6 +12,10 @@ those are gated: a ratio regressing by more than ``--threshold`` percent
 ``--allow-regression`` to demote the gate back to report-only — e.g. when
 committing an intentional trade-off alongside a refreshed baseline.
 
+A gated ratio the current run wrote as ``null`` is a failed measurement
+(``bench_engine.py`` timed a non-positive phase). It fails the run
+whatever the baseline, the workloads or ``--allow-regression`` say.
+
 Usage::
 
     python scripts/bench_engine.py --quick --output bench_quick.json
@@ -138,7 +142,22 @@ def find_regressions(current: dict, baseline: dict, threshold: float) -> list:
     return regressions
 
 
-def build_table(current: dict, baseline: dict, regressions: list) -> str:
+def failed_measurements(current: dict) -> list:
+    """Labels of the gated ratios that ``current`` recorded as ``null``.
+
+    A missing key is a mode the run skipped; only an explicit ``null``
+    marks a failed measurement.
+    """
+    return [
+        label
+        for label, path, _unit, _higher, is_ratio in METRICS
+        if is_ratio and (_get(current, *path[:-1]) or {}).get(path[-1], 0) is None
+    ]
+
+
+def build_table(
+    current: dict, baseline: dict, regressions: list, failed: list = ()
+) -> str:
     gated = {label for label, _ in regressions}
     lines = [
         "### Engine bench delta (ratio-gated)",
@@ -149,14 +168,16 @@ def build_table(current: dict, baseline: dict, regressions: list) -> str:
     for label, path, unit, higher, _is_ratio in METRICS:
         cur = _get(current, *path)
         base = _get(baseline, *path)
-        if cur is None and base is None:
+        if cur is None and base is None and label not in failed:
             continue  # neither run measured this mode — nothing to say
-        marker = " ⚠" if label in gated else ""
+        marker = " ⚠" if label in gated or label in failed else ""
         # One-sided rows are stated explicitly: a metric the current run
         # has but the baseline lacks is "new" (a freshly added bench
         # mode), and one only the baseline has is "not in current run"
         # (e.g. a --mode subset), instead of an ambiguous n/a.
-        if base is None:
+        if label in failed:
+            delta = "failed measurement"
+        elif base is None:
             delta = "new"
         elif cur is None:
             delta = "not in current run"
@@ -210,7 +231,8 @@ def main(argv=None) -> int:
         return 0
 
     regressions = find_regressions(current, baseline, args.threshold)
-    table = build_table(current, baseline, regressions)
+    failed = failed_measurements(current)
+    table = build_table(current, baseline, regressions, failed)
     try:
         print(table)
     except BrokenPipeError:  # e.g. piped into head
@@ -219,6 +241,14 @@ def main(argv=None) -> int:
     if summary_path:
         with open(summary_path, "a", encoding="utf-8") as handle:
             handle.write(table + "\n")
+    for label in failed:
+        print(
+            f"bench-delta: {label} is a failed measurement "
+            "(a non-positive phase time)",
+            file=sys.stderr,
+        )
+    if failed:
+        return 1
     if regressions:
         for label, change in regressions:
             print(

@@ -32,10 +32,14 @@ sessions over one n=100 random contact graph (g=5, K=3, L=1) with a
   trial block through :class:`SecurityBatchKernel`.
 
 Engine rows split the wall into ``generation_seconds`` (producing the
-event stream) and ``dispatch_seconds`` (everything else), and the engine
-ratios are quoted on the dispatch phase; the backend ratios are quoted
-on the wall. Each arm reports its best-of-``--repeat`` wall, and its
-stats, digest and delivered count come from that same fastest attempt.
+event stream, timed in the same attempt just before the arm runs) and
+``dispatch_seconds`` (everything else), and the engine ratios are quoted
+on the dispatch phase; the backend ratios are quoted on the wall. A ratio
+whose phase time is not positive (generation timed longer than an arm's
+whole wall) is written as ``null``, a failed measurement that
+``bench_delta.py`` fails on. Each arm reports its best-of-``--repeat``
+wall, and its generation time, stats, digest and delivered count come
+from that same fastest attempt.
 Backend compile warm-up runs outside the timer. The report lands in
 ``BENCH_engine.json`` at the repo root::
 
@@ -183,7 +187,7 @@ def best_of(attempt, repeat):
     return min((attempt() for _ in range(repeat)), key=lambda run: run[0])
 
 
-def compare(arms, repeat, reference, cost=lambda name, wall: wall, warm=None):
+def compare(arms, repeat, reference, cost=lambda wall, observed: wall, warm=None):
     """Time each arm best-of-``repeat``; ``(best, identical, ratio)``.
 
     ``arms`` maps a row name to ``attempt()``, which runs the arm once and
@@ -193,7 +197,8 @@ def compare(arms, repeat, reference, cost=lambda name, wall: wall, warm=None):
     arm's stats never pair with another attempt's wall. ``warm(name)``
     runs untimed before an arm's attempts. ``identical`` is whether every
     digest matches ``reference``'s, and ``ratio`` is the reference arm's
-    ``cost(name, wall)`` over the last arm's.
+    ``cost(wall, observed)`` over the last arm's, or ``None`` when either cost
+    is not positive: that is a failed measurement, not a huge ratio.
     """
     best = {}
     for name, attempt in arms.items():
@@ -203,8 +208,11 @@ def compare(arms, repeat, reference, cost=lambda name, wall: wall, warm=None):
     digest = best[reference][1]["digest"]
     identical = all(observed["digest"] == digest for _, observed in best.values())
     last = list(best)[-1]
-    ratio = cost(reference, best[reference][0]) / max(cost(last, best[last][0]), 1e-9)
-    return best, identical, round(ratio, 2)
+    numerator = cost(*best[reference])
+    denominator = cost(*best[last])
+    if min(numerator, denominator) <= 0:
+        return best, identical, None  # a failed measurement has no ratio
+    return best, identical, round(numerator / denominator, 2)
 
 
 def producer_benchmark(graph, horizon, seed, repeat):
@@ -243,34 +251,44 @@ def paths(suffix=""):
 
 
 def engine_benchmark(
-    run, modes, generation, events, repeat, check, speedup_key, extra=None,
+    run, modes, generate, events, repeat, check, speedup_key, extra=None,
     fields=("delivered",),
 ):
     """Time ``run(**kwargs)`` per mode; ``(rows, identity_checks, speedups)``.
 
     ``modes`` maps a row name to the runner kwargs selecting its path:
     an optional ``indexed`` arm, then the columnar reference, with the
-    kernel last. ``generation`` maps a row name to the seconds of
-    producing its event stream, which split the wall into generation and
-    dispatch. The identity verdict goes under ``check`` and the
-    columnar/kernel dispatch ratio under ``speedup_key``. ``extra`` fields
-    ride on every row, followed by ``fields`` from each arm's observation.
+    kernel last. ``generate`` maps a row name to a call producing its
+    event stream; each attempt times it just before the arm's run, and
+    that time splits the attempt's wall into generation and dispatch, so
+    both halves are measured under the same conditions. The identity
+    verdict goes under ``check`` and the columnar/kernel dispatch ratio
+    under ``speedup_key``. ``extra`` fields ride on every row, followed by
+    ``fields`` from each arm's observation.
     """
-    arms = {
-        name: call_arm(lambda kwargs=kwargs: run(**kwargs), observe_batch)
-        for name, kwargs in modes.items()
-    }
 
-    def dispatch(name, wall):
-        return max(wall - generation[name], 0.0)
+    def arm(kwargs, produce):
+        run_once = call_arm(lambda: run(**kwargs), observe_batch)
+
+        def attempt():
+            generation, _ = timed(produce)
+            wall, observed = run_once()
+            return wall, {**observed, "generation": generation}
+
+        return attempt
+
+    arms = {name: arm(kwargs, generate[name]) for name, kwargs in modes.items()}
+
+    def dispatch(wall, observed):
+        return wall - observed["generation"]
 
     reference = next(name for name in modes if name != "indexed")
     best, identical, ratio = compare(arms, repeat, reference, cost=dispatch)
     rows = {
         name: {
             "wall_seconds": round(wall, 4),
-            "generation_seconds": round(generation[name], 4),
-            "dispatch_seconds": round(dispatch(name, wall), 4),
+            "generation_seconds": round(observed["generation"], 4),
+            "dispatch_seconds": round(dispatch(wall, observed), 4),
             "events": events,
             "events_per_second": round(events / wall, 1),
             **(extra or {}),
@@ -297,21 +315,14 @@ def graph_benchmark(
             sessions=sessions, rng=np.random.default_rng(seed), **kwargs,
         )
 
-    columnar = {name: kw.get("consume") != "iterator" for name, kw in modes.items()}
-    seconds = {
-        kind: best_of(
-            call_arm(
-                lambda kind=kind: produce_events(
-                    graph, seed, horizon, kind, group_size, onion_routers, sessions
-                )
-            ),
-            repeat,
-        )[0]
-        for kind in set(columnar.values())
+    generate = {
+        name: lambda columnar=kw.get("consume") != "iterator": produce_events(
+            graph, seed, horizon, columnar, group_size, onion_routers, sessions
+        )
+        for name, kw in modes.items()
     }
-    generation = {name: seconds[kind] for name, kind in columnar.items()}
     return engine_benchmark(
-        run, modes, generation, events, repeat, check, speedup_key, extra
+        run, modes, generate, events, repeat, check, speedup_key, extra
     )
 
 
@@ -325,15 +336,9 @@ def trace_benchmark(group_size, onion_routers, deadline, sessions, seed, repeat)
     columnar block, not sampling them.
     """
     trace = infocom05_like_trace(rng=np.random.default_rng(seed)).normalized()
-    replay, observed = best_of(
-        call_arm(
-            lambda: len(
-                TraceReplayProcess(trace).events_until_columnar(trace.end + 1.0)
-            ),
-            lambda events: {"events": events},
-        ),
-        repeat,
-    )
+
+    def replay():
+        return len(TraceReplayProcess(trace).events_until_columnar(trace.end + 1.0))
 
     def run(**kwargs):
         return run_trace_batch(
@@ -346,7 +351,7 @@ def trace_benchmark(group_size, onion_routers, deadline, sessions, seed, repeat)
         run,
         modes,
         dict.fromkeys(modes, replay),
-        observed["events"],
+        replay(),
         repeat,
         "trace",
         "speedup_kernel_trace_vs_columnar",
@@ -689,7 +694,8 @@ def main(argv=None) -> int:
         print(f"{name + ':':<26} {row['wall_seconds']:8.3f}s ({detail})")
     for key, value in report.items():
         if key.startswith("speedup_"):
-            print(f"{key}: {value:.2f}x")
+            shown = "failed measurement" if value is None else f"{value:.2f}x"
+            print(f"{key}: {shown}")
     print(f"identical outcomes: {report['identical_outcomes']}")
     print(f"report: {args.output}")
     if not report["identical_outcomes"]:

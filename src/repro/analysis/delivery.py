@@ -16,8 +16,8 @@ by ``L`` (after Spyropoulos et al.), i.e. multiplies each rate by ``L``.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from collections import defaultdict
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -128,17 +128,6 @@ def delivery_rate_from_rates(
     return float(Hypoexponential(boosted, method=method).cdf(deadline))
 
 
-@lru_cache(maxsize=4096)
-def _hypoexponential_for(rates: Tuple[float, ...]) -> Hypoexponential:
-    """Memoized Hypoexponential keyed by the (boosted) rate tuple.
-
-    Delivery-curve sweeps evaluate the same route realisation at many
-    deadlines and copy counts; the instance caches its Eq. 5 coefficients
-    and uniformized transition matrix, so reusing it skips both rebuilds.
-    """
-    return Hypoexponential(rates)
-
-
 def analysis_delivery_curve(
     graph: ContactGraph,
     routes: Sequence["OnionRoute"],
@@ -148,23 +137,95 @@ def analysis_delivery_curve(
     """Average the Eq. 6/7 model over concrete route realisations.
 
     This is the one route-set evaluator: every figure or model that
-    averages the delivery model over routes calls it. Routes containing an unreachable hop (zero aggregate rate — possible on
-    sparse trace-estimated graphs) contribute zero delivery probability,
-    matching what the protocol would experience.
+    averages the delivery model over routes calls it. Routes containing an
+    unreachable hop (zero aggregate rate — possible on sparse
+    trace-estimated graphs) contribute zero delivery probability, matching
+    what the protocol would experience.
     """
     deadline_arr = np.asarray(list(deadlines), dtype=float)
+    # A running sum in route order: the mean must not depend on how the
+    # routes were batched.
     total = np.zeros_like(deadline_arr)
-    for route in routes:
-        try:
-            rates = onion_path_rates(
-                graph, route.source, route.groups, route.destination
-            )
-        except ValueError:
-            continue  # unreachable hop: contributes zeros
-        boosted = tuple(rate * copies for rate in rates)
-        total += np.asarray(_hypoexponential_for(boosted).cdf(deadline_arr))
+    for curve in route_delivery_curves(graph, routes, deadline_arr, copies):
+        total += curve
     mean = total / max(len(routes), 1)
     return [(float(t), float(p)) for t, p in zip(deadline_arr, mean)]
+
+
+def route_delivery_curves(
+    graph: ContactGraph,
+    routes: Sequence["OnionRoute"],
+    deadlines: np.ndarray,
+    copies: int = 1,
+) -> np.ndarray:
+    """Eq. 6/7 of every route at every deadline, as a ``(routes × deadlines)`` array.
+
+    All routes with the same number of hops are evaluated as one
+    :class:`Hypoexponential` batch over the rows of
+    :func:`route_rate_matrix`. Row ``r`` is bit-identical to
+    :func:`delivery_rate_multicopy` of ``routes[r]`` at each deadline, except
+    that a route with an unreachable hop reads ``0.0`` instead of raising.
+    """
+    per_route = np.zeros((len(routes), len(deadlines)))
+    by_hops: Dict[int, List[int]] = defaultdict(list)
+    for index, route in enumerate(routes):
+        by_hops[len(route.groups)].append(index)
+    for indices in by_hops.values():
+        rates = route_rate_matrix(graph, [routes[i] for i in indices])
+        reachable = (rates > 0).all(axis=1)
+        if reachable.any():
+            rows = np.asarray(indices)[reachable]
+            per_route[rows] = Hypoexponential(rates[reachable] * copies).cdf(deadlines)
+    return per_route
+
+
+def route_rate_matrix(
+    graph: ContactGraph, routes: Sequence["OnionRoute"]
+) -> np.ndarray:
+    """The ``(routes × η)`` Eq. 4 hop rates of routes with equal ``K``.
+
+    Row ``r`` equals ``onion_path_rates`` of ``routes[r]``, bit for bit,
+    except that an unreachable hop reads ``0.0`` instead of raising. Groups
+    of unequal size are padded with ``-1``, a member that adds no rate.
+    """
+    rate = graph.rates
+    hops = len(routes[0].groups)
+    members = [
+        _padded_members([route.groups[k] for route in routes]) for k in range(hops)
+    ]
+    sources = np.array([[route.source] for route in routes])
+    destinations = np.array([[route.destination] for route in routes])
+    out = np.empty((len(routes), hops + 1))
+    out[:, 0] = _pair_rate_sum(rate, sources, members[0])
+    for k in range(1, hops):
+        senders, receivers = members[k - 1], members[k]
+        total = _pair_rate_sum(rate, senders[:, :, None], receivers[:, None, :])
+        out[:, k] = total / (senders >= 0).sum(axis=1)
+    out[:, hops] = _pair_rate_sum(rate, destinations, members[-1])
+    return out
+
+
+def _padded_members(groups: Sequence[Sequence[int]]) -> np.ndarray:
+    """One group per row, padded on the right with ``-1``."""
+    width = max(len(members) for members in groups)
+    return np.array(
+        [tuple(members) + (-1,) * (width - len(members)) for members in groups]
+    )
+
+
+def _pair_rate_sum(
+    rate: np.ndarray, senders: np.ndarray, receivers: np.ndarray
+) -> np.ndarray:
+    """Per row, ``Σ rate[i, j]`` over the broadcast (sender, receiver) pairs.
+
+    ``ContactGraph.anycast_rate`` and ``group_to_group_rate`` add pair by
+    pair from ``0.0`` in sender-major order, skipping ``i == j``. The running
+    sum (``cumsum``) keeps that order, with ``0.0`` added for skipped pairs
+    and padding. ``np.sum`` would not: it reassociates the additions.
+    """
+    counted = (senders >= 0) & (receivers >= 0) & (senders != receivers)
+    terms = np.where(counted, rate[senders, receivers], 0.0)
+    return np.cumsum(terms.reshape(len(terms), -1), axis=1)[:, -1]
 
 
 def expected_path_delay(

@@ -16,6 +16,10 @@ Two evaluation strategies are provided:
   catastrophic cancellation there, and even ``scipy.linalg.expm`` loses four
   digits on these nearly-defective bidiagonal generators. ``method="auto"``
   picks between them.
+
+:class:`Hypoexponential` also takes an ``(R, η)`` array of rates, a batch
+of distributions that :meth:`Hypoexponential.cdf` evaluates in one pass; a
+single distribution is a batch of one row.
 """
 
 from __future__ import annotations
@@ -45,32 +49,50 @@ class Hypoexponential:
     Parameters
     ----------
     rates:
-        Per-stage rates ``λ_k > 0``, in path order.
+        Per-stage rates ``λ_k > 0``, in path order. An ``(R, η)`` array is
+        a batch of ``R`` such distributions with ``η`` stages each:
+        :meth:`cdf` and :meth:`sf` evaluate the whole batch in one pass and
+        return one row per distribution, each bit-identical to that row's
+        own instance. The other methods describe one distribution and
+        reject a batch.
     method:
         ``"closed-form"`` forces the paper's Eq. 5/6 (raises if rates
         coincide), ``"matrix"`` forces the phase-type evaluation, ``"auto"``
         (default) uses the closed form when rates are well separated.
     """
 
-    def __init__(self, rates: Iterable[float], method: Method = "auto"):
-        self._rates = tuple(float(r) for r in rates)
-        if not self._rates:
+    def __init__(
+        self, rates: Union[Iterable[float], np.ndarray], method: Method = "auto"
+    ):
+        given = np.array(
+            rates if isinstance(rates, np.ndarray) else list(rates), dtype=float
+        )
+        if given.ndim not in (1, 2):
+            raise ValueError("rates must be a sequence or a (rows, stages) array")
+        if not given.shape[-1]:
             raise ValueError("at least one stage rate is required")
-        for k, rate in enumerate(self._rates):
-            if not math.isfinite(rate) or rate <= 0:
-                raise ValueError(f"rate λ_{k + 1} must be positive, got {rate!r}")
+        self._batch = given.ndim == 2
+        self._rows = given.reshape(-1, given.shape[-1])
+        bad = np.argwhere(~(np.isfinite(self._rows) & (self._rows > 0)))
+        if bad.size:
+            row, k = bad[0]
+            rate = float(self._rows[row, k])
+            raise ValueError(f"rate λ_{k + 1} must be positive, got {rate!r}")
         if method not in ("auto", "closed-form", "matrix"):
             raise ValueError(f"unknown method {method!r}")
         self._method = method
-        # The instance is immutable, so derived quantities are computed at
-        # most once: Eq. 5 coefficients, the uniformized DTMC, and the
-        # rate-separation predicate are all hot in cdf/pdf sweeps. The rate
-        # array is materialised up front for the same reason — cdf/pdf were
-        # re-converting the tuple on every call of a deadline sweep.
-        self._rates_arr = np.asarray(self._rates, dtype=float)
+        # Computed at most once and published with one assignment: the
+        # instance is immutable and may be shared across threads.
         self._coefficients_cache: Union[np.ndarray, None] = None
-        self._transition_cache: Union[tuple[np.ndarray, float], None] = None
-        self._distinct_cache: Union[bool, None] = None
+
+    def _single(self) -> np.ndarray:
+        """The stage rates of the one distribution this instance describes."""
+        if self._batch:
+            raise ValueError(
+                f"a batch of {len(self._rows)} distributions has no single "
+                "rate vector; build one instance per row"
+            )
+        return self._rows[0]
 
     # ------------------------------------------------------------------
     # basic properties
@@ -79,20 +101,20 @@ class Hypoexponential:
     @property
     def rates(self) -> tuple[float, ...]:
         """Stage rates in path order."""
-        return self._rates
+        return tuple(float(rate) for rate in self._single())
 
     @property
     def stages(self) -> int:
         """Number of exponential stages (``η`` in the paper)."""
-        return len(self._rates)
+        return self._rows.shape[1]
 
     def mean(self) -> float:
         """Expected total delay ``Σ 1/λ_k``."""
-        return sum(1.0 / r for r in self._rates)
+        return sum(1.0 / r for r in self.rates)
 
     def var(self) -> float:
         """Variance of the total delay ``Σ 1/λ_k²``."""
-        return sum(1.0 / (r * r) for r in self._rates)
+        return sum(1.0 / (r * r) for r in self.rates)
 
     # ------------------------------------------------------------------
     # closed form (paper Eq. 5/6)
@@ -100,18 +122,7 @@ class Hypoexponential:
 
     def has_distinct_rates(self) -> bool:
         """Whether all stage rates are pairwise well separated."""
-        if self._distinct_cache is None:
-            # Compute into a local and publish with one assignment: the
-            # instance is shared across threads in parallel sweeps, and a
-            # reader must never observe a provisional value mid-check.
-            distinct = True
-            ordered = sorted(self._rates)
-            for lo, hi in zip(ordered, ordered[1:]):
-                if (hi - lo) <= _RELATIVE_GAP_TOLERANCE * hi:
-                    distinct = False
-                    break
-            self._distinct_cache = distinct
-        return self._distinct_cache
+        return bool(_distinct_rows(self._single()[None, :])[0])
 
     def coefficients(self) -> np.ndarray:
         """The ``A_k^{(η)}`` coefficients of the paper's Eq. 5.
@@ -121,80 +132,10 @@ class Hypoexponential:
         not exist there — it degenerates to an Erlang-like mixture).
         """
         if not self.has_distinct_rates():
-            raise ValueError(
-                "closed-form coefficients require pairwise distinct rates; "
-                "use method='matrix'"
-            )
+            raise ValueError(_NOT_DISTINCT)
         if self._coefficients_cache is None:
-            rates = self._rates_arr
-            coeffs = np.empty_like(rates)
-            for k in range(len(rates)):
-                others = np.delete(rates, k)
-                coeffs[k] = np.prod(others / (others - rates[k]))
-            self._coefficients_cache = coeffs
+            self._coefficients_cache = _eq5_coefficients(self._rows)[0]
         return self._coefficients_cache
-
-    def _cdf_closed_form(self, t: np.ndarray) -> np.ndarray:
-        coeffs = self.coefficients()
-        rates = self._rates_arr
-        # F(t) = Σ_k A_k (1 - e^{-λ_k t})  (paper Eq. 6)
-        terms = coeffs[None, :] * (-np.expm1(-np.outer(t, rates)))
-        return terms.sum(axis=1)
-
-    # ------------------------------------------------------------------
-    # phase-type form via uniformization
-    # ------------------------------------------------------------------
-
-    def _uniformized_transition(self) -> tuple[np.ndarray, float]:
-        """Sub-stochastic DTMC ``P = I + Q/Λ`` and the uniformization rate Λ."""
-        if self._transition_cache is None:
-            eta = self.stages
-            biggest = max(self._rates)
-            transition = np.zeros((eta, eta))
-            for k, rate in enumerate(self._rates):
-                transition[k, k] = 1.0 - rate / biggest
-                if k + 1 < eta:
-                    transition[k, k + 1] = rate / biggest
-            self._transition_cache = (transition, biggest)
-        return self._transition_cache
-
-    def _propagate(self, state: np.ndarray, duration: float) -> np.ndarray:
-        """``state · e^{Q·duration}`` by Jensen's uniformization.
-
-        All intermediate quantities are non-negative, so no cancellation —
-        accuracy is limited only by the Poisson-tail cut-off (< 1e-15 here).
-        Long horizons are split into segments so the leading ``e^{-Λτ}``
-        weight never underflows.
-        """
-        transition, biggest = self._uniformized_transition()
-        remaining = duration
-        while remaining > 0:
-            tau = min(remaining, _UNIFORMIZATION_SEGMENT / biggest)
-            remaining -= tau
-            lam_tau = biggest * tau
-            weight = math.exp(-lam_tau)
-            term = state
-            acc = weight * term
-            m = 0
-            # Continue until the Poisson tail is negligible.
-            while weight > 1e-18 * (1.0 + acc.sum()) or m < lam_tau:
-                m += 1
-                term = term @ transition
-                weight *= lam_tau / m
-                acc = acc + weight * term
-                if m > 10000:  # pragma: no cover - defensive cut-off
-                    break
-            state = acc
-        return state
-
-    def _cdf_matrix(self, t: np.ndarray) -> np.ndarray:
-        alpha = np.zeros(self.stages)
-        alpha[0] = 1.0
-        out = np.empty_like(t)
-        for idx, value in enumerate(t):
-            state = self._propagate(alpha, float(value))
-            out[idx] = 1.0 - state.sum()
-        return out
 
     # ------------------------------------------------------------------
     # public distribution API
@@ -204,9 +145,8 @@ class Hypoexponential:
     def _as_time_grid(t: Union[float, Sequence[float]]) -> np.ndarray:
         """A 1-D float64 view of ``t``, copying only when conversion demands.
 
-        Figure sweeps evaluate hundreds of routes on one shared deadline
-        grid; handing that grid back untouched keeps the per-route cost at
-        the evaluation itself. The grid is only read, never written.
+        The grid is only read, never written, so a precomputed float64
+        grid is handed back untouched.
         """
         if isinstance(t, np.ndarray) and t.dtype == np.float64 and t.ndim == 1:
             return t
@@ -215,31 +155,26 @@ class Hypoexponential:
     def cdf(self, t: Union[float, Sequence[float]]) -> Union[float, np.ndarray]:
         """``P[delay ≤ t]``; accepts a scalar or an array of times.
 
-        A precomputed one-dimensional float64 grid is used as-is — no
-        copy, no re-broadcast — so sweeping many routes over one shared
-        deadline grid costs the conversion once, at grid creation.
+        On a batch the result gains a leading axis, one entry per
+        distribution. ``method="auto"`` chooses per distribution: the
+        closed form (Eq. 5/6) when its rates are well separated and its
+        values over the whole grid are finite and within
+        ``[−1e-9, 1 + 1e-9]``, uniformization otherwise.
         """
         t_arr = self._as_time_grid(t)
         if np.any(t_arr < 0):
             raise ValueError("times must be non-negative")
-
-        if self._method == "matrix":
-            values = self._cdf_matrix(t_arr)
-        elif self._method == "closed-form":
-            values = self._cdf_closed_form(t_arr)
-        else:  # auto
-            if self.has_distinct_rates():
-                values = self._cdf_closed_form(t_arr)
-                # Cancellation guard: fall back if the closed form misbehaved.
-                if np.any(~np.isfinite(values)) or np.any(
-                    (values < -1e-9) | (values > 1 + 1e-9)
-                ):
-                    values = self._cdf_matrix(t_arr)
-            else:
-                values = self._cdf_matrix(t_arr)
-
-        values = np.clip(values, 0.0, 1.0)
-        return float(values[0]) if np.isscalar(t) or np.ndim(t) == 0 else values
+        values = np.empty((len(self._rows), t_arr.size))
+        step = max(1, _BLOCK_PAIRS // max(t_arr.size, 1))
+        for start in range(0, len(self._rows), step):
+            block = slice(start, start + step)
+            values[block] = _cdf_block(self._rows[block], t_arr, self._method)
+        scalar = np.isscalar(t) or np.ndim(t) == 0
+        if scalar:
+            values = values[:, 0]
+        if self._batch:
+            return values
+        return float(values[0]) if scalar else values[0]
 
     def sf(self, t: Union[float, Sequence[float]]) -> Union[float, np.ndarray]:
         """Survival function ``P[delay > t]``."""
@@ -254,22 +189,15 @@ class Hypoexponential:
         t_arr = self._as_time_grid(t)
         if np.any(t_arr < 0):
             raise ValueError("times must be non-negative")
-        rates = self._rates_arr
+        rates = self._single()
         if self._method != "matrix" and self.has_distinct_rates():
             coeffs = self.coefficients()
             values = (coeffs * rates)[None, :] * np.exp(-np.outer(t_arr, rates))
             values = values.sum(axis=1)
         else:
             # Density is the absorption flux: (α e^{Qt})_{last} · λ_last.
-            alpha = np.zeros(self.stages)
-            alpha[0] = 1.0
-            exit_rate = self._rates[-1]
-            values = np.array(
-                [
-                    self._propagate(alpha, float(value))[-1] * exit_rate
-                    for value in t_arr
-                ]
-            )
+            states = _uniformized_states(rates[None, :], t_arr)
+            values = states[0, :, -1] * rates[-1]
         values = np.maximum(values, 0.0)
         return float(values[0]) if np.isscalar(t) or np.ndim(t) == 0 else values
 
@@ -279,9 +207,163 @@ class Hypoexponential:
             raise ValueError(f"size must be positive, got {size}")
         generator = ensure_rng(rng)
         draws = np.zeros(size)
-        for rate in self._rates:
+        for rate in self.rates:
             draws += generator.exponential(1.0 / rate, size=size)
         return draws
 
     def __repr__(self) -> str:
+        if self._batch:
+            return f"Hypoexponential(batch={len(self._rows)}, stages={self.stages})"
         return f"Hypoexponential(stages={self.stages}, mean={self.mean():.6g})"
+
+
+# ----------------------------------------------------------------------
+# the evaluator: many rate rows, one time grid
+# ----------------------------------------------------------------------
+#
+# A single distribution is a batch of one row, so the batch and the scalar
+# evaluation cannot drift apart. Each row's result is bit-identical to
+# evaluating that row alone: the reductions run over the last, contiguous
+# axis (the same kernel a single row uses), and uniformization advances
+# each (row, time) pair with the stacked ``(P, 1, η) @ (P, η, η)`` product,
+# the same per-pair core as a 1-D ``state @ transition`` product.
+
+_NOT_DISTINCT = (
+    "closed-form coefficients require pairwise distinct rates; use method='matrix'"
+)
+
+# (row, time) pairs evaluated per block, which bounds the batched
+# temporaries (a few (pairs × η) arrays, and (pairs × η × η) transitions
+# for the rows that need uniformization).
+_BLOCK_PAIRS = 8192
+
+
+def _cdf_block(rates: np.ndarray, t: np.ndarray, method: Method) -> np.ndarray:
+    values = np.empty((len(rates), t.size))
+    if method == "matrix":
+        uniformize = np.ones(len(rates), dtype=bool)
+    else:
+        distinct = _distinct_rows(rates)
+        if method == "closed-form" and not distinct.all():
+            raise ValueError(_NOT_DISTINCT)
+        closed = _closed_form_cdf(rates[distinct], t)
+        values[distinct] = closed
+        uniformize = ~distinct
+        if method == "auto":
+            # Cancellation guard: a row whose closed form misbehaved
+            # anywhere on the grid is uniformized over the whole grid.
+            uniformize[distinct] = ~np.isfinite(closed).all(axis=1) | (
+                (closed < -1e-9) | (closed > 1 + 1e-9)
+            ).any(axis=1)
+    if uniformize.any():
+        states = _uniformized_states(rates[uniformize], t)
+        values[uniformize] = 1.0 - states.sum(axis=-1)
+    return np.clip(values, 0.0, 1.0)
+
+
+def _distinct_rows(rates: np.ndarray) -> np.ndarray:
+    """Per row: are all stage rates pairwise well separated?"""
+    ordered = np.sort(rates, axis=1)
+    lo, hi = ordered[:, :-1], ordered[:, 1:]
+    return ~((hi - lo) <= _RELATIVE_GAP_TOLERANCE * hi).any(axis=1)
+
+
+def _eq5_coefficients(rates: np.ndarray) -> np.ndarray:
+    """``A_k = Π_{j≠k} λ_j / (λ_j − λ_k)`` (paper Eq. 5) for every row."""
+    coeffs = np.empty_like(rates)
+    for k in range(rates.shape[1]):
+        others = np.delete(rates, k, axis=1)
+        coeffs[:, k] = np.prod(others / (others - rates[:, k : k + 1]), axis=1)
+    return coeffs
+
+
+def _closed_form_cdf(rates: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``F(t) = Σ_k A_k (1 − e^{−λ_k t})`` (paper Eq. 6) for every row."""
+    # Extreme rate spreads overflow the coefficients; the caller's range
+    # check sends such rows to uniformization.
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = _eq5_coefficients(rates)
+        exponent = -(t[None, :, None] * rates[:, None, :])
+        terms = coeffs[:, None, :] * (-np.expm1(exponent))
+        return terms.sum(axis=-1)
+
+
+def _uniformized_states(rates: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``α e^{Q t}`` for every row of ``rates`` and every ``t``: ``(R, D, η)``.
+
+    ``Q`` is the bidiagonal phase-type generator of the row's stages and
+    ``α = e_1``. Jensen's uniformization with ``P = I + Q/Λ`` and
+    ``Λ = max λ_k``: all intermediate quantities are non-negative, so there
+    is no cancellation, and accuracy is limited only by the Poisson-tail
+    cut-off (< 1e-15 here). Each (row, time) pair keeps its own schedule:
+    long horizons are split into segments with ``Λτ ≤ 50`` so the leading
+    ``e^{−Λτ}`` weight never underflows.
+    """
+    rows, eta = rates.shape
+    biggest = rates.max(axis=1)
+    ratio = rates / biggest[:, None]
+    stage = np.arange(eta)
+    transition = np.zeros((rows, eta, eta))
+    transition[:, stage, stage] = 1.0 - ratio
+    transition[:, stage[:-1], stage[1:]] = ratio[:, :-1]
+
+    row = np.repeat(np.arange(rows), t.size)
+    remaining = np.tile(t, rows)
+    segment = _UNIFORMIZATION_SEGMENT / biggest[row]
+    states = np.zeros((row.size, eta))
+    states[:, 0] = 1.0
+    pending = np.flatnonzero(remaining > 0)
+    while pending.size:
+        tau = np.minimum(remaining[pending], segment[pending])
+        remaining[pending] -= tau
+        states[pending] = _uniformized_segment(
+            states[pending],
+            transition[row[pending]],
+            biggest[row[pending]] * tau,
+        )
+        pending = pending[remaining[pending] > 0]
+    return states.reshape(rows, t.size, eta)
+
+
+def _uniformized_segment(
+    state: np.ndarray, transition: np.ndarray, lam_tau: np.ndarray
+) -> np.ndarray:
+    """``state · e^{Q τ}`` per pair, as ``Σ_m Pois(m; Λτ) · state · P^m``.
+
+    A pair stops adding terms once its Poisson tail is negligible, exactly
+    where a loop over that pair alone would stop. Pairs are kept as
+    ``(P, 1, η)`` row vectors and per-pair scalars as ``(P, 1, 1)``, so each
+    step is one stacked product and two broadcast updates.
+    """
+    lam_tau = lam_tau[:, None, None]
+    weight = np.array([math.exp(-x) for x in lam_tau.ravel()])[:, None, None]
+    term = state[:, None, :]
+    acc = weight * term
+    out = np.empty_like(state)
+    live = np.arange(len(state))
+    sure = lam_tau.min()  # every live pair continues while m < sure
+    m = 0
+    while True:
+        # ``acc`` sums to about 1 at most, so a pair whose weight exceeds
+        # 3e-18 passes the tail test whatever ``acc`` holds: the test only
+        # needs to run once some live weight nears the cut-off.
+        if m >= sure and weight.min() <= 3e-18:
+            more = (
+                (weight > 1e-18 * (1.0 + acc.sum(axis=-1, keepdims=True)))
+                | (m < lam_tau)
+            ).ravel()
+            if not more.all():
+                out[live[~more]] = acc[~more, 0]
+                live, term, acc = live[more], term[more], acc[more]
+                weight, lam_tau = weight[more], lam_tau[more]
+                transition = transition[more]
+                if not live.size:
+                    return out
+                sure = lam_tau.min()
+        m += 1
+        term = term @ transition
+        weight = weight * (lam_tau / m)
+        acc = acc + weight * term
+        if m > 10000:  # pragma: no cover - defensive cut-off
+            out[live] = acc[:, 0]
+            return out

@@ -24,9 +24,15 @@ Two equivalences keep Eq. 4–7 predictive under faults:
 
 from __future__ import annotations
 
-from typing import AbstractSet, Sequence, Union
+from typing import TYPE_CHECKING, AbstractSet, Sequence, Union
 
-from repro.analysis.delivery import delivery_rate_multicopy, onion_path_rates
+import numpy as np
+
+from repro.analysis.delivery import (
+    delivery_rate_multicopy,
+    onion_path_rates,
+    route_delivery_curves,
+)
 from repro.analysis.hypoexponential import Hypoexponential
 from repro.contacts.graph import ContactGraph
 from repro.utils.validation import (
@@ -34,6 +40,9 @@ from repro.utils.validation import (
     check_positive_int,
     check_probability,
 )
+
+if TYPE_CHECKING:
+    from repro.core.route import OnionRoute
 
 
 def churned_delivery_rate(
@@ -116,7 +125,42 @@ def greyhole_delivery_rate(
     timing = float(
         Hypoexponential([rate * copies for rate in rates]).cdf(deadline)
     )
+    return timing * _replica_survival(groups, compromised, drop_prob, copies)
+
+
+def mean_greyhole_delivery_rate(
+    graph: ContactGraph,
+    routes: Sequence["OnionRoute"],
+    deadline: float,
+    compromised: AbstractSet[int],
+    drop_prob: float,
+    copies: int = 1,
+) -> float:
+    """:func:`greyhole_delivery_rate` averaged over ``routes``, bit for bit.
+
+    The timing terms of all routes come from one batched evaluation
+    (:func:`~repro.analysis.delivery.route_delivery_curves`), and the
+    products are summed in route order, as a per-route loop would. A route
+    with an unreachable hop contributes ``0.0`` instead of raising.
+    """
+    check_non_negative(deadline, "deadline")
+    check_positive_int(copies, "copies")
+    timing = route_delivery_curves(graph, routes, np.array([float(deadline)]), copies)
+    return sum(
+        float(curve[0])
+        * _replica_survival(route.groups, compromised, drop_prob, copies)
+        for curve, route in zip(timing, routes)
+    ) / len(routes)
+
+
+def _replica_survival(
+    groups: Sequence[Sequence[int]],
+    compromised: AbstractSet[int],
+    drop_prob: float,
+    copies: int,
+) -> float:
+    """Probability that one of ``copies`` replicas survives: ``1 − (1 − s)^L``."""
     survival = greyhole_survival_probability(groups, compromised, drop_prob)
     if copies > 1:
         survival = 1.0 - (1.0 - survival) ** copies
-    return timing * survival
+    return survival

@@ -199,7 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="single",
     )
     simulate.add_argument("--deadline", type=float, default=720.0)
-    simulate.add_argument("--trials", type=int, default=100)
+    simulate.add_argument("--trials", type=_positive_int, default=100)
     simulate.add_argument("--seed", type=int, default=0)
     faults = simulate.add_argument_group(
         "fault injection",
@@ -251,10 +251,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, default=100, help="network size")
-    parser.add_argument("-g", "--group-size", type=int, default=5)
-    parser.add_argument("-K", "--onion-routers", type=int, default=3)
-    parser.add_argument("-L", "--copies", type=int, default=1)
+    parser.add_argument("--n", type=_positive_int, default=100, help="network size")
+    parser.add_argument("-g", "--group-size", type=_positive_int, default=5)
+    parser.add_argument("-K", "--onion-routers", type=_positive_int, default=3)
+    parser.add_argument("-L", "--copies", type=_positive_int, default=1)
 
 
 def _run_figure(args: argparse.Namespace) -> int:

@@ -7,7 +7,7 @@
   two curves coinciding *is* the availability-scaling equivalence.
 * :func:`figure_r2` — delivery rate vs greyhole drop probability at a
   fixed compromised fraction. The analysis is the survival-scaled Eq. 6
-  (:func:`~repro.analysis.robustness.greyhole_delivery_rate`); simulation
+  (:func:`~repro.analysis.robustness.mean_greyhole_delivery_rate`); simulation
   runs with and without custody-timeout recovery, quantifying how much
   delivery the recovery protocol buys back.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from repro.analysis.delivery import analysis_delivery_curve
-from repro.analysis.robustness import greyhole_delivery_rate
+from repro.analysis.robustness import mean_greyhole_delivery_rate
 from repro.adversary.dropping import DroppingRelays
 from repro.contacts.random_graph import random_contact_graph
 from repro.experiments.config import DEFAULT_CONFIG, PaperConfig
@@ -194,19 +194,14 @@ def figure_r2(
             relays=relays,
         )
         plain_points.append((drop_prob, _delivered_fraction(pairs, deadline)))
-        model = sum(
-            greyhole_delivery_rate(
-                graph,
-                route.source,
-                route.groups,
-                route.destination,
-                deadline,
-                compromised,
-                drop_prob,
-                copies=config.copies,
-            )
-            for route, _ in pairs
-        ) / len(pairs)
+        model = mean_greyhole_delivery_rate(
+            graph,
+            [route for route, _ in pairs],
+            deadline,
+            compromised,
+            drop_prob,
+            copies=config.copies,
+        )
         model_points.append((drop_prob, model))
 
         recovery_relays = DroppingRelays(compromised, drop_prob, rng=recovery_rng)

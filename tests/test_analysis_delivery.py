@@ -12,11 +12,13 @@ from repro.analysis.delivery import (
     delivery_rate_multicopy,
     expected_path_delay,
     onion_path_rates,
+    route_rate_matrix,
 )
 from repro.analysis.hypoexponential import Hypoexponential
 from repro.contacts.graph import ContactGraph
 from repro.contacts.random_graph import random_contact_graph
 from repro.core.onion_groups import OnionGroupDirectory
+from repro.core.route import OnionRoute
 from repro.experiments.config import DEFAULT_CONFIG
 
 
@@ -301,3 +303,152 @@ class TestAnalysisDeliveryCurve:
             (float(t), float(p)) for t, p in zip(deadlines, total / len(routes))
         )
         assert result.get("Paper model (Eq. 6)").points == expected
+
+
+# ----------------------------------------------------------------------
+# the batched pass against the per-route loop, bit for bit
+# ----------------------------------------------------------------------
+
+
+def _loop_curve(graph, routes, deadlines, copies=1):
+    """One scalar Hypoexponential per route, summed in route order."""
+    grid = np.asarray(deadlines, dtype=float)
+    total = np.zeros_like(grid)
+    for route in routes:
+        try:
+            rates = onion_path_rates(
+                graph, route.source, route.groups, route.destination
+            )
+        except ValueError:
+            continue
+        total += Hypoexponential([rate * copies for rate in rates]).cdf(grid)
+    mean = total / max(len(routes), 1)
+    return [(float(t), float(p)) for t, p in zip(grid, mean)]
+
+
+def _sample_routes(n, group_size, onion_routers, count, seed, avoid=True):
+    rng = np.random.default_rng(seed)
+    directory = OnionGroupDirectory(n, group_size, rng=rng)
+    routes = []
+    for _ in range(count):
+        source, destination = rng.choice(n, size=2, replace=False)
+        routes.append(
+            directory.select_route(
+                int(source), int(destination), onion_routers, rng=rng,
+                avoid_endpoint_groups=avoid,
+            )
+        )
+    return routes
+
+
+def _unreachable(graph, route):
+    try:
+        onion_path_rates(graph, route.source, route.groups, route.destination)
+    except ValueError:
+        return True
+    return False
+
+
+def _trace_graph():
+    from repro.contacts.synthetic import infocom05_like_trace
+    from repro.experiments.runners import estimate_active_span, trace_contact_graph
+
+    trace = infocom05_like_trace(rng=11).normalized()
+    return trace_contact_graph(trace, estimate_active_span(trace))
+
+
+DEADLINE_GRIDS = (
+    (0.0, 60.0, 180.0, 600.0, 1800.0, 7200.0),
+    (300.0,),
+    (0.0,),
+    # Past 50/Λ on the synthetic graphs: uniformization runs several segments.
+    (4e3, 3e4),
+)
+GRID_IDS = ("grid", "single", "zero", "long")
+
+
+class TestBatchedRouteSet:
+    @pytest.mark.parametrize("copies", [1, 2, 3, 4])
+    @pytest.mark.parametrize("deadlines", DEADLINE_GRIDS, ids=GRID_IDS)
+    def test_random_graph_equals_the_loop(self, copies, deadlines):
+        graph = random_contact_graph(40, density=0.3, rng=copies)
+        routes = _sample_routes(40, 4, 3, 60, seed=copies, avoid=copies % 2 == 0)
+        assert analysis_delivery_curve(graph, routes, deadlines, copies) == (
+            _loop_curve(graph, routes, deadlines, copies)
+        )
+
+    @pytest.mark.parametrize("copies", [1, 3])
+    # The trace graph's rates are per second of a multi-day trace, so its
+    # multi-segment deadlines are longer.
+    @pytest.mark.parametrize(
+        "deadlines", DEADLINE_GRIDS + ((3e5, 1e6),), ids=GRID_IDS + ("trace-long",)
+    )
+    def test_trace_graph_with_unequal_groups_equals_the_loop(self, copies, deadlines):
+        graph = _trace_graph()
+        routes = _sample_routes(graph.n, 5, 3, 120, seed=2)
+        sizes = {len(members) for route in routes for members in route.groups}
+        assert len(sizes) > 1  # n = 41 leaves a group of one
+        assert any(_unreachable(graph, route) for route in routes)
+        assert analysis_delivery_curve(graph, routes, deadlines, copies) == (
+            _loop_curve(graph, routes, deadlines, copies)
+        )
+
+    def test_zero_rate_hops_contribute_zero(self):
+        graph = random_contact_graph(30, density=0.05, rng=4)
+        routes = _sample_routes(30, 2, 2, 80, seed=4)
+        unreachable = sum(_unreachable(graph, route) for route in routes)
+        assert 0 < unreachable < len(routes)
+        deadlines = DEADLINE_GRIDS[0]
+        assert analysis_delivery_curve(graph, routes, deadlines) == (
+            _loop_curve(graph, routes, deadlines)
+        )
+
+    def test_all_routes_unreachable(self):
+        graph = ContactGraph(np.zeros((6, 6)))
+        routes = [OnionRoute(0, 5, (0,), ((1, 2),))]
+        assert analysis_delivery_curve(graph, routes, (10.0, 20.0)) == [
+            (10.0, 0.0),
+            (20.0, 0.0),
+        ]
+
+    @pytest.mark.parametrize("deadlines", DEADLINE_GRIDS, ids=GRID_IDS)
+    def test_coinciding_rates_equal_the_loop(self, deadlines):
+        """Equal and near-equal hop rates go to uniformization."""
+        rng = np.random.default_rng(8)
+        uniform = ContactGraph.complete(30, 0.01)
+        jitter = 0.01 * (1 + rng.uniform(-1e-6, 1e-6, size=(30, 30)))
+        jitter = (jitter + jitter.T) / 2
+        np.fill_diagonal(jitter, 0.0)
+        routes = _sample_routes(30, 5, 3, 10, seed=8)
+        for graph in (uniform, ContactGraph(jitter)):
+            for copies in (1, 2):
+                assert analysis_delivery_curve(graph, routes, deadlines, copies) == (
+                    _loop_curve(graph, routes, deadlines, copies)
+                )
+
+    def test_overlapping_groups_and_mixed_hop_counts_equal_the_loop(self):
+        """Members equal to an endpoint or shared between groups add 0.0."""
+        graph = random_contact_graph(12, density=0.6, rng=3)
+        routes = [
+            OnionRoute(0, 11, (0, 1), ((0, 1, 2), (2, 3, 11))),
+            OnionRoute(4, 5, (0,), ((4, 5, 6, 7),)),
+            OnionRoute(1, 9, (0, 1, 2), ((2,), (2, 3, 4, 5), (5, 6))),
+            OnionRoute(3, 8, (0, 1), ((9, 10), (10,))),
+        ]
+        deadlines = DEADLINE_GRIDS[0]
+        for copies in (1, 2):
+            assert analysis_delivery_curve(graph, routes, deadlines, copies) == (
+                _loop_curve(graph, routes, deadlines, copies)
+            )
+
+    def test_rate_matrix_rows_equal_onion_path_rates(self):
+        graph = _trace_graph()
+        routes = _sample_routes(graph.n, 5, 3, 120, seed=6, avoid=False)
+        matrix = route_rate_matrix(graph, routes)
+        for route, row in zip(routes, matrix):
+            if _unreachable(graph, route):
+                assert (row == 0.0).any()
+            else:
+                assert list(row) == onion_path_rates(
+                    graph, route.source, route.groups, route.destination
+                )

@@ -1,12 +1,13 @@
-"""Thread-safety of the Hypoexponential instance caches.
+"""Thread-safety of a shared Hypoexponential instance.
 
-Parallel deadline sweeps share one :class:`Hypoexponential` per route
-across worker threads, so the lazily-populated caches (distinct-rate
-predicate, Eq. 5 coefficients, uniformized DTMC) must tolerate
-concurrent first use. The contract is single-assignment publication:
-every cache is computed into a local and installed with one store, so a
-concurrent reader observes either ``None`` (and recomputes) or the
-final value — never a provisional intermediate.
+An instance may be shared across threads, and its one lazily-populated
+cache (the Eq. 5 coefficients that ``coefficients()`` and ``pdf`` read)
+must tolerate concurrent first use. The contract is single-assignment
+publication: the cache is computed into a local and installed with one
+store, so a concurrent reader observes either ``None`` (and recomputes)
+or the final value — never a provisional intermediate. The distinct-rate
+predicate is recomputed on every call, and every thread must see the
+same answer.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Tests for the fault-degradation analytical models."""
 
+import numpy as np
 import pytest
 
 from repro.analysis.delivery import delivery_rate_multicopy
@@ -7,8 +8,11 @@ from repro.analysis.robustness import (
     churned_delivery_rate,
     greyhole_delivery_rate,
     greyhole_survival_probability,
+    mean_greyhole_delivery_rate,
 )
 from repro.contacts.graph import ContactGraph
+from repro.contacts.random_graph import random_contact_graph
+from repro.core.route import OnionRoute
 
 GROUPS = ((1, 2, 3), (4, 5, 6))
 
@@ -73,6 +77,37 @@ class TestGreyholeDelivery:
             graph, 0, GROUPS, 9, 300.0, {1, 4}, 0.8, copies=3
         )
         assert multi > single
+
+
+class TestMeanGreyholeDelivery:
+    """The batched route-set mean against the per-route loop, bit for bit."""
+
+    @staticmethod
+    def _routes(n, count, seed):
+        rng = np.random.default_rng(seed)
+        routes = []
+        for _ in range(count):
+            nodes = [int(v) for v in rng.choice(n, size=2 + 3 * 3, replace=False)]
+            groups = tuple(tuple(nodes[2 + 3 * k : 5 + 3 * k]) for k in range(3))
+            routes.append(OnionRoute(nodes[0], nodes[1], (0, 1, 2), groups))
+        return routes
+
+    @pytest.mark.parametrize("copies", [1, 3])
+    @pytest.mark.parametrize("drop_prob", [0.0, 0.5, 1.0])
+    def test_equals_the_per_route_loop(self, copies, drop_prob):
+        graph = random_contact_graph(30, (10, 360), rng=copies)
+        routes = self._routes(30, 80, seed=copies)
+        compromised = {0, 3, 7, 11, 19, 24}
+        loop = sum(
+            greyhole_delivery_rate(
+                graph, r.source, r.groups, r.destination, 720.0,
+                compromised, drop_prob, copies=copies,
+            )
+            for r in routes
+        ) / len(routes)
+        assert mean_greyhole_delivery_rate(
+            graph, routes, 720.0, compromised, drop_prob, copies=copies
+        ) == loop
 
 
 class TestChurnedDelivery:

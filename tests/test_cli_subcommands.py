@@ -182,6 +182,29 @@ class TestFigureKeys:
         assert "positive integer" in capsys.readouterr().err
 
 
+class TestNonPositiveCounts:
+    """Counts below 1 are usage errors (exit 2), never tracebacks."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--trials", "0"],
+            ["simulate", "--trials", "-5"],
+            ["model", "--n", "0"],
+            ["model", "-g", "0"],
+            ["model", "-K", "0"],
+            ["model", "-L", "0"],
+            ["plan", "--n", "-1"],
+            ["simulate", "--protocol", "single", "-K", "0"],
+        ],
+    )
+    def test_rejected_with_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+
+
 # Backends the registry once held; selecting one must now fail loudly.
 REMOVED_BACKENDS = ("numba", "cupy")
 

@@ -3,12 +3,15 @@
 Each backend arm reports its best-of-N wall. The layer seconds on the
 same row must come from that same fastest attempt, so they can never add
 up to more than the wall. The generation time an engine row subtracts
-must likewise be measured on the stream that row's batch consumes.
+must likewise be measured on the stream that row's batch consumes, and a
+dispatch phase that comes out non-positive is a failed measurement, not
+a clamped one.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import json
 import time
 from pathlib import Path
 
@@ -26,6 +29,12 @@ _spec = importlib.util.spec_from_file_location(
 )
 bench_engine = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_engine)
+
+_delta_spec = importlib.util.spec_from_file_location(
+    "bench_delta", ROOT / "scripts" / "bench_delta.py"
+)
+bench_delta = importlib.util.module_from_spec(_delta_spec)
+_delta_spec.loader.exec_module(bench_delta)
 
 SESSIONS = 200
 HORIZON = 360.0
@@ -92,3 +101,34 @@ def test_produced_stream_is_the_counted_batch_stream():
         assert bench_engine.produce_events(
             graph, SEED, HORIZON, columnar, *batch
         ) == counted
+
+
+def test_non_positive_dispatch_is_a_failed_measurement(monkeypatch, tmp_path):
+    # Plant the fault seen in the wild: the timed generation outlasts the
+    # kernel arm's whole wall, so wall − generation < 0.
+    graph = random_contact_graph(
+        40, DEFAULT_CONFIG.mean_intercontact_range, rng=np.random.default_rng(SEED)
+    )
+    produce = bench_engine.produce_events
+
+    def slow_produce(*args, **kwargs):
+        time.sleep(0.5)
+        return produce(*args, **kwargs)
+
+    monkeypatch.setattr(bench_engine, "produce_events", slow_produce)
+    rows, identity, speedups = bench_engine.graph_benchmark(
+        graph, 5, 3, 1, HORIZON, SESSIONS, SEED, 1, bench_engine.paths(),
+        events=0, check="kernel", speedup_key="speedup_kernel_vs_columnar",
+    )
+    assert identity["kernel"]
+    assert rows["kernel"]["dispatch_seconds"] < 0
+    assert speedups == {"speedup_kernel_vs_columnar": None}
+
+    current = tmp_path / "current.json"
+    current.write_text(json.dumps({"results": rows, **speedups}))
+    baseline = ROOT / "BENCH_engine.json"
+    assert bench_delta.failed_measurements(json.loads(current.read_text())) == [
+        "kernel vs columnar dispatch"
+    ]
+    for extra in ([], ["--allow-regression"]):
+        assert bench_delta.main([str(current), str(baseline), *extra]) == 1
