@@ -101,16 +101,6 @@ METRICS = (
      ("speedup_backend_vs_numpy",), "x", True, True),
     ("backend-numpy events/s",
      ("results", "backend-numpy", "events_per_second"), "", True, False),
-    # Report-only: a compiled-vs-numpy security ratio shifts with the
-    # runner's SIMD tier (np.partition dispatches AVX-512 where
-    # available), so gating it against a baseline from a different machine
-    # would flake. The compiled-backends CI leg asserts the digest
-    # identity and the key's presence explicitly.
-    ("compiled backend vs numpy (security fused sweep)",
-     ("speedup_security_backend_vs_numpy",), "x", True, False),
-    ("security-backend-numpy grid scores/s",
-     ("results", "security-backend-numpy", "grid_scores_per_second"),
-     "", True, False),
 )
 
 

@@ -28,13 +28,11 @@ sessions over one n=100 random contact graph (g=5, K=3, L=1) with a
 * **backend** — the numpy kernel backend vs the embedded-C ``cc``
   backend (when a C compiler is present) sweeping one pre-produced
   columnar window through :class:`BatchKernel`.
-* **security** — numpy vs ``cc`` scoring one shared figure-6-shaped
-  trial block through :class:`SecurityBatchKernel`.
 
 Engine rows split the wall into ``generation_seconds`` (producing the
 event stream, timed in the same attempt just before the arm runs) and
 ``dispatch_seconds`` (everything else), and the engine ratios are quoted
-on the dispatch phase; the backend ratios are quoted on the wall. A ratio
+on the dispatch phase; the backend ratio is quoted on the wall. A ratio
 whose phase time is not positive (generation timed longer than an arm's
 whole wall) is written as ``null``, a failed measurement that
 ``bench_delta.py`` fails on. Each arm reports its best-of-``--repeat``
@@ -49,7 +47,6 @@ Backend compile warm-up runs outside the timer. The report lands in
     python scripts/bench_engine.py --mode multicopy # multi-copy kernel pair
     python scripts/bench_engine.py --mode trace     # trace-replay kernel pair
     python scripts/bench_engine.py --mode backend   # numpy vs cc kernel sweep
-    python scripts/bench_engine.py --mode security  # numpy vs cc security scoring
     python scripts/bench_engine.py --repeat 3       # best-of-3 walls
 
 The script exits non-zero when paired paths disagree;
@@ -73,12 +70,6 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np
 
-from repro.adversary.compromise import CompromiseModel
-from repro.adversary.kernel import (
-    SecurityBatchKernel,
-    SecuritySweepVariant,
-    sample_security_block,
-)
 from repro.contacts.events import ExponentialContactProcess, TraceReplayProcess
 from repro.contacts.random_graph import random_contact_graph
 from repro.contacts.synthetic import infocom05_like_trace
@@ -96,7 +87,6 @@ from repro.sim.message import Message
 
 MULTICOPY_COPIES = 4
 TRACE_DEADLINE = 86400.0
-SECURITY_COMPROMISE_RATE = 0.10
 
 #: The backend-mode reference workload: the paper's deepest Fig. 5 route
 #: (K = 10) and a doubled batch, so the per-hop race the backends
@@ -360,117 +350,6 @@ def trace_benchmark(group_size, onion_routers, deadline, sessions, seed, repeat)
     )
 
 
-def compare_backends(prefix, make, run, observe, fields, repeat, speedup_key):
-    """numpy vs ``cc`` arms of one kernel call on identical inputs.
-
-    ``make(backend)`` builds a fresh kernel and ``run(kernel)`` is the
-    timed call; ``observe(kernel, result)`` returns the arm's ``digest``
-    and anything else ``fields(wall, observed)`` puts on its row, with the
-    kernel's ``stats`` added. ``cc`` runs when a C compiler is present;
-    each backend's compile warm-up and one throwaway ``run`` happen before
-    its timer. Returns ``(rows, identical, speedups)``: rows keyed
-    ``prefix + backend``, and the cc arm's wall ratio under
-    ``speedup_key`` (a numpy-only run gets a note instead).
-    """
-    names = ["numpy"] + (["cc"] if CcBackend.available() else [])
-    backends = {f"{prefix}{name}": name for name in names}
-
-    def warm(row):
-        resolve_backend(backends[row]).warmup()
-        run(make(backends[row]))
-
-    def arm(name):
-        def attempt():
-            kernel = make(name)
-            wall, result = timed(lambda: run(kernel))
-            return wall, dict(observe(kernel, result), stats=dict(kernel.stats))
-
-        return attempt
-
-    best, identical, speedup = compare(
-        {row: arm(name) for row, name in backends.items()},
-        repeat,
-        f"{prefix}numpy",
-        warm=warm,
-    )
-    rows = {
-        row: {
-            "wall_seconds": round(wall, 4),
-            "backend": observed["stats"]["backend"],
-            "requested_backend": backends[row],
-            **fields(wall, observed),
-        }
-        for row, (wall, observed) in best.items()
-    }
-    if len(rows) == 1:
-        rows[f"{prefix}numpy"]["note"] = (
-            "no compiled backend available in this environment (no C "
-            "compiler found); only the numpy arm was timed"
-        )
-        return rows, identical, {}
-    rows[f"{prefix}cc"]["speedup_vs_numpy"] = speedup
-    return rows, identical, {speedup_key: speedup}
-
-
-def security_backend_benchmark(n, group_size, trials, seed, repeat):
-    """Per-backend arms of the fused security sweep: numpy vs cc.
-
-    One shared :class:`SecurityTrialBlock` (the figure-6-shaped grid's
-    widest point) is scored through :class:`SecurityBatchKernel` once per
-    backend, so the arms time exactly the fused ``smallest_k_mask`` +
-    ``security_scores`` op chain over identical inputs. The per-arm result
-    digest (sha256 over the concatenated traceable/anonymity arrays) must
-    match the numpy reference bit-for-bit. Returns
-    ``(rows, identity_checks, speedups)``.
-    """
-    # Every onion-router count the paper sweeps (K = 1 … 10) crossed with
-    # the config's compromise rates, scored against one shared block
-    # sampled at the widest K.
-    grid = tuple(
-        SecuritySweepVariant(
-            label=f"K={k} c={rate:g}", onion_routers=k, copies=1, compromise_rate=rate
-        )
-        for k in range(1, 11)
-        for rate in DEFAULT_CONFIG.compromise_rates
-    )
-    block = sample_security_block(
-        n, group_size, k_max=10, l_max=1, trials=trials, rng=np.random.default_rng(seed)
-    )
-    model = CompromiseModel(n, SECURITY_COMPROMISE_RATE)
-
-    def observe(kernel, scored):
-        digest = hashlib.sha256()
-        for traceable, anonymity in scored:
-            digest.update(np.ascontiguousarray(traceable).tobytes())
-            digest.update(np.ascontiguousarray(anonymity).tobytes())
-        return {"digest": digest.hexdigest()}
-
-    def fields(wall, observed):
-        stats = observed["stats"]
-        return {
-            "trials": trials,
-            "grid_points": len(grid),
-            "grid_scores_per_second": round(len(grid) * trials / wall, 1),
-            "backend_seconds": round(stats["backend_seconds"], 4),
-            "anonymity_lookup_hits": stats["anonymity_lookup_hits"],
-            "anonymity_lookup_misses": stats["anonymity_lookup_misses"],
-            "mask_cache_hits": stats["mask_cache_hits"],
-            "mask_cache_misses": stats["mask_cache_misses"],
-            "result_digest": observed["digest"],
-        }
-
-    rows, identical, speedups = compare_backends(
-        "security-backend-",
-        lambda backend: SecurityBatchKernel(block, model, backend=backend),
-        lambda kernel: kernel.score(grid),
-        observe,
-        fields,
-        repeat,
-        "speedup_security_backend_vs_numpy",
-    )
-    return rows, {"security_backend": identical}, speedups
-
-
 def backend_benchmark(
     graph, group_size, onion_routers, horizon, sessions, seed, repeat
 ):
@@ -481,8 +360,12 @@ def backend_benchmark(
     pre-produces the columnar window once — so both arms time only the
     :class:`~repro.sim.kernel.BatchKernel` sweep over identical inputs.
     ``run_benchmark`` pins this mode to its own reference workload
-    (``BACKEND_ONION_ROUTERS``/``BACKEND_SESSIONS``). Outcome digests must
-    match across arms. Returns ``(rows, identity_checks, speedups)``.
+    (``BACKEND_ONION_ROUTERS``/``BACKEND_SESSIONS``). The ``cc`` arm runs
+    when a C compiler is present; each backend's compile warm-up and one
+    throwaway sweep happen before its timer. Outcome digests must match
+    across arms. Returns ``(rows, identity_checks, speedups)``: rows keyed
+    ``backend-<name>``, and the cc arm's wall ratio (a numpy-only run gets
+    a note instead).
     """
     generator = np.random.default_rng(seed)
     directory = OnionGroupDirectory(graph.n, group_size, rng=generator)
@@ -493,6 +376,8 @@ def backend_benchmark(
         route = directory.select_route(src, dst, onion_routers, rng=generator)
         specs.append((src, dst, route))
     block = process.events_until_columnar(horizon)
+    names = ["numpy"] + (["cc"] if CcBackend.available() else [])
+    backends = {f"backend-{name}": name for name in names}
 
     def make(backend):
         return BatchKernel(
@@ -503,9 +388,34 @@ def backend_benchmark(
             backend=backend,
         )
 
-    def fields(wall, observed):
+    def warm(row):
+        resolve_backend(backends[row]).warmup()
+        make(backends[row]).run(block)
+
+    def arm(name):
+        def attempt():
+            kernel = make(name)
+            wall, _ = timed(lambda: kernel.run(block))
+            observed = observe_batch(
+                [(None, session.outcome()) for session in kernel.sessions]
+            )
+            return wall, dict(observed, stats=dict(kernel.stats))
+
+        return attempt
+
+    best, identical, speedup = compare(
+        {row: arm(name) for row, name in backends.items()},
+        repeat,
+        "backend-numpy",
+        warm=warm,
+    )
+    rows = {}
+    for row, (wall, observed) in best.items():
         stats = observed["stats"]
-        return {
+        rows[row] = {
+            "wall_seconds": round(wall, 4),
+            "backend": stats["backend"],
+            "requested_backend": backends[row],
             "events": len(block),
             "events_per_second": round(len(block) / wall, 1),
             "sessions": sessions,
@@ -518,19 +428,14 @@ def backend_benchmark(
             "active_total": stats["active_total"],
             "outcome_digest": observed["digest"],
         }
-
-    rows, identical, speedups = compare_backends(
-        "backend-",
-        make,
-        lambda kernel: kernel.run(block),
-        lambda kernel, _: observe_batch(
-            [(None, session.outcome()) for session in kernel.sessions]
-        ),
-        fields,
-        repeat,
-        "speedup_backend_vs_numpy",
-    )
-    return rows, ({"backend": identical} if speedups else {}), speedups
+    if len(rows) == 1:
+        rows["backend-numpy"]["note"] = (
+            "no compiled backend available in this environment (no C "
+            "compiler found); only the numpy arm was timed"
+        )
+        return rows, {}, {}
+    rows["backend-cc"]["speedup_vs_numpy"] = speedup
+    return rows, {"backend": identical}, {"speedup_backend_vs_numpy": speedup}
 
 
 def run_benchmark(
@@ -543,7 +448,6 @@ def run_benchmark(
     seed: int,
     repeat: int = 1,
     mode: str = "all",
-    security_trials: int = 2000,
 ) -> dict:
     graph = random_contact_graph(
         n, DEFAULT_CONFIG.mean_intercontact_range, rng=np.random.default_rng(seed)
@@ -566,9 +470,6 @@ def run_benchmark(
         ),
         "trace": lambda: trace_benchmark(
             group_size, onion_routers, TRACE_DEADLINE, sessions, seed, repeat
-        ),
-        "security": lambda: security_backend_benchmark(
-            n, group_size, security_trials, seed, repeat
         ),
         "backend": lambda: backend_benchmark(
             graph, group_size, BACKEND_ONION_ROUTERS, horizon, BACKEND_SESSIONS,
@@ -597,7 +498,6 @@ def run_benchmark(
             "copies": copies,
             "horizon": horizon,
             "seed": seed,
-            "security_trials": security_trials,
         },
         "platform": {
             "python": platform.python_version(),
@@ -626,13 +526,12 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--mode",
-        choices=("all", "kernel", "multicopy", "trace", "backend", "security"),
+        choices=("all", "kernel", "multicopy", "trace", "backend"),
         default="all",
         help="'all' runs every workload; 'kernel', 'multicopy' and 'trace' "
         "each time only their columnar/kernel pair, 'backend' times the "
         "numpy kernel backend against the compiled cc backend on the "
-        "single-copy sweep, and 'security' does the same for security "
-        "scoring",
+        "single-copy sweep",
     )
     parser.add_argument("--sessions", type=int, default=None)
     parser.add_argument("--seed", type=int, default=42)
@@ -661,7 +560,6 @@ def main(argv=None) -> int:
         seed=args.seed,
         repeat=max(1, args.repeat),
         mode=args.mode,
-        security_trials=400 if args.quick else 2000,
     )
     args.output.write_text(json.dumps(report, indent=2) + "\n")
 
@@ -679,11 +577,6 @@ def main(argv=None) -> int:
                 f"gen {row['generation_seconds']:.3f}s + "
                 f"dispatch {row['dispatch_seconds']:.3f}s, "
                 f"{row['events_per_second']:>9.1f} events/s"
-            )
-        elif "grid_points" in row:
-            detail = (
-                f"backend {row['backend']}, {row['grid_points']} grid points, "
-                f"{row['grid_scores_per_second']:>9.1f} scores/s"
             )
         else:
             detail = (

@@ -197,7 +197,6 @@ root:
     python scripts/bench_engine.py --mode multicopy  # L=4 spray kernel pair
     python scripts/bench_engine.py --mode trace   # trace-replay kernel pair
     python scripts/bench_engine.py --mode backend # numpy vs cc kernel sweep
-    python scripts/bench_engine.py --mode security  # numpy vs cc security scoring
     python scripts/bench_engine.py --repeat 3     # best-of-3 walls
 
 Every arm reports its best-of-`--repeat` wall, and its stats, digest
@@ -238,11 +237,6 @@ and delivered count come from that same fastest attempt. Reading
   arms produced byte-identical per-session outcome digests.
   `tests/test_kernel_backend.py` proves outcome identity, the
   compiler-missing → numpy fallback, and mid-run degradation.
-* `results.security-backend-numpy` / `results.security-backend-cc` — one
-  shared figure-6-shaped trial block (K = 1…10 × the config's
-  compromise rates) scored through `SecurityBatchKernel` per backend,
-  with `speedup_security_backend_vs_numpy` and a result digest that
-  must match bit-for-bit (`identity_checks.security_backend`).
 * `identical_outcomes` — true iff every timed pair (indexed / columnar /
   kernel on the single-copy workload, the columnar/kernel pairs of the
   multicopy and trace workloads, and the backend arms; the per-workload
@@ -272,19 +266,20 @@ invocation per kernel class with common random numbers across points
 `compromise_model=` strategy selector (`uniform` / `bernoulli` /
 `targeted` / `stake`, or an instance; `--compromise-model` on the CLI),
 and fuse their whole `(c, K, L)` grid onto one shared trial block per
-group size. The kernels' compute backend comes from the
-`REPRO_KERNEL_BACKEND` environment variable (the figure runners and the
-CLI take no backend option) — numpy by default, the embedded-C `cc`
-backend when a C compiler is available, byte-identical outcomes either
-way.
+group size; they score on numpy alone. The delivery kernels' compute
+backend comes from the `REPRO_KERNEL_BACKEND` environment variable (the
+figure runners and the CLI take no backend option) — numpy by default,
+the embedded-C `cc` backend when a C compiler is available,
+byte-identical outcomes either way. The variable does not affect the
+security figures. perfbench's `security-figs` workload times the
+security scoring end to end.
 
 Numbers are machine-dependent: CI archives a `--quick` run plus
 reference-workload `--mode kernel --repeat 3` and
 `--mode multicopy --repeat 3` runs (best-of-3 to match how the committed
 baseline is produced) as build artifacts, and the compiled-backends job
-runs `--mode backend --repeat 3` and `--mode security --repeat 3` with
-`cc` compiled, asserting that the compiled arm ran and that its digests
-match numpy. `scripts/bench_delta.py` prints a delta table against the
+runs `--mode backend --repeat 3` with `cc` compiled, asserting that
+the compiled arm ran and that its digests match numpy. `scripts/bench_delta.py` prints a delta table against the
 committed baseline — bench modes present on only one side are reported
 as "new" / "not in current run" rather than silently skipped. The delta
 is a *soft gate*: machine-independent ratio rows (producer,

@@ -25,19 +25,17 @@ and applies the same derivation, so the scalar and batched samplers agree
 trial-for-trial when fed the same keys. The security Monte Carlo scores
 through the key column only, so a custom model must override
 :meth:`~CompromiseModel.selection_priority` or
-:meth:`~CompromiseModel.mask_from_keys`; one that overrides only
-``sample`` is rejected there rather than scored as the uniform model.
+:meth:`~CompromiseModel.mask_rule`; one that overrides only ``sample``
+or ``mask_from_keys`` is rejected there rather than scored as the
+uniform model.
 
 Every fixed-count strategy reduces to one primitive: build a per-trial
 *selection priority* column (:meth:`CompromiseModel.selection_priority`)
-and compromise each row's ``count`` smallest entries. That smallest-``k``
-selection is the hot loop of batched mask construction, so
-:meth:`mask_from_keys` accepts a ``smallest_k`` callable — the security
-kernel passes its compiled backend's
-:meth:`~repro.sim.backend.KernelBackend.smallest_k_mask` op; the default
-is the in-module numpy reference. All implementations select by the same
-rule (priority ≤ the row's ``count``-th order statistic), so the masks
-are byte-identical regardless of who computes them.
+and compromise each row's ``count`` smallest entries. The priority does
+not depend on the rate, so :meth:`CompromiseModel.mask_rule` computes it
+once per key block and sorts each row once; the mask at any rate is then
+one comparison against the row's ``count``-th smallest priority. The
+Bernoulli model's rule is a threshold on the keys instead.
 """
 
 from __future__ import annotations
@@ -65,8 +63,8 @@ class CompromiseModel:
     The base class *is* the paper's model — exactly ``round(c)`` nodes,
     uniformly without replacement — and doubles as the extension point for
     the strategy family: subclasses override :meth:`selection_priority`
-    (fixed-count strategies) or :meth:`mask_from_keys` (and usually
-    nothing else) to reinterpret the per-trial key column.
+    (fixed-count strategies) or :meth:`mask_rule` (and usually nothing
+    else) to reinterpret the per-trial key column.
 
     Parameters
     ----------
@@ -78,6 +76,8 @@ class CompromiseModel:
         Nodes that can never be compromised (e.g. exclude the source and
         destination when studying relay exposure in isolation). The paper
         compromises uniformly over all nodes; the default matches that.
+        Ids must be integers (numpy integers included); bools and floats
+        such as ``2.0`` are rejected.
     """
 
     #: Registry name; also reported in bench/figure metadata.
@@ -93,10 +93,17 @@ class CompromiseModel:
         check_fraction(rate, "rate")
         self._n = n
         self._rate = rate
-        self._protected: FrozenSet[int] = frozenset(protected)
-        for node in self._protected:
+        nodes = list(protected)
+        for node in nodes:
+            if isinstance(node, (bool, np.bool_)) or not isinstance(
+                node, (int, np.integer)
+            ):
+                raise ValueError(
+                    f"protected node ids must be integers, got {node!r}"
+                )
             if not (0 <= node < n):
                 raise ValueError(f"protected node {node} outside 0..{n - 1}")
+        self._protected: FrozenSet[int] = frozenset(int(v) for v in nodes)
 
     @property
     def n(self) -> int:
@@ -169,20 +176,6 @@ class CompromiseModel:
             masked[:, sorted(self._protected)] = np.inf
         return masked
 
-    @staticmethod
-    def _smallest_k_mask(priority: np.ndarray, count: int) -> np.ndarray:
-        """Boolean mask selecting each row's ``count`` smallest priorities.
-
-        Continuous priorities make exact ties measure-zero; a tie would
-        merely over-select one node in one trial.
-        """
-        mask = np.zeros(priority.shape, dtype=bool)
-        if count <= 0:
-            return mask
-        kth = np.partition(priority, count - 1, axis=1)[:, count - 1 : count]
-        np.less_equal(priority, kth, out=mask)
-        return mask
-
     def selection_priority(self, keys: np.ndarray) -> np.ndarray:
         """Per-trial priority column: each row's ``count`` smallest entries
         are compromised.
@@ -190,30 +183,41 @@ class CompromiseModel:
         The uniform model's priority is the key itself (protected nodes
         pushed to ``+inf``): the smallest-keyed eligible nodes form a
         uniformly random fixed-count subset. Fixed-count subclasses
-        override *this* — not :meth:`mask_from_keys` — so the compiled
-        smallest-``k`` selection covers every strategy.
+        override *this* — not :meth:`mask_rule` — so every strategy shares
+        the one selection rule.
         """
         return self._masked_keys(keys)
 
-    def mask_from_keys(
-        self,
-        keys: np.ndarray,
-        rate: Optional[float] = None,
-        smallest_k: Optional[Callable[[np.ndarray, int], np.ndarray]] = None,
-    ) -> np.ndarray:
-        """Derive a ``(trials, n)`` compromise mask from uniform key columns.
+    def mask_rule(self, keys: np.ndarray) -> Callable[[float], np.ndarray]:
+        """The key block's compromise mask as a function of the rate.
 
-        ``keys`` are i.i.d. ``U[0, 1)`` draws, one per (trial, node); the
-        uniform model compromises each trial's ``round(rate · n)``
-        smallest-keyed eligible nodes — a uniformly random fixed-count
-        subset, *nested* across rates for the same keys. ``smallest_k``
-        substitutes a compiled selection op (the kernel-backend seam);
-        the default is the numpy reference, and every implementation is
-        byte-identical by the order-statistic selection rule.
+        ``keys`` are i.i.d. ``U[0, 1)`` draws, one per (trial, node). The
+        returned function maps a rate to the ``(trials, n)`` mask of each
+        trial's ``round(rate · n)`` lowest-priority eligible nodes:
+        the cells whose priority is ≤ the row's ``count``-th order
+        statistic, all False when ``count`` is 0. The priority is computed
+        and sorted once here, so each rate costs one comparison, and the
+        sets are *nested* across rates for the same keys. Continuous
+        priorities make exact ties measure-zero; a tie would merely
+        over-select one node in one trial.
         """
-        rate = self._rate if rate is None else check_fraction(rate, "rate")
-        select = self._smallest_k_mask if smallest_k is None else smallest_k
-        return select(self.selection_priority(keys), self._count(rate))
+        priority = self.selection_priority(keys)
+        ordered = np.sort(priority, axis=1)
+
+        def mask_at(rate: float) -> np.ndarray:
+            count = self._count(check_fraction(rate, "rate"))
+            if count <= 0:
+                return np.zeros(priority.shape, dtype=bool)
+            return priority <= ordered[:, count - 1 : count]
+
+        return mask_at
+
+    def mask_from_keys(
+        self, keys: np.ndarray, rate: Optional[float] = None
+    ) -> np.ndarray:
+        """Derive a ``(trials, n)`` compromise mask from uniform key columns:
+        :meth:`mask_rule` applied at ``rate`` (default: the model's own)."""
+        return self.mask_rule(keys)(self._rate if rate is None else rate)
 
     def sample(self, rng: RandomSource = None) -> Set[int]:
         """One compromised set, via the same derivation as the batch mask."""
@@ -232,19 +236,13 @@ class BernoulliCompromise(CompromiseModel):
 
     name = "bernoulli"
 
-    def mask_from_keys(
-        self,
-        keys: np.ndarray,
-        rate: Optional[float] = None,
-        smallest_k: Optional[Callable[[np.ndarray, int], np.ndarray]] = None,
-    ) -> np.ndarray:
-        """Mask where each eligible node's key lies below ``rate``.
+    def mask_rule(self, keys: np.ndarray) -> Callable[[float], np.ndarray]:
+        """Mask where each eligible node's key lies below the rate.
 
-        A threshold comparison, not a smallest-``k`` selection —
-        ``smallest_k`` is accepted for interface uniformity and unused.
+        A threshold comparison, not a smallest-``count`` selection.
         """
-        rate = self._rate if rate is None else check_fraction(rate, "rate")
-        return self._masked_keys(keys) < rate
+        masked = self._masked_keys(keys)
+        return lambda rate: masked < check_fraction(rate, "rate")
 
 
 class TargetedCompromise(CompromiseModel):

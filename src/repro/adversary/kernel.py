@@ -23,17 +23,17 @@ The kernel splits a Monte Carlo run into two phases:
   key column — common random numbers across the whole grid.
 * **scoring** — :class:`SecurityBatchKernel` turns the block plus one
   :class:`SecuritySweepVariant` into per-trial traceable rates and
-  anonymity values without touching a Python object per trial. Each
-  grid point is two :mod:`repro.sim.backend` ops — ``smallest_k_mask``
-  (the compromise-set selection behind every fixed-count strategy) and
-  the fused ``security_scores`` pass (Eq. 1 run-length square sums and
-  Eq. 20 exposure counts in one sweep over the trial rows) — so the
-  whole scoring chain runs compiled under the cc backend,
-  byte-identical to the numpy reference. The
-  entropy ratio is a table lookup (the observed exposure only takes
-  ``η + 1`` integer values, so
+  anonymity values without touching a Python object per trial. The
+  compromise model sorts the block's rate-independent selection priority
+  once (:meth:`~repro.adversary.compromise.CompromiseModel.mask_rule`),
+  so each rate's mask is one comparison, and :func:`trial_scores` turns
+  a mask into Eq. 1 run-length square sums and Eq. 20 exposure counts in
+  one walk over the η hop columns. The entropy ratio is a table lookup
+  (the observed exposure only takes ``η + 1`` integer values, so
   :func:`~repro.analysis.anonymity.path_anonymity_exact` is evaluated
-  once per value, not once per trial).
+  once per value, not once per trial). Scoring is numpy on every
+  platform; ``$REPRO_KERNEL_BACKEND`` selects the delivery kernels' backend
+  only.
 
 The kernel is the only security scorer: every security runner, figure
 and parallel chunk goes through it. Its reference semantics are the
@@ -46,7 +46,6 @@ byte-identity contract.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
@@ -56,7 +55,6 @@ import numpy as np
 from repro.adversary.compromise import CompromiseModel
 from repro.analysis.anonymity import path_anonymity_exact
 from repro.core.onion_groups import OnionGroupDirectory
-from repro.sim.backend import ENV_VAR, KernelBackend, _KernelBackendMixin
 from repro.utils.rng import RandomSource, ensure_rng
 from repro.utils.validation import check_positive_int
 
@@ -67,6 +65,7 @@ __all__ = [
     "SecurityBatchKernel",
     "sample_security_block",
     "anonymity_lookup",
+    "trial_scores",
 ]
 
 
@@ -343,36 +342,58 @@ def anonymity_lookup(n: int, eta: int, group_size: int) -> np.ndarray:
     return table
 
 
-class SecurityBatchKernel(_KernelBackendMixin):
+def trial_scores(
+    mask: np.ndarray,
+    sources: np.ndarray,
+    copy_members: np.ndarray,
+    onion_routers: int,
+    copies: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-trial Eq. 1 run-length square sums and Eq. 20 exposure counts.
+
+    ``mask`` is the ``(trials, n)`` compromise mask and ``copy_members``
+    the block's full ``(trials, k_max, l_max)`` member array; the variant
+    reads its leading ``onion_routers`` hop columns and ``copies`` copy
+    columns. Returns int64 ``(sums, exposed)``: per trial, the sum of
+    squared 1-run lengths over copy 0's η = K + 1 hop-sender bits (source
+    first), and the number of path positions the adversary observes on
+    any copy (the source is position 0 on every copy's path).
+
+    The η columns are walked once with ``run = (run + 1)·b``: a bit
+    extends the current run and a clear bit resets it. Adding ``2·run − b``
+    per column adds ``1 + 3 + … + (2ℓ − 1) = ℓ²`` over a run of length ℓ,
+    so no run needs closing at the end.
+    """
+    rows = np.arange(len(sources))
+    carriers = mask[rows[:, None, None], copy_members[:, :onion_routers, :copies]]
+    source_bits = mask[rows, sources]
+    run = source_bits.astype(np.int64)
+    sums = run.copy()
+    for hop in range(onion_routers):
+        bit = carriers[:, hop, 0]
+        run = (run + 1) * bit
+        sums += 2 * run - bit
+    exposed = source_bits + carriers.any(axis=2).sum(axis=1)
+    return sums, exposed
+
+
+class SecurityBatchKernel:
     """Vectorized scorer of one :class:`SecurityTrialBlock`.
 
     Holds the block plus the compromise model and evaluates sweep variants
-    against it, routing each variant's hot passes through the selected
-    :mod:`repro.sim.backend` backend as *two* fused ops:
-
-    * :meth:`~repro.sim.backend.KernelBackend.smallest_k_mask` — the
-      compromise mask, re-derived from the shared key column at the
-      variant's rate via the model's
-      :meth:`~repro.adversary.compromise.CompromiseModel.selection_priority`
-      (the Bernoulli model's threshold comparison skips the op);
-    * :meth:`~repro.sim.backend.KernelBackend.security_scores` — one pass
-      per ``(c, K, L)`` grid point computing Eq. 1's run-length square
-      sums *and* Eq. 20's exposure counts together, replacing the chained
-      gather / run-length / any-reduce numpy passes.
-
-    The entropy ratio is then a table gather from :func:`anonymity_lookup`.
-    Every backend computes identical integers, so results are byte-
-    identical to the numpy reference; a backend that fails mid-run (or
-    can't resolve at all) degrades to numpy with a recorded
-    :data:`~repro.utils.resilience.KERNEL_FALLBACK` note, never an error.
-    :attr:`stats` profiles the run (backend seconds, variants scored,
-    anonymity-table and mask-cache hit/miss traffic) for ``bench_engine``
-    and the engine's ``kernel_stats`` surface.
+    against it. Each ``(c, K, L)`` grid point takes the rate's compromise
+    mask from the model's
+    :meth:`~repro.adversary.compromise.CompromiseModel.mask_rule` (prepared
+    once per block), one :func:`trial_scores` pass for Eq. 1's run-length
+    square sums and Eq. 20's exposure counts, and a table gather from
+    :func:`anonymity_lookup` for the entropy ratio. :attr:`stats` profiles
+    the run (variants scored, anonymity-table and mask-cache hit/miss
+    traffic).
 
     The kernel holds one block and one model, so a variant's compromise
     mask is a pure function of its rate — a fused ``(c, K, L)`` grid that
-    revisits each rate once per route shape re-derives the mask only on
-    the first visit (:attr:`MASK_CACHE_SIZE` bounds the memory, evicting
+    revisits each rate once per route shape derives the mask only on the
+    first visit (:attr:`MASK_CACHE_SIZE` bounds the memory, evicting
     oldest-first).
     """
 
@@ -382,36 +403,29 @@ class SecurityBatchKernel(_KernelBackendMixin):
     #: rate grid fits entirely.
     MASK_CACHE_SIZE = 32
 
-    def __init__(
-        self,
-        block: SecurityTrialBlock,
-        model: CompromiseModel,
-        backend=None,
-    ):
+    #: Scoring runs on numpy whatever backend is selected, and nothing
+    #: degrades. The two constants stay because the benchmark's tracer
+    #: (``perfbench/tracer.py``) reads them around :meth:`score`.
+    backend = "numpy"
+    backend_fallbacks: Tuple[str, ...] = ()
+
+    def __init__(self, block: SecurityTrialBlock, model: CompromiseModel):
         if model.n != block.n:
             raise ValueError(
                 f"model covers n={model.n} nodes but the block holds n={block.n}"
             )
         self.block = block
         self.model = model
+        self._mask_at = None
         self._mask_cache: Dict[float, np.ndarray] = {}
-        if isinstance(backend, KernelBackend):
-            requested = backend.name
-        else:
-            requested = backend or os.environ.get(ENV_VAR) or "numpy"
-        self._init_backend(
-            backend,
-            {
-                "requested_backend": requested,
-                "trials": block.trials,
-                "variants_scored": 0,
-                "backend_seconds": 0.0,
-                "anonymity_lookup_hits": 0,
-                "anonymity_lookup_misses": 0,
-                "mask_cache_hits": 0,
-                "mask_cache_misses": 0,
-            },
-        )
+        self.stats = {
+            "trials": block.trials,
+            "variants_scored": 0,
+            "anonymity_lookup_hits": 0,
+            "anonymity_lookup_misses": 0,
+            "mask_cache_hits": 0,
+            "mask_cache_misses": 0,
+        }
 
     def score_variant(
         self, variant: SecuritySweepVariant
@@ -419,11 +433,10 @@ class SecurityBatchKernel(_KernelBackendMixin):
         """Per-trial ``(traceable rates, anonymity values)`` for one variant."""
         block = self.block
         onion_routers = variant.onion_routers
-        copies = variant.copies
-        if onion_routers > block.k_max or copies > block.l_max:
+        if onion_routers > block.k_max or variant.copies > block.l_max:
             raise ValueError(
-                f"variant needs K={onion_routers}, L={copies} but the block "
-                f"was sampled at k_max={block.k_max}, l_max={block.l_max}"
+                f"variant needs K={onion_routers}, L={variant.copies} but the "
+                f"block was sampled at k_max={block.k_max}, l_max={block.l_max}"
             )
         eta = onion_routers + 1
 
@@ -431,30 +444,16 @@ class SecurityBatchKernel(_KernelBackendMixin):
         mask = self._mask_cache.get(rate)
         if mask is None:
             self.stats["mask_cache_misses"] += 1
-            mask = self.model.mask_from_keys(
-                block.compromise_keys,
-                rate=rate,
-                smallest_k=lambda priority, count: self._op(
-                    "smallest_k_mask", priority, count
-                ),
-            )
+            if self._mask_at is None:
+                self._mask_at = self.model.mask_rule(block.compromise_keys)
+            mask = self._mask_at(rate)
             if len(self._mask_cache) >= self.MASK_CACHE_SIZE:
                 self._mask_cache.pop(next(iter(self._mask_cache)))
             self._mask_cache[rate] = mask
         else:
             self.stats["mask_cache_hits"] += 1
-        # One fused pass per grid point: Eq. 1 run-length square sums over
-        # copy 0's hop-sender bits (source first) and the Eq. 20 exposure
-        # count across all copies (position 0 is the source on every
-        # copy's path; position k is exposed when any copy's carrier there
-        # is compromised).
-        sums, exposed = self._op(
-            "security_scores",
-            mask,
-            block.sources,
-            block.copy_members,
-            onion_routers,
-            copies,
+        sums, exposed = trial_scores(
+            mask, block.sources, block.copy_members, onion_routers, variant.copies
         )
         traceable = sums / float(eta**2)
         before = anonymity_lookup.cache_info()

@@ -12,10 +12,12 @@ Subcommands::
     onion-dtn trace stats FILE              # inspect a haggle-format trace
     onion-dtn backends                      # kernel backends + availability
 
-The kernel compute backend is chosen by ``$REPRO_KERNEL_BACKEND`` (``numpy``
-by default, or ``cc``) for every subcommand; outcomes are byte-identical
-across backends, so ``REPRO_KERNEL_BACKEND=cc onion-dtn figure 5`` prints
-what the default run prints, only faster or slower.
+The compute backend of the delivery kernels (the single- and multi-copy
+session sweeps) is chosen by ``$REPRO_KERNEL_BACKEND`` (``numpy`` by
+default, or ``cc``) for every subcommand; it affects only those kernels,
+and the security Monte Carlo always scores on numpy. Outcomes are
+byte-identical across backends, so ``REPRO_KERNEL_BACKEND=cc onion-dtn
+figure 5`` prints what the default run prints, only faster or slower.
 """
 
 from __future__ import annotations

@@ -978,8 +978,8 @@ def run_parallel_montecarlo(
     :func:`~repro.experiments.runners.security_sweep_montecarlo`), so the
     sampling cost is paid once and the workers only score.
 
-    Other keywords (``backend=`` among them) go to ``mc_fn`` in every
-    chunk, as in :func:`run_parallel_batch`. Security runners have no
+    Other keywords go to ``mc_fn`` in every chunk, as in
+    :func:`run_parallel_batch`. Security runners have no
     ``kernel`` knob, so a failing chunk has no lower rung to degrade to:
     its error goes to the supervisor's retries.
     """

@@ -408,10 +408,10 @@ def _resolve_compromise_model(
 
     Named targeted/stake models get their weights from
     :func:`reference_node_weights`; instances are checked for a matching
-    population size and rejected when they override only ``sample()``,
-    which the key-column scoring would silently bypass. The model's own
-    ``rate`` is a default only — every sweep variant overrides it per
-    grid point.
+    population size and rejected when they override only ``sample()`` or
+    ``mask_from_keys()``, which the key-column scoring would silently
+    bypass. The model's own ``rate`` is a default only — every sweep
+    variant overrides it per grid point.
     """
     if isinstance(compromise_model, str):
         needs_weights = compromise_model in (
@@ -430,15 +430,19 @@ def _resolve_compromise_model(
             f"got {type(compromise_model).__name__}"
         )
     model_type = type(compromise_model)
-    if (
-        model_type.sample is not CompromiseModel.sample
-        and model_type.selection_priority is CompromiseModel.selection_priority
-        and model_type.mask_from_keys is CompromiseModel.mask_from_keys
+
+    def overrides(name):
+        return getattr(model_type, name) is not getattr(CompromiseModel, name)
+
+    if (overrides("sample") or overrides("mask_from_keys")) and not (
+        overrides("selection_priority") or overrides("mask_rule")
     ):
         raise TypeError(
-            f"{model_type.__name__} overrides sample() only; the security "
-            "Monte Carlo derives every compromised set from a key column, "
-            "so override selection_priority() or mask_from_keys() instead"
+            f"{model_type.__name__} overrides only sample() or "
+            "mask_from_keys(); the security Monte Carlo derives every "
+            "compromised set from a key column through mask_rule(), so "
+            "override selection_priority() or mask_rule() instead of "
+            "mask_from_keys()"
         )
     if compromise_model.n != n:
         raise ValueError(
@@ -457,7 +461,6 @@ def security_sweep_montecarlo(
     overlapping: bool = False,
     compromise_model: "str | CompromiseModel" = "uniform",
     block: Optional[SecurityTrialBlock] = None,
-    backend: Optional[str] = None,
 ) -> Tuple[float, ...]:
     """Fused Monte Carlo over a ``(c, K, L)`` security grid.
 
@@ -525,9 +528,7 @@ def security_sweep_montecarlo(
         )
 
     flat: List[float] = []
-    for traceable, anonymity in SecurityBatchKernel(
-        block, model, backend=backend
-    ).score(variants):
+    for traceable, anonymity in SecurityBatchKernel(block, model).score(variants):
         flat.append(float(traceable.sum() / trials))
         flat.append(float(anonymity.sum() / trials))
     return tuple(flat)
@@ -544,7 +545,6 @@ def security_montecarlo(
     overlapping: bool = False,
     compromise_model: "str | CompromiseModel" = "uniform",
     block: Optional[SecurityTrialBlock] = None,
-    backend: Optional[str] = None,
 ) -> Tuple[float, float]:
     """Monte Carlo estimates of (traceable rate, path anonymity).
 
@@ -572,7 +572,6 @@ def security_montecarlo(
         overlapping=overlapping,
         compromise_model=compromise_model,
         block=block,
-        backend=backend,
     )
     return results[0], results[1]
 

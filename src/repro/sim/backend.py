@@ -1,13 +1,9 @@
-"""Pluggable compiled backends for the kernel inner loops.
+"""Pluggable compiled backends for the delivery kernels' inner loops.
 
-The struct-of-arrays kernels (:mod:`repro.sim.kernel`,
-:mod:`repro.adversary.kernel`) spend their time in a handful of inner
-loops: the single-copy anycast-race trajectory walk, the multi-copy
-flattened per-copy race, and the security Monte Carlo's scoring passes —
-the smallest-``k`` compromise-mask selection, the fused per-trial
-run-length + exposure sweep, and the raw run-length scoring behind Eq. 1.
-This module puts those loops behind a small registry of interchangeable
-backends:
+The struct-of-arrays delivery kernels (:mod:`repro.sim.kernel`) spend
+their time in two inner loops: the single-copy anycast-race trajectory
+walk and the multi-copy flattened per-copy race. This module puts those
+loops behind a small registry of interchangeable backends:
 
 ``numpy`` (default)
     Vectorized searchsorted/reduceat implementations. Always available.
@@ -25,6 +21,9 @@ from the CLI/figure runners down to the kernels, or ambiently through the
 local singletons by :func:`resolve_backend`. Names (not backend objects)
 cross process boundaries, so parallel workers re-resolve and inherit the
 choice without pickling compiled state.
+
+The security Monte Carlo (:mod:`repro.adversary.kernel`) scores on numpy
+alone and never consults this registry.
 
 Equivalence contract: every backend computes *exactly* the same integer
 results from the same columns, and every kernel drives every backend
@@ -150,75 +149,6 @@ def _numpy_group_candidates(
     return candidate, group_starts
 
 
-def _numpy_run_length_square_sums(bits: np.ndarray) -> np.ndarray:
-    """Per-row sum of squared 1-run lengths (the numerator of Eq. 1)."""
-    trials, eta = bits.shape
-    padded = np.zeros((trials, eta + 1), dtype=np.int8)
-    padded[:, :eta] = bits
-    flat = padded.ravel()
-    edges = np.diff(flat, prepend=np.int8(0))
-    starts = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1)
-    sums = np.zeros(trials, dtype=np.int64)
-    if len(starts) == 0:
-        return sums
-    squares = (ends - starts) ** 2
-    cuts = np.searchsorted(starts, np.arange(trials) * (eta + 1))
-    counts = np.diff(cuts, append=len(squares))
-    occupied = counts > 0
-    sums[occupied] = np.add.reduceat(squares, cuts[occupied])
-    return sums
-
-
-def _numpy_smallest_k_mask(priority: np.ndarray, count: int) -> np.ndarray:
-    """Boolean mask selecting each row's ``count`` smallest priorities.
-
-    The selection rule every backend implements identically: a cell is
-    selected iff its priority is ≤ the row's ``count``-th order statistic.
-    The kth order statistic is algorithm-independent, so the C quickselect
-    and ``np.partition`` agree exactly; continuous priorities make
-    exact ties measure-zero, and a tie would merely over-select one node
-    in one trial — identically on every backend.
-    """
-    mask = np.zeros(priority.shape, dtype=bool)
-    if count <= 0:
-        return mask
-    kth = np.partition(priority, count - 1, axis=1)[:, count - 1 : count]
-    np.less_equal(priority, kth, out=mask)
-    return mask
-
-
-def _numpy_security_scores(
-    mask: np.ndarray,
-    sources: np.ndarray,
-    copy_members: np.ndarray,
-    onion_routers: int,
-    copies: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Fused per-trial security scoring: Eq. 1 run-length sums + exposure.
-
-    ``mask`` is the ``(trials, n)`` compromise mask, ``copy_members`` the
-    block's full ``(trials, k_max, l_max)`` member array — the variant
-    reads the leading ``onion_routers`` hop columns and ``copies`` copy
-    columns. Returns ``(sums, exposed)``: per trial, the sum of squared
-    1-run lengths over copy 0's hop-sender bits (source first), and the
-    adversary's observed exposure count across all copies (Eq. 20's Y').
-    Both are small exact integers, so every backend agrees bit-for-bit.
-    """
-    trials = len(sources)
-    rows = np.arange(trials)
-    eta = onion_routers + 1
-    senders = np.empty((trials, eta), dtype=np.int64)
-    senders[:, 0] = sources
-    senders[:, 1:] = copy_members[:, :onion_routers, 0]
-    bits = mask[rows[:, None], senders]
-    sums = _numpy_run_length_square_sums(bits)
-    carriers = copy_members[:, :onion_routers, :copies]
-    exposed_positions = mask[rows[:, None, None], carriers].any(axis=2)
-    exposed = exposed_positions.sum(axis=1) + mask[rows, sources]
-    return sums, exposed.astype(np.int64)
-
-
 # ----------------------------------------------------------------------
 # the same loops as scalar C, compiled by the cc backend
 # ----------------------------------------------------------------------
@@ -313,113 +243,6 @@ void multi_next_events(
         if (act_expiry[i] < next_idx[i]) next_idx[i] = act_expiry[i];
 }
 
-void run_length_square_sums(
-    const int8_t *bits, int64_t trials, int64_t eta, int64_t *out)
-{
-    for (int64_t t = 0; t < trials; t++) {
-        const int8_t *row = bits + t * eta;
-        int64_t run = 0, total = 0;
-        for (int64_t k = 0; k < eta; k++) {
-            if (row[k]) { run++; }
-            else { total += run * run; run = 0; }
-        }
-        total += run * run;
-        out[t] = total;
-    }
-}
-
-/* kth order statistic of v[0..n) by quickselect with a branchless
- * Lomuto partition (median-of-3 pivot, insertion sort below 8
- * elements).  Random priorities mispredict every comparison of a
- * classic Hoare loop; the unconditional-swap partition sidesteps that
- * and runs ~4x faster.  The order statistic is algorithm-independent,
- * so the result matches np.partition exactly. */
-static double kth_order_statistic(double *v, int64_t n, int64_t k)
-{
-    int64_t lo = 0, hi = n;  /* half-open [lo, hi) */
-    while (hi - lo > 8) {
-        int64_t mid = lo + (hi - lo) / 2;
-        double a = v[lo], b = v[mid], c = v[hi - 1], pivot;
-        if (a < b) {
-            if (b < c) pivot = b; else if (a < c) pivot = c; else pivot = a;
-        } else {
-            if (a < c) pivot = a; else if (b < c) pivot = c; else pivot = b;
-        }
-        /* branchless Lomuto: [lo, l) < pivot, [l, r) >= pivot */
-        int64_t l = lo;
-        for (int64_t r = lo; r < hi; r++) {
-            double t = v[r];
-            v[r] = v[l];
-            v[l] = t;
-            l += (t < pivot);
-        }
-        if (k < l) { hi = l; }
-        else if (l == lo) {
-            /* pivot is the range minimum: peel its equals off the front */
-            int64_t m = lo;
-            for (int64_t r = lo; r < hi; r++) {
-                double t = v[r];
-                v[r] = v[m];
-                v[m] = t;
-                m += (t <= pivot);
-            }
-            if (k < m) return pivot;
-            lo = m;
-        }
-        else { lo = l; }
-    }
-    for (int64_t i = lo + 1; i < hi; i++) {
-        double x = v[i];
-        int64_t j = i - 1;
-        while (j >= lo && v[j] > x) { v[j + 1] = v[j]; j--; }
-        v[j + 1] = x;
-    }
-    return v[k];
-}
-
-/* Per-row smallest-count selection: mask cells whose priority is <= the
- * row's (count-1)th order statistic on a scratch copy of the row. */
-void smallest_k_mask(
-    const double *priority, int64_t trials, int64_t n, int64_t count,
-    double *scratch, int8_t *mask)
-{
-    int64_t k = count - 1;
-    for (int64_t t = 0; t < trials; t++) {
-        const double *row = priority + t * n;
-        for (int64_t j = 0; j < n; j++) scratch[j] = row[j];
-        double kth = kth_order_statistic(scratch, n, k);
-        int8_t *mrow = mask + t * n;
-        for (int64_t j = 0; j < n; j++)
-            mrow[j] = (row[j] <= kth);
-    }
-}
-
-/* Fused per-trial security scoring: Eq. 1 run-length square sums over
- * copy 0's hop-sender bits (source first) plus the adversary's exposure
- * count across all copies (Eq. 20), in one pass over the trial block. */
-void security_scores(
-    const int8_t *mask, const int64_t *sources, const int64_t *cm,
-    int64_t trials, int64_t n, int64_t k_max, int64_t l_max,
-    int64_t onion_routers, int64_t copies,
-    int64_t *sums, int64_t *exposed)
-{
-    for (int64_t t = 0; t < trials; t++) {
-        const int8_t *row = mask + t * n;
-        const int64_t *members = cm + t * k_max * l_max;
-        int64_t run = 0, total = 0, exp_count = 0;
-        if (row[sources[t]]) { run = 1; exp_count = 1; }
-        for (int64_t k = 0; k < onion_routers; k++) {
-            if (row[members[k * l_max]]) { run++; }
-            else { total += run * run; run = 0; }
-            for (int64_t c = 0; c < copies; c++) {
-                if (row[members[k * l_max + c]]) { exp_count++; break; }
-            }
-        }
-        total += run * run;
-        sums[t] = total;
-        exposed[t] = exp_count;
-    }
-}
 """
 
 
@@ -517,35 +340,6 @@ class KernelBackend:
         next firing event per active session."""
         raise NotImplementedError
 
-    def run_length_square_sums(
-        self, bits: np.ndarray
-    ) -> np.ndarray:  # pragma: no cover - interface
-        """Per-row sum of squared 1-run lengths (Eq. 1 numerator)."""
-        raise NotImplementedError
-
-    def smallest_k_mask(
-        self, priority: np.ndarray, count: int
-    ) -> np.ndarray:  # pragma: no cover - interface
-        """Boolean ``(trials, n)`` mask of each row's ``count`` smallest
-        priorities (cells ≤ the row's ``count``-th order statistic); all
-        False when ``count <= 0``. The compromise-set selection behind
-        every batched compromise model."""
-        raise NotImplementedError
-
-    def security_scores(
-        self,
-        mask: np.ndarray,
-        sources: np.ndarray,
-        copy_members: np.ndarray,
-        onion_routers: int,
-        copies: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:  # pragma: no cover - interface
-        """Fused per-trial security scoring for one ``(K, L)`` variant:
-        ``(sums, exposed)`` int64 vectors — Eq. 1 run-length square sums
-        over copy 0's hop-sender bits (source first) and the adversary's
-        exposure count across all ``copies`` (Eq. 20's observed-path
-        input) — in one pass over the trial block."""
-        raise NotImplementedError
 
 
 class NumpyBackend(KernelBackend):
@@ -636,16 +430,6 @@ class NumpyBackend(KernelBackend):
         fire = np.minimum.reduceat(candidate, session_starts)
         return np.minimum(fire, act_expiry)
 
-    def run_length_square_sums(self, bits):
-        return _numpy_run_length_square_sums(bits)
-
-    def smallest_k_mask(self, priority, count):
-        return _numpy_smallest_k_mask(priority, count)
-
-    def security_scores(self, mask, sources, copy_members, onion_routers, copies):
-        return _numpy_security_scores(
-            mask, sources, copy_members, onion_routers, copies
-        )
 
 
 class CcBackend(KernelBackend):
@@ -706,7 +490,6 @@ class CcBackend(KernelBackend):
                 os.replace(built, so_path)
         lib = ctypes.CDLL(so_path)
         P = ctypes.POINTER(ctypes.c_int64)
-        B = ctypes.POINTER(ctypes.c_int8)
         I = ctypes.c_int64
         lib.single_trajectories.argtypes = [
             P, I, I, I, I, P, P, P, P, P, P, I, P, P, P, P, P, I, P, P, P,
@@ -716,13 +499,6 @@ class CcBackend(KernelBackend):
             P, I, I, I, I, P, P, P, P, P, P, I, P, P, I, P,
         ]
         lib.multi_next_events.restype = None
-        lib.run_length_square_sums.argtypes = [B, I, I, P]
-        lib.run_length_square_sums.restype = None
-        D = ctypes.POINTER(ctypes.c_double)
-        lib.smallest_k_mask.argtypes = [D, I, I, I, D, B]
-        lib.smallest_k_mask.restype = None
-        lib.security_scores.argtypes = [B, P, P, I, I, I, I, I, I, P, P]
-        lib.security_scores.restype = None
         cls._lib = lib
         return lib
 
@@ -807,57 +583,6 @@ class CcBackend(KernelBackend):
         )
         return next_idx
 
-    def run_length_square_sums(self, bits):
-        rows = np.ascontiguousarray(bits, dtype=np.int8)
-        trials, eta = rows.shape
-        out = np.empty(trials, dtype=np.int64)
-        self._clib.run_length_square_sums(
-            rows.ctypes.data_as(ctypes.POINTER(ctypes.c_int8)),
-            trials,
-            eta,
-            self._ptr(out),
-        )
-        return out
-
-    def smallest_k_mask(self, priority, count):
-        priority = np.ascontiguousarray(priority, dtype=np.float64)
-        trials, n = priority.shape
-        mask = np.zeros((trials, n), dtype=np.int8)
-        if count > 0:
-            scratch = np.empty(n, dtype=np.float64)
-            D = ctypes.POINTER(ctypes.c_double)
-            self._clib.smallest_k_mask(
-                priority.ctypes.data_as(D),
-                trials,
-                n,
-                count,
-                scratch.ctypes.data_as(D),
-                mask.ctypes.data_as(ctypes.POINTER(ctypes.c_int8)),
-            )
-        return mask.view(np.bool_)
-
-    def security_scores(self, mask, sources, copy_members, onion_routers, copies):
-        bits = np.ascontiguousarray(mask, dtype=np.int8)
-        sources = _i64(sources)
-        members = _i64(copy_members)
-        trials, n = bits.shape
-        k_max, l_max = members.shape[1], members.shape[2]
-        sums = np.empty(trials, dtype=np.int64)
-        exposed = np.empty(trials, dtype=np.int64)
-        self._clib.security_scores(
-            bits.ctypes.data_as(ctypes.POINTER(ctypes.c_int8)),
-            self._ptr(sources),
-            self._ptr(members),
-            trials,
-            n,
-            k_max,
-            l_max,
-            onion_routers,
-            copies,
-            self._ptr(sums),
-            self._ptr(exposed),
-        )
-        return sums, exposed
 
 
 def _warmup_compiled(backend: KernelBackend) -> None:
@@ -900,19 +625,6 @@ def _warmup_compiled(backend: KernelBackend) -> None:
         one,  # c_slot
         one,  # act_cursor
         np.ones(1, dtype=np.int64),  # act_expiry
-    )
-    backend.run_length_square_sums(np.array([[1, 0, 1]], dtype=np.int8))
-    # Security ops: a two-trial, three-node toy block so first-call
-    # costs never land inside a timed security arm.
-    backend.smallest_k_mask(
-        np.array([[0.5, 0.25, 0.75], [0.9, 0.1, 0.4]]), 2
-    )
-    backend.security_scores(
-        np.array([[True, False, True], [False, True, False]]),
-        np.zeros(2, dtype=np.int64),
-        np.ones((2, 2, 2), dtype=np.int64),
-        2,
-        2,
     )
 
 

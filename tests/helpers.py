@@ -1,4 +1,4 @@
-"""Shared test helpers: scripted event sources and the two scalar oracles."""
+"""Shared test helpers: scripted event sources and the scalar oracles."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.adversary.compromise import BernoulliCompromise
 from repro.adversary.observer import observed_path_anonymity
 from repro.adversary.tracer import PathTracer
 from repro.contacts.events import ContactEvent
@@ -98,11 +99,41 @@ def block_copy_paths(block, trial: int, onion_routers: int, copies: int) -> List
     ]
 
 
+def partition_mask(priority: np.ndarray, count: int) -> np.ndarray:
+    """Each row's ``count`` smallest priorities, by the ``np.partition`` rule.
+
+    A cell is selected iff its priority is ≤ the row's ``count``-th order
+    statistic, found by partitioning rather than by the full sort the
+    compromise models use; all False when ``count`` is 0.
+    """
+    mask = np.zeros(priority.shape, dtype=bool)
+    if count <= 0:
+        return mask
+    kth = np.partition(priority, count - 1, axis=1)[:, count - 1 : count]
+    np.less_equal(priority, kth, out=mask)
+    return mask
+
+
+def reference_mask(model, keys: np.ndarray, rate: float) -> np.ndarray:
+    """Oracle for ``model.mask_from_keys(keys, rate)`` on the built-in models.
+
+    The Bernoulli model thresholds the protected-masked keys at ``rate``;
+    every fixed-count model takes the :func:`partition_mask` of its
+    selection priority at ``round(rate · n)``, clamped to the eligible
+    nodes.
+    """
+    priority = model.selection_priority(keys)
+    if isinstance(model, BernoulliCompromise):
+        return priority < rate
+    count = min(round(rate * model.n), model.n - len(model.protected))
+    return partition_mask(priority, count)
+
+
 def reference_security_score(kernel, variants) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Equivalence oracle for :meth:`~repro.adversary.kernel.SecurityBatchKernel.score`.
 
     Walks the kernel's block row by row: each trial's compromised set is
-    its row of the numpy reference mask, its traceable rate comes from
+    its row of :func:`reference_mask`, its traceable rate comes from
     :class:`~repro.adversary.tracer.PathTracer` on copy 0's path, and its
     anonymity from :func:`~repro.adversary.observer.observed_path_anonymity`
     across all copies. It has the method's signature, so tests can
@@ -113,7 +144,7 @@ def reference_security_score(kernel, variants) -> List[Tuple[np.ndarray, np.ndar
     scored = []
     for variant in variants:
         eta = variant.onion_routers + 1
-        mask = model.mask_from_keys(block.compromise_keys, rate=variant.compromise_rate)
+        mask = reference_mask(model, block.compromise_keys, variant.compromise_rate)
         traceable = np.empty(block.trials)
         anonymity = np.empty(block.trials)
         for trial in range(block.trials):

@@ -40,6 +40,22 @@ class TestCompromiseModel:
         with pytest.raises(ValueError, match="outside"):
             CompromiseModel(10, 0.1, protected=[10])
 
+    @pytest.mark.parametrize(
+        "node",
+        [2.0, 2.5, True, np.bool_(True), "2"],
+        ids=["float", "fraction", "bool", "numpy-bool", "str"],
+    )
+    def test_protected_non_integer_rejected(self, node):
+        # Rejected at construction, not as an IndexError mid-Monte-Carlo.
+        with pytest.raises(ValueError, match="integers"):
+            CompromiseModel(10, 0.2, protected=[node])
+
+    def test_protected_numpy_integers_accepted(self):
+        model = CompromiseModel(10, 0.2, protected=np.array([2, 5]))
+        assert model.protected == frozenset({2, 5})
+        keys = np.random.default_rng(0).random((4, 10))
+        assert not model.mask_from_keys(keys)[:, [2, 5]].any()
+
     def test_bernoulli_rate(self):
         model = CompromiseModel(2000, 0.3)
         compromised = model.sample_bernoulli(rng=0)

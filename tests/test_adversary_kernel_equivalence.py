@@ -256,6 +256,20 @@ class _PerTrialWithPriority(_PerTrialOnly):
         return super().selection_priority(keys)
 
 
+class _MaskFromKeysOnly(CompromiseModel):
+    """A custom adversary that overrides the one-rate mask only."""
+
+    def mask_from_keys(self, keys, rate=None):
+        return np.zeros(np.shape(keys), dtype=bool)
+
+
+class _WithMaskRule(_MaskFromKeysOnly):
+    """The same adversary, also exposing the rule the kernel scores."""
+
+    def mask_rule(self, keys):
+        return lambda rate: self.mask_from_keys(keys, rate)
+
+
 class TestIneligibleModels:
     def test_sample_only_model_rejected(self):
         # Scoring runs off the key column only; a model that overrides
@@ -270,6 +284,20 @@ class TestIneligibleModels:
             compromise_model=_PerTrialWithPriority(50, 0.2),
         )
         assert accepted == security_montecarlo(50, 3, 3, 1, 0.2, 50, rng=0)
+
+    def test_mask_from_keys_only_model_rejected(self):
+        # The kernel derives masks through mask_rule(); an override of
+        # mask_from_keys() alone would be bypassed, not scored.
+        with pytest.raises(TypeError, match="selection_priority.*mask_rule"):
+            security_montecarlo(
+                50, 3, 3, 1, 0.2, 50, rng=0,
+                compromise_model=_MaskFromKeysOnly(50, 0.2),
+            )
+        traceable, anonymity = security_montecarlo(
+            50, 3, 3, 1, 0.2, 50, rng=0,
+            compromise_model=_WithMaskRule(50, 0.2),
+        )
+        assert traceable == 0.0 and anonymity == 1.0
 
     def test_model_population_mismatch_rejected(self):
         with pytest.raises(ValueError, match="n=40"):

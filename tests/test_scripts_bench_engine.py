@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.adversary.kernel import SecurityBatchKernel
 from repro.contacts.random_graph import random_contact_graph
 from repro.experiments.config import DEFAULT_CONFIG
 from repro.sim.kernel import BatchKernel
@@ -75,18 +74,6 @@ def test_backend_bench_stats_come_from_the_timed_attempt(monkeypatch):
         # Each figure is rounded to 4 decimals on its own.
         layers = row["backend_seconds"] + row["kernel_dispatch_seconds"]
         assert layers <= row["wall_seconds"] + 1.5e-4, (name, row)
-
-
-def test_security_backend_bench_stats_come_from_the_timed_attempt(monkeypatch):
-    _slow_first_timed_attempt(
-        monkeypatch, SecurityBatchKernel, "score", "backend_seconds"
-    )
-    rows, identity, _ = bench_engine.security_backend_benchmark(
-        60, 5, 200, SEED, repeat=REPEAT
-    )
-    assert identity["security_backend"]
-    for name, row in rows.items():
-        assert row["backend_seconds"] <= row["wall_seconds"] + 1e-4, (name, row)
 
 
 def test_produced_stream_is_the_counted_batch_stream():
