@@ -248,8 +248,9 @@ class SingleCopySession(ProtocolSession):
     ) -> int:
         """Apply ``count`` precomputed state-changing contacts in one call.
 
-        Batch counterpart of :meth:`on_contact_scalar` for the compiled
-        kernel backends: the kernel's race search has already established
+        Batch counterpart of :meth:`on_contact_scalar` through which
+        :class:`~repro.sim.kernel.BatchKernel` applies every backend's
+        trajectories: the kernel's race search has already established
         that ``times[start:start+count]`` (with ``nodes_a``/``nodes_b``,
         plain Python scalars) are exactly this session's state-changing
         events, in order, so the per-event no-op filtering is skipped and

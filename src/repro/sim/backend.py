@@ -36,9 +36,9 @@ applies each trajectory through the session's batched
 which re-validates every contact against the session's own acceptance
 predicate, so outcomes remain byte-identical by construction.
 
-:class:`_KernelBackendMixin` is the kernels' one seam onto a backend:
-it resolves the selection, and its :meth:`~_KernelBackendMixin._op`
-times every op call and degrades a failing compiled op to numpy.
+The kernels resolve their selection here and call every op through
+:meth:`repro.sim.kernel._DeliveryKernel._op`, which times the call and
+degrades a failing compiled op to numpy.
 """
 
 from __future__ import annotations
@@ -50,12 +50,9 @@ import os
 import shutil
 import subprocess
 import tempfile
-from time import perf_counter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
-
-from repro.utils.resilience import KERNEL_FALLBACK, ResilienceEvent
 
 __all__ = [
     "ENV_VAR",
@@ -722,85 +719,3 @@ def resolve_backend(
                     error,
                 )
     return _instantiate("numpy")
-
-
-# ----------------------------------------------------------------------
-# the kernels' seam onto a backend
-# ----------------------------------------------------------------------
-
-
-class _KernelBackendMixin:
-    """Backend resolution, op calls and degradation shared by every kernel.
-
-    Kernels call backend ops only through :meth:`_op`, so one function
-    times them and one function degrades a failing compiled op to numpy.
-    A kernel sets ``self.stats`` (with ``backend`` and
-    ``backend_seconds`` keys) through :meth:`_init_backend`.
-    """
-
-    def _init_backend(self, backend, stats: Dict) -> None:
-        self._backend_fallbacks: List[str] = []
-        self._backend = resolve_backend(
-            backend,
-            on_fallback=lambda name, error: self._note_fallback(
-                f"requested kernel backend {name!r} unavailable; degraded "
-                f"to numpy: {type(error).__name__}: {error}"
-            ),
-        )
-        self.stats = {"backend": self._backend.name, **stats}
-
-    def _note_fallback(self, note: str) -> None:
-        self._backend_fallbacks.append(note)
-        logger.warning("%s — %s", type(self).__name__, note)
-
-    @property
-    def backend(self) -> str:
-        """Name of the backend currently running the kernel's ops."""
-        return self._backend.name
-
-    @property
-    def backend_fallbacks(self) -> Tuple[str, ...]:
-        """Backend degradations taken so far (usually empty).
-
-        A resolve-time miss (requested backend unavailable) or an op
-        failure recomputed on numpy. A degradation never changes
-        outcomes, only wall time: backend ops are pure, so the numpy
-        recomputation sees identical inputs.
-        """
-        return tuple(self._backend_fallbacks)
-
-    @property
-    def fallback_events(self) -> Tuple[ResilienceEvent, ...]:
-        """:attr:`backend_fallbacks` as
-        :data:`~repro.utils.resilience.KERNEL_FALLBACK` resilience events."""
-        return tuple(
-            ResilienceEvent(
-                kind=KERNEL_FALLBACK,
-                where=type(self).__name__,
-                detail=note,
-                resolution="degraded",
-            )
-            for note in self._backend_fallbacks
-        )
-
-    def _op(self, name: str, *args):
-        """Call backend op ``name``, timed into ``stats["backend_seconds"]``.
-
-        A failing numpy op re-raises. A failing compiled op is noted,
-        the kernel switches to numpy, and the op is retried once there.
-        """
-        started = perf_counter()
-        try:
-            return getattr(self._backend, name)(*args)
-        except Exception as error:
-            if self._backend.name == "numpy":
-                raise
-            self._note_fallback(
-                f"{name} failed on backend {self._backend.name!r}; "
-                f"recomputed with numpy: {type(error).__name__}: {error}"
-            )
-            self._backend = resolve_backend("numpy")
-            self.stats["backend"] = self._backend.name
-            return getattr(self._backend, name)(*args)
-        finally:
-            self.stats["backend_seconds"] += perf_counter() - started

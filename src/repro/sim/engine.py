@@ -36,14 +36,16 @@ import heapq
 import itertools
 import logging
 import math
+import os
 from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 from typing import Protocol as TypingProtocol
 
 from repro.contacts.events import ContactEvent, EventBlock, stream_event_blocks
+from repro.sim.backend import ENV_VAR, check_backend_name, resolve_backend
 from repro.sim.protocol import ProtocolSession
 from repro.utils.resilience import KERNEL_FALLBACK, ResilienceEvent
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_positive, check_positive_int
 
 logger = logging.getLogger(__name__)
 
@@ -166,11 +168,12 @@ class SimulationEngine:
         Kernel-backend selection for the struct-of-arrays sweeps: a
         :mod:`repro.sim.backend` registry name (``"numpy"`` or
         ``"cc"``), an already-resolved backend instance, or None to
-        honour ``REPRO_KERNEL_BACKEND`` (default numpy). Unknown names
-        raise at construction; a known-but-unavailable backend degrades
-        to numpy with a KERNEL_FALLBACK resilience event. Outcomes are
-        byte-identical across backends; :attr:`kernel_stats` exposes the
-        per-kernel phase timings either way.
+        honour ``REPRO_KERNEL_BACKEND`` (default numpy). An unknown name,
+        passed or from the environment, raises at construction; a
+        known-but-unavailable backend degrades to numpy with a
+        KERNEL_FALLBACK resilience event. Outcomes are byte-identical
+        across backends; :attr:`kernel_stats` exposes the per-kernel
+        phase timings either way.
 
     One degradation rule covers every run: a kernel that raises before it
     has dispatched anything, while the first window is processed, hands
@@ -207,17 +210,13 @@ class SimulationEngine:
             )
         if stream_window is not None:
             check_positive(stream_window, "stream_window")
-        if max_window_events is not None and (
-            not isinstance(max_window_events, int) or max_window_events <= 0
-        ):
-            raise ValueError(
-                f"max_window_events must be a positive int, "
-                f"got {max_window_events!r}"
-            )
-        if backend is not None:
-            from repro.sim.backend import check_backend_name
-
-            check_backend_name(backend)  # typos fail at construction time
+        if max_window_events is not None:
+            check_positive_int(max_window_events, "max_window_events")
+        # Typos fail at construction time, whether passed or set in the
+        # environment; resolution itself stays lazy.
+        check_backend_name(
+            backend if backend is not None else os.environ.get(ENV_VAR) or None
+        )
         self._backend = backend
         self._backend_obj = None
         self._events = events
@@ -308,8 +307,6 @@ class SimulationEngine:
         never changes outcomes.
         """
         if self._backend_obj is None:
-            from repro.sim.backend import resolve_backend
-
             self._backend_obj = resolve_backend(
                 self._backend,
                 on_fallback=lambda requested, error: self._record_fallback(

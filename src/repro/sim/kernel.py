@@ -66,11 +66,16 @@ hop, with the session's own acceptance predicate re-checking every
 applied contact (a mispredicted race raises instead of corrupting
 state). The multi-copy kernel keeps its round structure (ticket
 hand-offs depend on session-side spray arithmetic) and makes one
-``multi_next_events`` call per round. Every op goes through the shared
-:meth:`~repro.sim.backend._KernelBackendMixin._op`: a compiled op that
-raises degrades to numpy *before* any state is touched (ops are pure),
-the degradation is recorded on :attr:`backend_fallbacks`, and the sweep
-continues byte-identically.
+``multi_next_events`` call per round.
+
+Both kernels derive from one private base, :class:`_DeliveryKernel`,
+which owns everything around their sweeps: the eligibility check,
+backend resolution, the live-session bookkeeping, the per-window
+cursor/expiry bounds, the ``stats`` counters and the one op seam,
+:meth:`_DeliveryKernel._op`. A compiled op that raises degrades to
+numpy *before* any state is touched (ops are pure), the degradation is
+recorded on :attr:`backend_fallbacks`, and the sweep continues
+byte-identically.
 
 Each kernel keeps a ``stats`` dict for the profiling harness: backend
 name, ``rounds`` (backend op calls: one per window for the single-copy
@@ -82,6 +87,7 @@ active-set peak/total over those rounds.
 
 from __future__ import annotations
 
+import logging
 from itertools import chain
 from time import perf_counter
 from typing import List, Sequence, Tuple
@@ -91,10 +97,13 @@ import numpy as np
 from repro.contacts.events import EventBlock
 from repro.core.multi_copy import MultiCopySession
 from repro.core.single_copy import SingleCopySession
-from repro.sim.backend import _KernelBackendMixin
+from repro.sim.backend import resolve_backend
 from repro.sim.protocol import ProtocolSession
+from repro.utils.resilience import KERNEL_FALLBACK, ResilienceEvent
 
 __all__ = ["BatchKernel", "MultiCopyBatchKernel", "KERNEL_CLASSES", "kernel_class_for"]
+
+logger = logging.getLogger(__name__)
 
 
 class _EventIndex:
@@ -162,43 +171,182 @@ class _TargetTable:
         self.max_node = int(self.targets.max()) if self.targets.size else 0
 
 
-def _window_bounds_batch(
-    times: np.ndarray, created: np.ndarray, expires: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(cursor, expiry) event indices for a whole batch of sessions.
+class _DeliveryKernel:
+    """Everything the two delivery kernels do the same way around a sweep.
 
-    Events before creation are no-ops; expiry fires at the first event
-    strictly past the deadline (``on_contact_scalar``'s
-    ``time < created_at`` / ``time > expires_at`` branches).
+    A subclass supplies ``mode``, ``supports``, the ``_accepts`` phrase of
+    its eligibility error, and its own ``run``: a per-session state
+    gather between :meth:`_open_window` and :meth:`_close_window`, with
+    its sweep in between. Backend ops are called only through
+    :meth:`_op`, so one method times them and one degrades a failing
+    compiled op to numpy.
     """
-    cursor = np.searchsorted(times, created, side="left")
-    expiry = np.searchsorted(times, expires, side="right")
-    return (
-        cursor.astype(np.int64, copy=False),
-        expiry.astype(np.int64, copy=False),
-    )
+
+    def __init__(self, sessions: Sequence[ProtocolSession], backend=None):
+        ineligible = [type(s).__name__ for s in sessions if not self.supports(s)]
+        if ineligible:
+            raise ValueError(
+                f"{type(self).__name__} only accepts {self._accepts}; "
+                f"got {ineligible[:3]}"
+            )
+        self._sessions = list(sessions)
+        self._dispatches = 0
+        self._table: _TargetTable | None = None
+        self._alive: List[int] = [
+            s for s, session in enumerate(self._sessions) if not session.done
+        ]
+        self._pending = len(self._alive)
+        self._backend_fallbacks: List[str] = []
+        self._backend = resolve_backend(
+            backend,
+            on_fallback=lambda name, error: self._note_fallback(
+                f"requested kernel backend {name!r} unavailable; degraded "
+                f"to numpy: {type(error).__name__}: {error}"
+            ),
+        )
+        self.stats = {
+            "backend": self._backend.name,
+            "rounds": 0,
+            "scalar_dispatches": 0,
+            "backend_seconds": 0.0,
+            "dispatch_seconds": 0.0,
+            "active_peak": 0,
+            "active_total": 0,
+        }
+
+    @property
+    def sessions(self) -> Sequence[ProtocolSession]:
+        """The sessions this kernel advances."""
+        return tuple(self._sessions)
+
+    @property
+    def dispatches(self) -> int:
+        """State-changing events dispatched so far (forwards, sprays,
+        relays, deliveries and expiries, plus the multi-copy kernel's
+        rare overlapping-group no-ops)."""
+        return self._dispatches
+
+    @property
+    def pending(self) -> int:
+        """Sessions neither done nor dropped by ``on_session_error``.
+
+        Streaming callers poll this between windows; the count is
+        maintained incrementally (O(1) here), so the per-window
+        early-exit check never rescans the session list.
+        """
+        return self._pending
+
+    @property
+    def backend(self) -> str:
+        """Name of the backend currently running the kernel's ops."""
+        return self._backend.name
+
+    @property
+    def backend_fallbacks(self) -> Tuple[str, ...]:
+        """Backend degradations taken so far (usually empty).
+
+        A resolve-time miss (requested backend unavailable) or an op
+        failure recomputed on numpy. A degradation never changes
+        outcomes, only wall time: backend ops are pure, so the numpy
+        recomputation sees identical inputs.
+        """
+        return tuple(self._backend_fallbacks)
+
+    @property
+    def fallback_events(self) -> Tuple[ResilienceEvent, ...]:
+        """:attr:`backend_fallbacks` as
+        :data:`~repro.utils.resilience.KERNEL_FALLBACK` resilience events."""
+        return tuple(
+            ResilienceEvent(
+                kind=KERNEL_FALLBACK,
+                where=type(self).__name__,
+                detail=note,
+                resolution="degraded",
+            )
+            for note in self._backend_fallbacks
+        )
+
+    def _note_fallback(self, note: str) -> None:
+        self._backend_fallbacks.append(note)
+        logger.warning("%s — %s", type(self).__name__, note)
+
+    def _op(self, name: str, *args):
+        """Call backend op ``name``, timed into ``stats["backend_seconds"]``.
+
+        A failing numpy op re-raises. A failing compiled op is noted,
+        the kernel switches to numpy, and the op is retried once there.
+        """
+        started = perf_counter()
+        try:
+            return getattr(self._backend, name)(*args)
+        except Exception as error:
+            if self._backend.name == "numpy":
+                raise
+            self._note_fallback(
+                f"{name} failed on backend {self._backend.name!r}; "
+                f"recomputed with numpy: {type(error).__name__}: {error}"
+            )
+            self._backend = resolve_backend("numpy")
+            self.stats["backend"] = self._backend.name
+            return getattr(self._backend, name)(*args)
+        finally:
+            self.stats["backend_seconds"] += perf_counter() - started
+
+    def _count_round(self, n_active: int) -> None:
+        stats = self.stats
+        stats["rounds"] += 1
+        stats["active_total"] += n_active
+        if n_active > stats["active_peak"]:
+            stats["active_peak"] = n_active
+
+    def _open_window(
+        self, block: EventBlock
+    ) -> Tuple[List[int], np.ndarray, np.ndarray]:
+        """``(live, cursor, expiry)`` for one window.
+
+        ``live`` lists the sessions not yet done; ``cursor`` and
+        ``expiry`` are per-session event indices, set at ``live``. Events
+        before creation are no-ops, and expiry fires at the first event
+        strictly past the deadline (``on_contact_scalar``'s
+        ``time < created_at`` / ``time > expires_at`` branches). The
+        target table is built on the first call.
+        """
+        sessions = self._sessions
+        if self._table is None:
+            self._table = _TargetTable(sessions)
+        live: List[int] = []
+        created: List[float] = []
+        expires: List[float] = []
+        for s in self._alive:
+            session = sessions[s]
+            if session.done:
+                continue
+            live.append(s)
+            created.append(session.created_at)
+            expires.append(session.expires_at)
+        live_idx = np.asarray(live, dtype=np.int64)
+        cursor = np.empty(len(sessions), dtype=np.int64)
+        cursor[live_idx] = np.searchsorted(
+            block.times, np.asarray(created, dtype=np.float64), side="left"
+        )
+        expiry = np.empty(len(sessions), dtype=np.int64)
+        expiry[live_idx] = np.searchsorted(
+            block.times, np.asarray(expires, dtype=np.float64), side="right"
+        )
+        return live, cursor, expiry
+
+    def _close_window(self, live: List[int], dropped: set, dispatched: int) -> int:
+        """Forget finished and dropped sessions; count ``dispatched``."""
+        sessions = self._sessions
+        self._alive = [
+            s for s in live if s not in dropped and not sessions[s].done
+        ]
+        self._pending = len(self._alive)
+        self._dispatches += dispatched
+        return dispatched
 
 
-def _delivery_stats() -> dict:
-    """Fresh ``stats`` counters of a delivery kernel."""
-    return {
-        "rounds": 0,
-        "scalar_dispatches": 0,
-        "backend_seconds": 0.0,
-        "dispatch_seconds": 0.0,
-        "active_peak": 0,
-        "active_total": 0,
-    }
-
-
-def _note_round(stats: dict, n_active: int) -> None:
-    stats["rounds"] += 1
-    stats["active_total"] += n_active
-    if n_active > stats["active_peak"]:
-        stats["active_peak"] = n_active
-
-
-class BatchKernel(_KernelBackendMixin):
+class BatchKernel(_DeliveryKernel):
     """Simulate a batch of eligible single-copy sessions over one block.
 
     Eligibility (:meth:`supports`) is deliberately narrow: exactly
@@ -213,22 +361,9 @@ class BatchKernel(_KernelBackendMixin):
     """
 
     mode = "kernel-single"
-
-    def __init__(self, sessions: Sequence[SingleCopySession], backend=None):
-        ineligible = [type(s).__name__ for s in sessions if not self.supports(s)]
-        if ineligible:
-            raise ValueError(
-                "BatchKernel only accepts fault-free, recovery-free, "
-                f"keyring-free SingleCopySession instances; got {ineligible[:3]}"
-            )
-        self._sessions: List[SingleCopySession] = list(sessions)
-        self._dispatches = 0
-        self._table: _TargetTable | None = None
-        self._alive: List[int] = [
-            s for s, session in enumerate(self._sessions) if not session.done
-        ]
-        self._pending = len(self._alive)
-        self._init_backend(backend, _delivery_stats())
+    _accepts = (
+        "fault-free, recovery-free, keyring-free SingleCopySession instances"
+    )
 
     @staticmethod
     def supports(session: ProtocolSession) -> bool:
@@ -243,30 +378,6 @@ class BatchKernel(_KernelBackendMixin):
             and session.recovery is None
             and session.onion is None
         )
-
-    @property
-    def sessions(self) -> Sequence[SingleCopySession]:
-        """The sessions this kernel advances."""
-        return tuple(self._sessions)
-
-    @property
-    def dispatches(self) -> int:
-        """State-changing events dispatched so far (forwards + expiries)."""
-        return self._dispatches
-
-    @property
-    def pending(self) -> int:
-        """Sessions neither done nor dropped by ``on_session_error``.
-
-        Streaming callers poll this between windows; the count is
-        maintained incrementally (O(1) here), so the per-window
-        early-exit check never rescans the session list.
-        """
-        return self._pending
-
-    # ------------------------------------------------------------------
-    # the sweep
-    # ------------------------------------------------------------------
 
     def run(self, block: EventBlock, on_session_error=None) -> int:
         """Advance every session across ``block``; returns the dispatch count.
@@ -294,67 +405,31 @@ class BatchKernel(_KernelBackendMixin):
         from later sweeps, so a long stream does not rescan them.
         """
         sessions = self._sessions
-        n_events = len(block)
-        if not sessions or n_events == 0:
+        if not sessions or len(block) == 0:
             return 0
-
-        n_sessions = len(sessions)
-        holder = np.empty(n_sessions, dtype=np.int64)
-        active = np.zeros(n_sessions, dtype=bool)
-        cursor = np.empty(n_sessions, dtype=np.int64)
-        expiry = np.empty(n_sessions, dtype=np.int64)
-        hop_slot = np.empty(n_sessions, dtype=np.int64)
-
-        if self._table is None:
-            self._table = _TargetTable(sessions)
+        live, cursor, expiry = self._open_window(block)
         table = self._table
-        base = table.base
-        max_node = table.max_node
+        act = np.asarray(live, dtype=np.int64)
+        holders = [sessions[s].holder for s in live]
+        holder = np.empty(len(sessions), dtype=np.int64)
+        holder[act] = holders
+        hop_slot = np.empty(len(sessions), dtype=np.int64)
+        hop_slot[act] = table.base[act] + np.asarray(
+            [sessions[s].next_hop for s in live], dtype=np.int64
+        ) - 1
+        index = _EventIndex(block, min_nodes=max([table.max_node, *holders]) + 1)
+
         dropped: set = set()
-        live: List[int] = []
-        created: List[float] = []
-        expires: List[float] = []
-        for s in self._alive:
-            session = sessions[s]
-            if session.done:
-                continue
-            live.append(s)
-            active[s] = True
-            holder[s] = session.holder
-            if session.holder > max_node:
-                max_node = session.holder
-            hop_slot[s] = base[s] + session.next_hop - 1
-            created.append(session.created_at)
-            expires.append(session.expires_at)
-        if live:
-            live_idx = np.asarray(live, dtype=np.int64)
-            cursor[live_idx], expiry[live_idx] = _window_bounds_batch(
-                block.times,
-                np.asarray(created, dtype=np.float64),
-                np.asarray(expires, dtype=np.float64),
-            )
-
-        index = _EventIndex(block, min_nodes=max_node + 1)
-
-        act = np.nonzero(active)[0]
         dispatched = 0
         if act.size:
             dispatched = self._sweep(
-                index, table, act, holder, hop_slot, cursor, expiry,
+                index, act, holder, hop_slot, cursor, expiry,
                 dropped, on_session_error,
             )
-
-        self._alive = [
-            s
-            for s in self._alive
-            if s not in dropped and not sessions[s].done
-        ]
-        self._pending = len(self._alive)
-        self._dispatches += dispatched
-        return dispatched
+        return self._close_window(live, dropped, dispatched)
 
     def _sweep(
-        self, index, table, act, holder, hop_slot, cursor, expiry,
+        self, index, act, holder, hop_slot, cursor, expiry,
         dropped, on_session_error,
     ) -> int:
         """Whole-trajectory sweep of the active sessions ``act``.
@@ -371,6 +446,7 @@ class BatchKernel(_KernelBackendMixin):
         model raises instead of silently corrupting outcomes.
         """
         sessions = self._sessions
+        table = self._table
         stats = self.stats
         traj, lens, dones = self._op(
             "single_trajectories",
@@ -390,7 +466,7 @@ class BatchKernel(_KernelBackendMixin):
             cursor,
             expiry,
         )
-        _note_round(stats, int(act.size))
+        self._count_round(int(act.size))
 
         dispatched = 0
         started = perf_counter()
@@ -441,7 +517,7 @@ class BatchKernel(_KernelBackendMixin):
         return dispatched
 
 
-class MultiCopyBatchKernel(_KernelBackendMixin):
+class MultiCopyBatchKernel(_DeliveryKernel):
     """Simulate a batch of eligible multi-copy sessions over one block.
 
     Eligibility mirrors :class:`BatchKernel`: exactly
@@ -462,22 +538,7 @@ class MultiCopyBatchKernel(_KernelBackendMixin):
     """
 
     mode = "kernel-multicopy"
-
-    def __init__(self, sessions: Sequence[MultiCopySession], backend=None):
-        ineligible = [type(s).__name__ for s in sessions if not self.supports(s)]
-        if ineligible:
-            raise ValueError(
-                "MultiCopyBatchKernel only accepts fault-free, recovery-free "
-                f"MultiCopySession instances; got {ineligible[:3]}"
-            )
-        self._sessions: List[MultiCopySession] = list(sessions)
-        self._dispatches = 0
-        self._table: _TargetTable | None = None
-        self._alive: List[int] = [
-            s for s, session in enumerate(self._sessions) if not session.done
-        ]
-        self._pending = len(self._alive)
-        self._init_backend(backend, _delivery_stats())
+    _accepts = "fault-free, recovery-free MultiCopySession instances"
 
     @staticmethod
     def supports(session: ProtocolSession) -> bool:
@@ -488,28 +549,13 @@ class MultiCopyBatchKernel(_KernelBackendMixin):
             and session.recovery is None
         )
 
-    @property
-    def sessions(self) -> Sequence[MultiCopySession]:
-        """The sessions this kernel advances."""
-        return tuple(self._sessions)
-
-    @property
-    def dispatches(self) -> int:
-        """Events dispatched so far (sprays, relays, deliveries, expiries,
-        plus the rare overlapping-group no-ops)."""
-        return self._dispatches
-
-    @property
-    def pending(self) -> int:
-        """Sessions neither done nor dropped by ``on_session_error``.
-
-        Maintained incrementally, so streaming early-exit polls are O(1).
-        """
-        return self._pending
-
-    # ------------------------------------------------------------------
-    # the sweep
-    # ------------------------------------------------------------------
+    def _mirror(self, s: int) -> List[Tuple[int, int]]:
+        """Session ``s``'s live copies as ``(holder, hop slot)`` pairs."""
+        offset = int(self._table.base[s])
+        return [
+            (holder, offset + next_hop - 1)
+            for holder, next_hop in self._sessions[s].copy_states()
+        ]
 
     def run(self, block: EventBlock, on_session_error=None) -> int:
         """Advance every session across ``block``; returns the dispatch count.
@@ -525,58 +571,26 @@ class MultiCopyBatchKernel(_KernelBackendMixin):
         n_events = len(block)
         if not sessions or n_events == 0:
             return 0
-
-        n_sessions = len(sessions)
-        active = np.zeros(n_sessions, dtype=bool)
-        cursor = np.empty(n_sessions, dtype=np.int64)
-        expiry = np.empty(n_sessions, dtype=np.int64)
-        # Per-session copy mirror: [(holder, hop slot), ...] per live copy.
-        mirrors: List[List[Tuple[int, int]]] = [[] for _ in range(n_sessions)]
-
-        if self._table is None:
-            self._table = _TargetTable(sessions)
-        table = self._table
-        base = table.base
-        max_node = table.max_node
-        dropped: set = set()
-        live: List[int] = []
-        created: List[float] = []
-        expires: List[float] = []
-        for s in self._alive:
-            session = sessions[s]
-            if session.done:
-                continue
-            live.append(s)
-            active[s] = True
-            offset = int(base[s])
-            mirror = [
-                (holder_, offset + next_hop - 1)
-                for holder_, next_hop in session.copy_states()
-            ]
-            mirrors[s] = mirror
-            for holder_, _slot in mirror:
-                if holder_ > max_node:
-                    max_node = holder_
-            created.append(session.created_at)
-            expires.append(session.expires_at)
-        if live:
-            live_idx = np.asarray(live, dtype=np.int64)
-            cursor[live_idx], expiry[live_idx] = _window_bounds_batch(
-                block.times,
-                np.asarray(created, dtype=np.float64),
-                np.asarray(expires, dtype=np.float64),
-            )
-
+        live, cursor, expiry = self._open_window(block)
+        mirrors = {s: self._mirror(s) for s in live}
+        max_node = max(
+            [self._table.max_node]
+            + [holder for mirror in mirrors.values() for holder, _ in mirror]
+        )
         index = _EventIndex(block, min_nodes=max_node + 1)
+        table = self._table
         times = index.times
         events_a = index.events_a
         events_b = index.events_b
         stats = self.stats
 
+        active = np.zeros(len(sessions), dtype=bool)
+        active[np.asarray(live, dtype=np.int64)] = True
+        dropped: set = set()
         dispatched = 0
         act = np.nonzero(active)[0]
         while act.size:
-            _note_round(stats, int(act.size))
+            self._count_round(int(act.size))
             # Flatten every active session's live copies. An active session
             # always has at least one live copy (all-terminated ⇒ done).
             c_row: List[int] = []  # position of the copy's session in act
@@ -629,22 +643,11 @@ class MultiCopyBatchKernel(_KernelBackendMixin):
                     continue
                 cursor[s] = k + 1
                 if session.state_version != version:
-                    offset = int(base[s])
-                    mirrors[s] = [
-                        (holder_, offset + next_hop - 1)
-                        for holder_, next_hop in session.copy_states()
-                    ]
+                    mirrors[s] = self._mirror(s)
             stats["dispatch_seconds"] += perf_counter() - started
             act = np.nonzero(active)[0]
 
-        self._alive = [
-            s
-            for s in self._alive
-            if s not in dropped and not sessions[s].done
-        ]
-        self._pending = len(self._alive)
-        self._dispatches += dispatched
-        return dispatched
+        return self._close_window(live, dropped, dispatched)
 
 
 #: Kernel classes in the order the engine tries them; the first whose

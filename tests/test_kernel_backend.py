@@ -609,6 +609,22 @@ class TestKernelBookkeeping:
         with pytest.raises(ValueError, match="unknown kernel backend"):
             BatchKernel(fresh(), backend="fortran")
 
+    def test_env_var_typo_fails_loudly_instead_of_leaving_the_kernels(
+        self, monkeypatch
+    ):
+        # An unknown $REPRO_KERNEL_BACKEND must not be filed as a kernel
+        # rejection that quietly routes every session to the object loop.
+        monkeypatch.setenv(ENV_VAR, "fortran")
+        fresh, block = single_copy_workload(sessions=5)
+        with pytest.raises(ValueError, match="unknown kernel backend"):
+            SimulationEngine(ColumnarEventSource(block), horizon=360.0)
+        graph = random_contact_graph(20, (10.0, 120.0), rng=np.random.default_rng(3))
+        with pytest.raises(ValueError, match="unknown kernel backend"):
+            run_random_graph_batch(
+                graph, 4, 2, 1, horizon=400.0, sessions=20,
+                rng=np.random.default_rng(5),
+            )
+
     def test_multicopy_backend_knob_rejects_typo(self):
         directory = OnionGroupDirectory(20, 3, rng=np.random.default_rng(0))
         route = directory.select_route(0, 9, 2, rng=np.random.default_rng(0))

@@ -100,12 +100,17 @@ def block():
     ).events_until_columnar(HORIZON)
 
 
-def run_mixed(block, **knobs):
+def run_batch(block, sessions, **knobs):
     engine = SimulationEngine(ColumnarEventSource(block), horizon=HORIZON, **knobs)
-    sessions = mixed_sessions(seed=13)
     for session in sessions:
         engine.add_session(session)
     engine.run()
+    return engine
+
+
+def run_mixed(block, **knobs):
+    sessions = mixed_sessions(seed=13)
+    engine = run_batch(block, sessions, **knobs)
     return engine, [session.outcome() for session in sessions]
 
 
@@ -234,6 +239,60 @@ class TestEngineKernelFallback:
         with pytest.raises(RuntimeError, match="post-dispatch"):
             engine.run()
         assert len(engine.kernel_stats) == 2
+
+
+#: The session hook each kernel applies its state changes through.
+KERNEL_HOOKS = {
+    BatchKernel: "apply_transitions",
+    MultiCopyBatchKernel: "on_contact_scalar",
+}
+
+
+def kernel_batch(kernel_cls, victim=None):
+    """The sessions of ``mixed_sessions`` that ``kernel_cls`` sweeps; the
+    one at position ``victim``, if given, raises on its first state change."""
+    sessions = [s for s in mixed_sessions(seed=13) if kernel_cls.supports(s)]
+    if victim is not None:
+
+        def refuse(*args):
+            raise ValueError("injected session fault")
+
+        setattr(sessions[victim], KERNEL_HOOKS[kernel_cls], refuse)
+    return sessions
+
+
+@pytest.mark.parametrize("kernel_cls", list(KERNEL_HOOKS))
+class TestKernelSessionErrorContainment:
+    """A session that raises inside a kernel sweep is contained on its own:
+    the kernel drops it and every other session runs as if it were not
+    there."""
+
+    def test_raising_session_is_quarantined_alone(self, block, kernel_cls):
+        clean = kernel_batch(kernel_cls)
+        run_batch(block, clean)
+        # Fault a session the clean sweep advances, so the kernel reaches it.
+        victim = next(
+            i for i, s in enumerate(clean) if s.outcome().transmissions
+        )
+
+        sessions = kernel_batch(kernel_cls, victim)
+        kernel = kernel_cls(sessions)
+        errors = []
+        kernel.run(block, on_session_error=lambda s, e: errors.append(s))
+        assert errors == [sessions[victim]]
+        assert kernel.pending == sum(
+            1 for s in sessions if s is not sessions[victim] and not s.done
+        )
+
+        sessions = kernel_batch(kernel_cls, victim)
+        engine = run_batch(block, sessions)
+        assert [s for s, _ in engine.quarantined] == [sessions[victim]]
+        assert sessions[victim].outcome().status == "failed"
+        assert engine.dispatch_mode_counts == {kernel_cls.mode: len(sessions)}
+        expected = outcome_fields(s.outcome() for s in clean)
+        got = outcome_fields(s.outcome() for s in sessions)
+        del expected[victim], got[victim]
+        assert got == expected
 
 
 # ----------------------------------------------------------------------

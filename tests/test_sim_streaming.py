@@ -304,3 +304,14 @@ class TestStreamEngineInternals:
             SimulationEngine(
                 process, horizon=100.0, consume="stream", max_window_events=0
             )
+
+    @pytest.mark.parametrize("ceiling", [True, 2.5, "16"])
+    def test_non_int_window_ceiling_rejected_at_construction(self, graph, ceiling):
+        # ``True`` is an ``int`` to isinstance; accepting it used to defer
+        # the failure to window production, which degraded the whole run
+        # to lazy events and left the kernels unused.
+        process = ExponentialContactProcess(graph, rng=np.random.default_rng(1))
+        with pytest.raises(TypeError, match="max_window_events"):
+            SimulationEngine(
+                process, horizon=100.0, consume="stream", max_window_events=ceiling
+            )
