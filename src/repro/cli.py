@@ -23,6 +23,7 @@ figure 5`` prints what the default run prints, only faster or slower.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 from typing import Callable, Dict, Union
@@ -76,12 +77,6 @@ _FIGURES: Dict[FigureKey, Callable[..., FigureResult]] = {
     "r1": figure_r1,
     "r2": figure_r2,
 }
-
-_SIM_FIGS = {4, 5, 10, 11, 14, 17, "e1", "e2", "r1", "r2"}
-_MC_FIGS = {6, 7, 8, 9, 12, 13, 15, 16, 18, 19}
-# Figures whose batches run through the parallel layer; e1/e2 drive one
-# shared engine inline and stay serial.
-_PARALLEL_FIGS = (_SIM_FIGS | _MC_FIGS) - {"e1", "e2"}
 
 
 def _figure_key(value: str) -> FigureKey:
@@ -261,16 +256,23 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
 
 def _run_figure(args: argparse.Namespace) -> int:
     func = _FIGURES[args.number]
+    # A flag applies to the figures whose function takes its keyword.
+    params = inspect.signature(func).parameters
     kwargs = {}
     if args.seed is not None:
         kwargs["seed"] = args.seed
-    if args.trials is not None and args.number in _MC_FIGS:
+    if args.trials is not None and "trials" in params:
         kwargs["trials"] = args.trials
     if args.compromise_model is not None:
-        if args.number not in _MC_FIGS:
+        if "compromise_model" not in params:
+            security = [
+                str(key)
+                for key in _sorted_figure_keys()
+                if "compromise_model" in inspect.signature(_FIGURES[key]).parameters
+            ]
             print(
                 f"error: --compromise-model only applies to the security "
-                f"figures ({', '.join(str(k) for k in sorted(_MC_FIGS))})",
+                f"figures ({', '.join(security)})",
                 file=sys.stderr,
             )
             return 2
@@ -284,12 +286,12 @@ def _run_figure(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"error: ${ENV_VAR}: {exc}", file=sys.stderr)
             return 2
-    if args.sessions is not None and args.number in _SIM_FIGS:
-        if args.number in (4, 5, 10, 11):
-            kwargs["sessions_per_graph"] = args.sessions
-        else:
-            kwargs["sessions"] = args.sessions
-    if args.workers != 1 and args.number in _PARALLEL_FIGS:
+    if args.sessions is not None:
+        for size in ("sessions_per_graph", "sessions"):
+            if size in params:
+                kwargs[size] = args.sessions
+                break
+    if args.workers != 1 and "workers" in params:
         # One persistent pool for the whole figure: every batch the sweep
         # runs reuses the same worker processes instead of forking per call.
         # The pool is supervised — chunk timeouts, crash recovery, bounded

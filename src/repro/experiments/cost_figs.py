@@ -7,17 +7,12 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.analysis.cost import multi_copy_cost_bound, non_anonymous_cost
-from repro.contacts.random_graph import random_contact_graph
 from repro.experiments.config import DEFAULT_CONFIG, PaperConfig
+from repro.experiments.delivery_figs import graph_sweeps
 from repro.experiments.result import FigureResult, Series
-from repro.experiments.parallel import (
-    workers_metadata,
-    Workers,
-    run_parallel_fused_sweep,
-    shared_contact_block,
-)
-from repro.experiments.runners import SweepVariant, run_fused_graph_sweep
-from repro.utils.rng import RandomSource, ensure_rng, spawn_rng
+from repro.experiments.parallel import workers_metadata, Workers
+from repro.experiments.runners import SweepVariant
+from repro.utils.rng import RandomSource, ensure_rng
 
 
 def measured_transmissions_sweep(
@@ -37,7 +32,6 @@ def measured_transmissions_sweep(
     Sessions run to the full deadline so undelivered copies also account
     for their spray/relay cost, like the paper's cost measurements.
     """
-    generator = ensure_rng(rng)
     variants = [
         SweepVariant(
             label=f"L={copies}",
@@ -48,24 +42,9 @@ def measured_transmissions_sweep(
         for copies in copy_counts
     ]
     counts: List[List[int]] = [[] for _ in variants]
-    for graph_rng in spawn_rng(generator, graphs):
-        graph = random_contact_graph(
-            config.n, config.mean_intercontact_range, rng=graph_rng
-        )
-        # Parallel chunks replay one shared columnar stream per graph; the
-        # serial (workers=1) path keeps the historical per-batch sampling.
-        sweep = run_parallel_fused_sweep(
-            run_fused_graph_sweep,
-            variants=variants,
-            sessions_per_variant=sessions_per_graph,
-            workers=workers,
-            rng=graph_rng,
-            shared_events=shared_contact_block(
-                workers, graph, graph_rng, config.max_deadline
-            ),
-            graph=graph,
-            horizon=config.max_deadline,
-        )
+    for _, sweep in graph_sweeps(
+        config, variants, graphs, sessions_per_graph, rng, workers
+    ):
         for slot, batch in enumerate(sweep):
             counts[slot].extend(outcome.transmissions for _, outcome in batch)
     return [float(np.mean(per_variant)) for per_variant in counts]

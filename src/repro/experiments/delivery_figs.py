@@ -1,11 +1,17 @@
-"""Delivery-rate figures on random contact graphs (Figs. 4, 5, 10)."""
+"""Delivery-rate figures on random contact graphs (Figs. 4, 5, 10).
+
+:func:`delivery_figure` is the one body of every delivery-rate figure,
+the trace figures 14 and 17 included; :func:`graph_sweeps` runs the
+random-graph sweeps that Figs. 4, 5, 10 and 11 measure.
+"""
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.contacts.graph import ContactGraph
 from repro.contacts.random_graph import random_contact_graph
 from repro.experiments.config import DEFAULT_CONFIG, PaperConfig
 from repro.experiments.result import FigureResult, Series
@@ -22,37 +28,37 @@ from repro.experiments.runners import (
     simulated_delivery_curve,
 )
 from repro.utils.rng import RandomSource, ensure_rng, spawn_rng
+from repro.utils.validation import check_positive_int
 
 
-def delivery_sweep_series(
+def graph_sweeps(
     config: PaperConfig,
     variants: Sequence[SweepVariant],
     graphs: int,
     sessions_per_graph: int,
     rng: RandomSource,
     workers: Workers = 1,
-) -> List[Tuple[Series, Series]]:
-    """(Analysis, Simulation) series pairs for a fused parameter sweep.
+) -> Iterator[Tuple[ContactGraph, List[list]]]:
+    """Yield ``(graph, sweep)`` for each of ``graphs`` random contact graphs.
 
-    All grid points share each graph's contact window — one engine pass
-    (one struct-of-arrays kernel invocation per kernel class) advances the
-    entire grid per graph, and between-point comparisons see common random
-    numbers. ``workers`` is a count or a persistent
+    Each graph is drawn from its own :func:`~repro.utils.rng.spawn_rng`
+    child, and its whole variant grid runs as one fused sweep: all grid
+    points share the graph's contact window — one engine pass (one
+    struct-of-arrays kernel invocation per kernel class) advances the
+    entire grid, and between-point comparisons see common random numbers.
+    ``sweep`` holds one ``[(route, outcome), …]`` list per variant.
+
+    ``workers`` is a count or a persistent
     :class:`~repro.experiments.parallel.WorkerPool`; more than one worker
     splits each graph's per-variant session batches across the pool and
     shares a single pre-generated columnar event stream between the chunks
     (deterministic for a fixed seed); one worker keeps the seed-exact
-    serial behaviour.
-
-    Eligible fault-free single-copy *and* multi-copy batches run through
-    the struct-of-arrays kernels, on the compute backend named by
-    ``$REPRO_KERNEL_BACKEND`` (see :mod:`repro.sim.backend`) — outcomes
-    are byte-identical across backends, only the sweep speed changes.
+    serial behaviour. Eligible fault-free batches run on the compute
+    backend named by ``$REPRO_KERNEL_BACKEND`` (see
+    :mod:`repro.sim.backend`); outcomes are byte-identical across backends.
     """
+    check_positive_int(graphs, "graphs")
     generator = ensure_rng(rng)
-    deadlines = config.deadlines
-    analysis_totals = [np.zeros(len(deadlines)) for _ in variants]
-    outcomes_per_variant: List[list] = [[] for _ in variants]
     for graph_rng in spawn_rng(generator, graphs):
         graph = random_contact_graph(
             config.n, config.mean_intercontact_range, rng=graph_rng
@@ -61,7 +67,7 @@ def delivery_sweep_series(
         # and ship it to every chunk instead of re-sampling per chunk. The
         # block draw advances graph_rng, so parallel results are a different
         # (equally valid) sample than serial — workers=1 stays untouched.
-        sweep = run_parallel_fused_sweep(
+        yield graph, run_parallel_fused_sweep(
             run_fused_graph_sweep,
             variants=variants,
             sessions_per_variant=sessions_per_graph,
@@ -73,6 +79,30 @@ def delivery_sweep_series(
             graph=graph,
             horizon=config.max_deadline,
         )
+
+
+def delivery_figure(
+    figure_id: str,
+    title: str,
+    x_label: str,
+    variants: Sequence[SweepVariant],
+    deadlines: Sequence[float],
+    runs: Iterable[Tuple[ContactGraph, List[list]]],
+    workers: Workers,
+) -> FigureResult:
+    """The one body of every delivery-rate figure: rate vs deadline.
+
+    ``runs`` yields ``(graph, sweep)`` pairs, ``sweep`` holding one
+    ``[(route, outcome), …]`` list per variant. Each variant gets an
+    ``"Analysis: {label}"`` series, the Eq. 6/7 model of each run's routes
+    on its graph averaged over the runs, and a ``"Simulation: {label}"``
+    series measured from the outcomes of all runs pooled. The figure
+    lists every Analysis series, then every Simulation series.
+    """
+    analysis_totals = [np.zeros(len(deadlines)) for _ in variants]
+    outcomes_per_variant: List[list] = [[] for _ in variants]
+    count = 0
+    for count, (graph, sweep) in enumerate(runs, start=1):
         for slot, (variant, batch) in enumerate(zip(variants, sweep)):
             routes = [route for route, _ in batch]
             outcomes_per_variant[slot].extend(outcome for _, outcome in batch)
@@ -80,46 +110,24 @@ def delivery_sweep_series(
                 graph, routes, deadlines, copies=variant.copies
             )
             analysis_totals[slot] += np.array([y for _, y in curve])
-    pairs: List[Tuple[Series, Series]] = []
-    for variant, total, outcomes in zip(
-        variants, analysis_totals, outcomes_per_variant
-    ):
-        analysis_points = tuple(zip(deadlines, total / graphs))
-        sim_points = tuple(simulated_delivery_curve(outcomes, deadlines))
-        pairs.append(
-            (
-                Series(label=f"Analysis: {variant.label}", points=analysis_points),
-                Series(label=f"Simulation: {variant.label}", points=sim_points),
-            )
+    analysis = [
+        Series(
+            label=f"Analysis: {variant.label}",
+            points=tuple(zip(deadlines, total / count)),
         )
-    return pairs
-
-
-def _sweep_figure(
-    figure_id: str,
-    title: str,
-    config: PaperConfig,
-    variants: Sequence[SweepVariant],
-    graphs: int,
-    sessions_per_graph: int,
-    seed: RandomSource,
-    workers: Workers,
-) -> FigureResult:
-    """Shared body of the fused delivery-rate figures."""
-    pairs = delivery_sweep_series(
-        config,
-        variants,
-        graphs=graphs,
-        sessions_per_graph=sessions_per_graph,
-        rng=ensure_rng(seed),
-        workers=workers,
-    )
-    analysis = [a for a, _ in pairs]
-    simulation = [s for _, s in pairs]
+        for variant, total in zip(variants, analysis_totals)
+    ]
+    simulation = [
+        Series(
+            label=f"Simulation: {variant.label}",
+            points=tuple(simulated_delivery_curve(outcomes, deadlines)),
+        )
+        for variant, outcomes in zip(variants, outcomes_per_variant)
+    ]
     return FigureResult(
         figure_id=figure_id,
         title=title,
-        x_label="Deadline (minutes)",
+        x_label=x_label,
         y_label="Delivery rate",
         series=tuple(analysis + simulation),
         metadata=workers_metadata(workers),
@@ -148,14 +156,10 @@ def figure_04(
         )
         for group_size in group_sizes
     ]
-    return _sweep_figure(
-        "Fig. 4",
-        "Delivery rate w.r.t. deadline (group sizes)",
-        config,
-        variants,
-        graphs,
-        sessions_per_graph,
-        seed,
+    return delivery_figure(
+        "Fig. 4", "Delivery rate w.r.t. deadline (group sizes)",
+        "Deadline (minutes)", variants, config.deadlines,
+        graph_sweeps(config, variants, graphs, sessions_per_graph, seed, workers),
         workers,
     )
 
@@ -181,14 +185,10 @@ def figure_05(
         )
         for onion_routers in onion_router_counts
     ]
-    return _sweep_figure(
-        "Fig. 5",
-        "Delivery rate w.r.t. deadline (onion router counts)",
-        config,
-        variants,
-        graphs,
-        sessions_per_graph,
-        seed,
+    return delivery_figure(
+        "Fig. 5", "Delivery rate w.r.t. deadline (onion router counts)",
+        "Deadline (minutes)", variants, config.deadlines,
+        graph_sweeps(config, variants, graphs, sessions_per_graph, seed, workers),
         workers,
     )
 
@@ -219,13 +219,11 @@ def figure_10(
         )
         for copies in copy_counts
     ]
-    return _sweep_figure(
-        "Fig. 10",
-        "Delivery rate w.r.t. deadline (copy counts, g=5)",
-        multicopy_config,
-        variants,
-        graphs,
-        sessions_per_graph,
-        seed,
+    return delivery_figure(
+        "Fig. 10", "Delivery rate w.r.t. deadline (copy counts, g=5)",
+        "Deadline (minutes)", variants, multicopy_config.deadlines,
+        graph_sweeps(
+            multicopy_config, variants, graphs, sessions_per_graph, seed, workers
+        ),
         workers,
     )

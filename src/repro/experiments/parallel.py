@@ -740,8 +740,10 @@ def _dispatch_chunks(
     belongs to a pool and is unlinked when that pool closes.
     ``chunk_fns`` is the ``(plain, shared)`` chunk-function pair; a shared
     ``block`` is sliced by trial-row offset, a shared event stream is
-    replayed whole by every chunk.
+    replayed whole by every chunk. A ``total`` below one raises
+    :class:`ValueError` naming ``size_keyword`` on every path.
     """
+    check_positive_int(total, size_keyword)
     if shared is not None and not isinstance(shared, shared_type):
         raise TypeError(
             f"shared {shared_keyword} must be of type {shared_type.__name__}, "

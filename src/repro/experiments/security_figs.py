@@ -4,7 +4,8 @@ These metrics are independent of the contact-graph realisation (§V-A), so
 the "Simulation" series are Monte Carlo draws of routes and compromised
 sets, and the "Analysis" series are the closed-form models.
 
-Each figure's whole (compromise-rate c, onion-count K, copies L) grid runs
+Every security figure, the trace figures 15, 16, 18 and 19 included, is
+one call to :func:`security_figure`. It runs the figure's (c, K, L) grid
 as ONE fused Monte Carlo call per group size: the grid points share a
 single :class:`~repro.adversary.kernel.SecurityTrialBlock` (common random
 numbers), and the :class:`~repro.adversary.kernel.SecurityBatchKernel`
@@ -15,7 +16,7 @@ same block through the per-trial objects.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Sequence, Tuple, Union
 
 from repro.adversary.compromise import CompromiseModel
 from repro.adversary.kernel import SecuritySweepVariant
@@ -29,21 +30,16 @@ from repro.utils.rng import RandomSource, ensure_rng
 
 CompromiseModelSpec = Union[str, CompromiseModel]
 
+#: The y label of each security metric, in the order
+#: :func:`fused_security_points` returns them per grid point.
+SECURITY_METRICS = ("Traceable rate", "Path anonymity")
+
 
 def compromise_model_name(compromise_model: CompromiseModelSpec) -> str:
     """A JSON-safe label for the adversary used in figure metadata."""
     if isinstance(compromise_model, str):
         return compromise_model
     return getattr(compromise_model, "name", type(compromise_model).__name__)
-
-
-def security_figure_metadata(
-    workers: Workers, compromise_model: CompromiseModelSpec
-) -> dict:
-    """Execution metadata for security figures: workers + adversary."""
-    meta = workers_metadata(workers)
-    meta["compromise_model"] = compromise_model_name(compromise_model)
-    return meta
 
 
 def fused_security_points(
@@ -85,6 +81,81 @@ def fused_security_points(
     return [(flat[2 * k], flat[2 * k + 1]) for k in range(len(variants))]
 
 
+def security_figure(
+    figure_id: str,
+    title: str,
+    x_label: str,
+    y_label: str,
+    lines: Sequence[Any],
+    xs: Sequence[Any],
+    label: Callable[[Any], str],
+    model: Callable[[Any, Any], float],
+    cell: Callable[[Any, Any], Tuple[int, int, int, float]],
+    n: int,
+    trials: int,
+    seed: RandomSource,
+    workers: Workers,
+    compromise_model: CompromiseModelSpec,
+    overlapping: bool = False,
+) -> FigureResult:
+    """The one body of every security figure: a metric vs one grid axis.
+
+    Each of ``lines`` gives an ``"Analysis: {label(line)}"`` series of
+    ``model(line, x)`` and a ``"Simulation: {label(line)}"`` series of the
+    Monte Carlo estimate of ``cell(line, x) = (g, K, L, c)`` over ``xs``.
+    ``y_label`` names the metric: ``"Traceable rate"`` or ``"Path anonymity"``.
+
+    Fusion rule: the trial block is sampled per group size, so the cells
+    run as one :func:`fused_security_points` call per group size ``g``,
+    in the order each ``g`` first appears, with the cells of a call in
+    line-major order. Every seeded figure output depends on this order.
+    """
+    metric = SECURITY_METRICS.index(y_label)
+    generator = ensure_rng(seed)
+    groups: Dict[int, list] = {}  # g -> [(row, col, (K, L, c)), ...]
+    for row, line in enumerate(lines):
+        for col, x in enumerate(xs):
+            group_size, onion_routers, copies, rate = cell(line, x)
+            groups.setdefault(group_size, []).append(
+                (row, col, (onion_routers, copies, rate))
+            )
+    simulated = [[0.0] * len(xs) for _ in lines]
+    for group_size, members in groups.items():
+        scored = fused_security_points(
+            n,
+            group_size,
+            [grid_point for _, _, grid_point in members],
+            trials,
+            workers,
+            generator,
+            overlapping=overlapping,
+            compromise_model=compromise_model,
+        )
+        for (row, col, _), point in zip(members, scored):
+            simulated[row][col] = point[metric]
+    series = [
+        Series(
+            label=f"Analysis: {label(line)}",
+            points=tuple((x, model(line, x)) for x in xs),
+        )
+        for line in lines
+    ] + [
+        Series(label=f"Simulation: {label(line)}", points=tuple(zip(xs, ys)))
+        for line, ys in zip(lines, simulated)
+    ]
+    return FigureResult(
+        figure_id=figure_id,
+        title=title,
+        x_label=x_label,
+        y_label=y_label,
+        series=tuple(series),
+        metadata=dict(
+            workers_metadata(workers),
+            compromise_model=compromise_model_name(compromise_model),
+        ),
+    )
+
+
 def figure_06(
     onion_router_counts: Sequence[int] = (3, 5, 10),
     config: PaperConfig = DEFAULT_CONFIG,
@@ -94,46 +165,16 @@ def figure_06(
     compromise_model: CompromiseModelSpec = "uniform",
 ) -> FigureResult:
     """Fig. 6 — traceable rate vs compromised rate for K ∈ {3, 5, 10}."""
-    generator = ensure_rng(seed)
-    rates = config.compromise_rates
-    series: List[Series] = []
-    for onion_routers in onion_router_counts:
-        eta = onion_routers + 1
-        series.append(
-            Series(
-                label=f"Analysis: {onion_routers} onions",
-                points=tuple(
-                    (rate, traceable_rate_model(eta, rate)) for rate in rates
-                ),
-            )
-        )
-    grid = [
-        (onion_routers, 1, rate)
-        for onion_routers in onion_router_counts
-        for rate in rates
-    ]
-    scored = fused_security_points(
-        config.n,
-        config.group_size,
-        grid,
-        trials,
-        workers,
-        generator,
+    return security_figure(
+        "Fig. 6", "Traceable rate w.r.t. compromised rate",
+        "Compromised rate (c/n)", "Traceable rate",
+        lines=onion_router_counts,
+        xs=config.compromise_rates,
+        label=lambda k: f"{k} onions",
+        model=lambda k, rate: traceable_rate_model(k + 1, rate),
+        cell=lambda k, rate: (config.group_size, k, 1, rate),
+        n=config.n, trials=trials, seed=seed, workers=workers,
         compromise_model=compromise_model,
-    )
-    for row, onion_routers in enumerate(onion_router_counts):
-        points = tuple(
-            (rate, scored[row * len(rates) + col][0])
-            for col, rate in enumerate(rates)
-        )
-        series.append(Series(label=f"Simulation: {onion_routers} onions", points=points))
-    return FigureResult(
-        figure_id="Fig. 6",
-        title="Traceable rate w.r.t. compromised rate",
-        x_label="Compromised rate (c/n)",
-        y_label="Traceable rate",
-        series=tuple(series),
-        metadata=security_figure_metadata(workers, compromise_model),
     )
 
 
@@ -147,45 +188,16 @@ def figure_07(
     compromise_model: CompromiseModelSpec = "uniform",
 ) -> FigureResult:
     """Fig. 7 — traceable rate vs number of onion relays for c/n ∈ {10, 20, 30}%."""
-    generator = ensure_rng(seed)
-    series: List[Series] = []
-    for rate in compromise_rates:
-        series.append(
-            Series(
-                label=f"Analysis: c/n={rate:.0%}",
-                points=tuple(
-                    (float(k), traceable_rate_model(k + 1, rate))
-                    for k in onion_router_counts
-                ),
-            )
-        )
-    grid = [
-        (onion_routers, 1, rate)
-        for rate in compromise_rates
-        for onion_routers in onion_router_counts
-    ]
-    scored = fused_security_points(
-        config.n,
-        config.group_size,
-        grid,
-        trials,
-        workers,
-        generator,
+    return security_figure(
+        "Fig. 7", "Traceable rate w.r.t. number of onion relays",
+        "Number of onion relays", "Traceable rate",
+        lines=compromise_rates,
+        xs=onion_router_counts,
+        label=lambda rate: f"c/n={rate:.0%}",
+        model=lambda rate, k: traceable_rate_model(k + 1, rate),
+        cell=lambda rate, k: (config.group_size, k, 1, rate),
+        n=config.n, trials=trials, seed=seed, workers=workers,
         compromise_model=compromise_model,
-    )
-    for row, rate in enumerate(compromise_rates):
-        points = tuple(
-            (float(onion_routers), scored[row * len(onion_router_counts) + col][0])
-            for col, onion_routers in enumerate(onion_router_counts)
-        )
-        series.append(Series(label=f"Simulation: c/n={rate:.0%}", points=points))
-    return FigureResult(
-        figure_id="Fig. 7",
-        title="Traceable rate w.r.t. number of onion relays",
-        x_label="Number of onion relays",
-        y_label="Traceable rate",
-        series=tuple(series),
-        metadata=security_figure_metadata(workers, compromise_model),
     )
 
 
@@ -198,44 +210,16 @@ def figure_08(
     compromise_model: CompromiseModelSpec = "uniform",
 ) -> FigureResult:
     """Fig. 8 — path anonymity vs compromised rate for g ∈ {1, 5, 10}."""
-    generator = ensure_rng(seed)
-    rates = config.compromise_rates
-    eta = config.eta
-    series: List[Series] = []
-    for group_size in group_sizes:
-        series.append(
-            Series(
-                label=f"Analysis: g={group_size}",
-                points=tuple(
-                    (rate, path_anonymity(config.n, eta, group_size, rate))
-                    for rate in rates
-                ),
-            )
-        )
-    # The trial block is sampled per group size, so the fusion unit is one
-    # g value: each series' whole rate sweep shares one block.
-    for group_size in group_sizes:
-        grid = [(config.onion_routers, 1, rate) for rate in rates]
-        scored = fused_security_points(
-            config.n,
-            group_size,
-            grid,
-            trials,
-            workers,
-            generator,
-            compromise_model=compromise_model,
-            )
-        points = tuple(
-            (rate, scored[col][1]) for col, rate in enumerate(rates)
-        )
-        series.append(Series(label=f"Simulation: g={group_size}", points=points))
-    return FigureResult(
-        figure_id="Fig. 8",
-        title="Path anonymity w.r.t. compromised rate",
-        x_label="Compromised rate (c/n)",
-        y_label="Path anonymity",
-        series=tuple(series),
-        metadata=security_figure_metadata(workers, compromise_model),
+    return security_figure(
+        "Fig. 8", "Path anonymity w.r.t. compromised rate",
+        "Compromised rate (c/n)", "Path anonymity",
+        lines=group_sizes,
+        xs=config.compromise_rates,
+        label=lambda g: f"g={g}",
+        model=lambda g, rate: path_anonymity(config.n, config.eta, g, rate),
+        cell=lambda g, rate: (g, config.onion_routers, 1, rate),
+        n=config.n, trials=trials, seed=seed, workers=workers,
+        compromise_model=compromise_model,
     )
 
 
@@ -249,48 +233,16 @@ def figure_09(
     compromise_model: CompromiseModelSpec = "uniform",
 ) -> FigureResult:
     """Fig. 9 — path anonymity vs group size for c/n ∈ {10, 20, 30}%."""
-    generator = ensure_rng(seed)
-    eta = config.eta
-    series: List[Series] = []
-    for rate in compromise_rates:
-        series.append(
-            Series(
-                label=f"Analysis: c/n={rate:.0%}",
-                points=tuple(
-                    (float(g), path_anonymity(config.n, eta, g, rate))
-                    for g in group_sizes
-                ),
-            )
-        )
-    # One fused rate sweep per g (the block depends on g); transpose the
-    # per-g columns into the figure's per-rate series.
-    columns = []
-    for group_size in group_sizes:
-        grid = [(config.onion_routers, 1, rate) for rate in compromise_rates]
-        columns.append(
-            fused_security_points(
-                config.n,
-                group_size,
-                grid,
-                trials,
-                workers,
-                generator,
-                compromise_model=compromise_model,
-                    )
-        )
-    for row, rate in enumerate(compromise_rates):
-        points = tuple(
-            (float(group_size), columns[col][row][1])
-            for col, group_size in enumerate(group_sizes)
-        )
-        series.append(Series(label=f"Simulation: c/n={rate:.0%}", points=points))
-    return FigureResult(
-        figure_id="Fig. 9",
-        title="Path anonymity w.r.t. group size",
-        x_label="Group size",
-        y_label="Path anonymity",
-        series=tuple(series),
-        metadata=security_figure_metadata(workers, compromise_model),
+    return security_figure(
+        "Fig. 9", "Path anonymity w.r.t. group size",
+        "Group size", "Path anonymity",
+        lines=compromise_rates,
+        xs=group_sizes,
+        label=lambda rate: f"c/n={rate:.0%}",
+        model=lambda rate, g: path_anonymity(config.n, config.eta, g, rate),
+        cell=lambda rate, g: (g, config.onion_routers, 1, rate),
+        n=config.n, trials=trials, seed=seed, workers=workers,
+        compromise_model=compromise_model,
     )
 
 
@@ -303,54 +255,18 @@ def figure_12(
     compromise_model: CompromiseModelSpec = "uniform",
 ) -> FigureResult:
     """Fig. 12 — path anonymity vs compromised rate for L ∈ {1, 3, 5} (g = 5)."""
-    generator = ensure_rng(seed)
     multicopy_config = config.with_(group_size=5)
-    rates = multicopy_config.compromise_rates
-    eta = multicopy_config.eta
-    g = multicopy_config.group_size
-    series: List[Series] = []
-    for copies in copy_counts:
-        series.append(
-            Series(
-                label=f"Analysis: L={copies}",
-                points=tuple(
-                    (
-                        rate,
-                        path_anonymity_multicopy(
-                            multicopy_config.n, eta, g, rate, copies
-                        ),
-                    )
-                    for rate in rates
-                ),
-            )
-        )
-    grid = [
-        (multicopy_config.onion_routers, copies, rate)
-        for copies in copy_counts
-        for rate in rates
-    ]
-    scored = fused_security_points(
-        multicopy_config.n,
-        g,
-        grid,
-        trials,
-        workers,
-        generator,
+    n, eta, g = multicopy_config.n, multicopy_config.eta, multicopy_config.group_size
+    return security_figure(
+        "Fig. 12", "Path anonymity w.r.t. compromised rate (multi-copy, g=5)",
+        "Compromised rate (c/n)", "Path anonymity",
+        lines=copy_counts,
+        xs=multicopy_config.compromise_rates,
+        label=lambda copies: f"L={copies}",
+        model=lambda copies, rate: path_anonymity_multicopy(n, eta, g, rate, copies),
+        cell=lambda copies, rate: (g, multicopy_config.onion_routers, copies, rate),
+        n=n, trials=trials, seed=seed, workers=workers,
         compromise_model=compromise_model,
-    )
-    for row, copies in enumerate(copy_counts):
-        points = tuple(
-            (rate, scored[row * len(rates) + col][1])
-            for col, rate in enumerate(rates)
-        )
-        series.append(Series(label=f"Simulation: L={copies}", points=points))
-    return FigureResult(
-        figure_id="Fig. 12",
-        title="Path anonymity w.r.t. compromised rate (multi-copy, g=5)",
-        x_label="Compromised rate (c/n)",
-        y_label="Path anonymity",
-        series=tuple(series),
-        metadata=security_figure_metadata(workers, compromise_model),
     )
 
 
@@ -365,52 +281,16 @@ def figure_13(
     compromise_model: CompromiseModelSpec = "uniform",
 ) -> FigureResult:
     """Fig. 13 — path anonymity vs group size for L ∈ {1, 3, 5} (c/n = 10%)."""
-    generator = ensure_rng(seed)
-    eta = config.eta
-    series: List[Series] = []
-    for copies in copy_counts:
-        series.append(
-            Series(
-                label=f"Analysis: L={copies}",
-                points=tuple(
-                    (
-                        float(g),
-                        path_anonymity_multicopy(
-                            config.n, eta, g, compromise_rate, copies
-                        ),
-                    )
-                    for g in group_sizes
-                ),
-            )
-        )
-    columns = []
-    for group_size in group_sizes:
-        grid = [
-            (config.onion_routers, copies, compromise_rate)
-            for copies in copy_counts
-        ]
-        columns.append(
-            fused_security_points(
-                config.n,
-                group_size,
-                grid,
-                trials,
-                workers,
-                generator,
-                compromise_model=compromise_model,
-                    )
-        )
-    for row, copies in enumerate(copy_counts):
-        points = tuple(
-            (float(group_size), columns[col][row][1])
-            for col, group_size in enumerate(group_sizes)
-        )
-        series.append(Series(label=f"Simulation: L={copies}", points=points))
-    return FigureResult(
-        figure_id="Fig. 13",
-        title="Path anonymity w.r.t. group size (multi-copy, c/n=10%)",
-        x_label="Group size",
-        y_label="Path anonymity",
-        series=tuple(series),
-        metadata=security_figure_metadata(workers, compromise_model),
+    return security_figure(
+        "Fig. 13", "Path anonymity w.r.t. group size (multi-copy, c/n=10%)",
+        "Group size", "Path anonymity",
+        lines=copy_counts,
+        xs=group_sizes,
+        label=lambda copies: f"L={copies}",
+        model=lambda copies, g: path_anonymity_multicopy(
+            config.n, config.eta, g, compromise_rate, copies
+        ),
+        cell=lambda copies, g: (g, config.onion_routers, copies, compromise_rate),
+        n=config.n, trials=trials, seed=seed, workers=workers,
+        compromise_model=compromise_model,
     )

@@ -9,32 +9,22 @@ Infocom 2005: 41 nodes, sparse with off-hours, K = 3, g = 5, L ∈ {1, 3, 5}.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.analysis.anonymity import path_anonymity, path_anonymity_multicopy
 from repro.analysis.traceable import traceable_rate_model
 from repro.contacts.synthetic import cambridge_like_trace, infocom05_like_trace
 from repro.contacts.traces import ContactTrace
-from repro.experiments.config import DEFAULT_CONFIG, PaperConfig
-from repro.experiments.result import FigureResult, Series
-from repro.experiments.parallel import (
-    workers_metadata,
-    Workers,
-    run_parallel_fused_sweep,
-)
+from repro.experiments.delivery_figs import delivery_figure
+from repro.experiments.result import FigureResult
+from repro.experiments.parallel import Workers, run_parallel_fused_sweep
 from repro.experiments.runners import (
     SweepVariant,
-    analysis_delivery_curve,
     estimate_active_span,
     run_fused_trace_sweep,
-    simulated_delivery_curve,
     trace_contact_graph,
 )
-from repro.experiments.security_figs import (
-    CompromiseModelSpec,
-    fused_security_points,
-    security_figure_metadata,
-)
+from repro.experiments.security_figs import CompromiseModelSpec, security_figure
 from repro.utils.rng import RandomSource, ensure_rng
 
 CAMBRIDGE_GROUP_SIZE = 10
@@ -43,35 +33,42 @@ INFOCOM_GROUP_SIZE = 5
 INFOCOM_ONIONS = 3
 
 
-def _trace_delivery_sweep(
-    trace: ContactTrace,
+def _trace_delivery_figure(
+    figure_id: str,
+    title: str,
+    trace: Optional[ContactTrace],
+    synthetic_trace: Callable[..., ContactTrace],
     group_size: int,
     onion_routers: int,
     copy_counts: Sequence[int],
     deadlines: Sequence[float],
     sessions: int,
-    rng: RandomSource,
+    seed: RandomSource,
     overlapping: bool,
-    labels: Sequence[str],
-    workers: Workers = 1,
-) -> List[List[Series]]:
-    """(Analysis, Simulation) series per L, fused over one trace replay.
+    workers: Workers,
+) -> FigureResult:
+    """Shared body of the trace delivery figures (14, 17).
 
     Every copy count's sessions run in a single engine pass over one
     :class:`~repro.contacts.events.TraceReplayProcess` — the trace-replay
     blocks feed the struct-of-arrays kernels directly (single-copy and
     multi-copy alike), and the grid points share the replayed contacts.
+    Without a ``trace`` the figure draws ``synthetic_trace`` from its seed.
     """
-    generator = ensure_rng(rng)
+    if len(deadlines) == 0:
+        raise ValueError("deadlines must not be empty")
+    generator = ensure_rng(seed)
+    if trace is None:
+        trace = synthetic_trace(rng=generator)
     normalized = trace.normalized()
     variants = [
         SweepVariant(
-            label=label,
+            label=f"L={copies}",
             group_size=group_size,
             onion_routers=onion_routers,
             copies=copies,
         )
-        for label, copies in zip(labels, copy_counts)
+        for copies in copy_counts
     ]
     sweep = run_parallel_fused_sweep(
         run_fused_trace_sweep,
@@ -84,28 +81,16 @@ def _trace_delivery_sweep(
         overlapping=overlapping,
     )
     graph = trace_contact_graph(normalized, estimate_active_span(normalized))
-    pairs: List[List[Series]] = []
-    for variant, batch in zip(variants, sweep):
-        routes = [route for route, _ in batch]
-        outcomes = [outcome for _, outcome in batch]
-        analysis = analysis_delivery_curve(
-            graph, routes, deadlines, copies=variant.copies
-        )
-        simulation = simulated_delivery_curve(outcomes, deadlines)
-        pairs.append(
-            [
-                Series(label=f"Analysis: {variant.label}", points=tuple(analysis)),
-                Series(
-                    label=f"Simulation: {variant.label}", points=tuple(simulation)
-                ),
-            ]
-        )
-    return pairs
+    return delivery_figure(
+        figure_id, title, "Deadline (seconds)", variants, deadlines,
+        [(graph, sweep)], workers,
+    )
 
 
 def _trace_security_figure(
     figure_id: str,
     title: str,
+    y_label: str,
     n: int,
     group_size: int,
     onion_routers: int,
@@ -113,77 +98,34 @@ def _trace_security_figure(
     compromise_rates: Sequence[float],
     trials: int,
     seed: RandomSource,
-    metric: str,
     overlapping: bool,
-    workers: Workers = 1,
-    compromise_model: CompromiseModelSpec = "uniform",
+    workers: Workers,
+    compromise_model: CompromiseModelSpec,
 ) -> FigureResult:
     """Shared body of the trace security figures (15, 16, 18, 19).
 
-    The whole (L, c) grid runs as one fused Monte Carlo call: every copy
-    count and compromise rate shares a single sampled trial block.
+    The traceable rate is copy-count independent (§IV-D), so a traceable
+    figure has one line, for the first copy count.
     """
-    generator = ensure_rng(seed)
     eta = onion_routers + 1
-    series: List[Series] = []
-    for copies in copy_counts:
-        if metric == "traceable":
-            label = f"Analysis: {onion_routers} onions"
-            points = tuple(
-                (rate, traceable_rate_model(eta, rate)) for rate in compromise_rates
-            )
-        elif copies == 1:
-            label = "Analysis: L=1"
-            points = tuple(
-                (rate, path_anonymity(n, eta, group_size, rate))
-                for rate in compromise_rates
-            )
-        else:
-            label = f"Analysis: L={copies}"
-            points = tuple(
-                (rate, path_anonymity_multicopy(n, eta, group_size, rate, copies))
-                for rate in compromise_rates
-            )
-        series.append(Series(label=label, points=points))
-        if metric == "traceable":
-            break  # the traceable rate is copy-count independent (§IV-D)
-    # The traceable rate is copy-count independent, so its simulation only
-    # needs the first copy count.
-    simulated_copies = copy_counts[:1] if metric == "traceable" else copy_counts
-    grid = [
-        (onion_routers, copies, rate)
-        for copies in simulated_copies
-        for rate in compromise_rates
-    ]
-    scored = fused_security_points(
-        n,
-        group_size,
-        grid,
-        trials,
-        workers,
-        generator,
-        overlapping=overlapping,
-        compromise_model=compromise_model,
-    )
-    metric_index = 0 if metric == "traceable" else 1
-    for row, copies in enumerate(simulated_copies):
-        points = tuple(
-            (rate, scored[row * len(compromise_rates) + col][metric_index])
-            for col, rate in enumerate(compromise_rates)
-        )
-        label = (
-            f"Simulation: {onion_routers} onions"
-            if metric == "traceable"
-            else f"Simulation: L={copies}"
-        )
-        series.append(Series(label=label, points=points))
-    return FigureResult(
-        figure_id=figure_id,
-        title=title,
-        x_label="Compromised rate (c/n)",
-        y_label="Traceable rate" if metric == "traceable" else "Path anonymity",
-        series=tuple(series),
-        metadata=security_figure_metadata(workers, compromise_model),
+    traceable = y_label == "Traceable rate"
+
+    def model(copies: int, rate: float) -> float:
+        if traceable:
+            return traceable_rate_model(eta, rate)
+        if copies == 1:
+            return path_anonymity(n, eta, group_size, rate)
+        return path_anonymity_multicopy(n, eta, group_size, rate, copies)
+
+    return security_figure(
+        figure_id, title, "Compromised rate (c/n)", y_label,
+        lines=copy_counts[:1] if traceable else copy_counts,
+        xs=compromise_rates,
+        label=lambda copies: f"{onion_routers} onions" if traceable else f"L={copies}",
+        model=model,
+        cell=lambda copies, rate: (group_size, onion_routers, copies, rate),
+        n=n, trials=trials, seed=seed, workers=workers,
+        compromise_model=compromise_model, overlapping=overlapping,
     )
 
 
@@ -200,28 +142,10 @@ def figure_14(
     workers: Workers = 1,
 ) -> FigureResult:
     """Fig. 14 — delivery rate vs deadline (s) on the Cambridge-like trace."""
-    generator = ensure_rng(seed)
-    if trace is None:
-        trace = cambridge_like_trace(rng=generator)
-    series = _trace_delivery_sweep(
-        trace,
-        group_size=CAMBRIDGE_GROUP_SIZE,
-        onion_routers=CAMBRIDGE_ONIONS,
-        copy_counts=(1,),
-        deadlines=deadlines,
-        sessions=sessions,
-        rng=generator,
-        overlapping=True,
-        labels=("L=1",),
-        workers=workers,
-    )[0]
-    return FigureResult(
-        figure_id="Fig. 14",
-        title="Delivery rate w.r.t. deadline (Cambridge-like trace)",
-        x_label="Deadline (seconds)",
-        y_label="Delivery rate",
-        series=tuple(series),
-        metadata=workers_metadata(workers),
+    return _trace_delivery_figure(
+        "Fig. 14", "Delivery rate w.r.t. deadline (Cambridge-like trace)",
+        trace, cambridge_like_trace, CAMBRIDGE_GROUP_SIZE, CAMBRIDGE_ONIONS, (1,),
+        deadlines, sessions=sessions, seed=seed, overlapping=True, workers=workers,
     )
 
 
@@ -235,18 +159,11 @@ def figure_15(
 ) -> FigureResult:
     """Fig. 15 — traceable rate vs compromised rate (Cambridge-like trace)."""
     return _trace_security_figure(
-        figure_id="Fig. 15",
-        title="Traceable rate w.r.t. compromised rate (Cambridge-like trace)",
-        n=n,
-        group_size=CAMBRIDGE_GROUP_SIZE,
-        onion_routers=CAMBRIDGE_ONIONS,
-        copy_counts=(1,),
-        compromise_rates=compromise_rates,
-        trials=trials,
-        seed=seed,
-        workers=workers,
-        metric="traceable",
-        overlapping=True,
+        "Fig. 15",
+        "Traceable rate w.r.t. compromised rate (Cambridge-like trace)",
+        "Traceable rate",
+        n, CAMBRIDGE_GROUP_SIZE, CAMBRIDGE_ONIONS, (1,), compromise_rates,
+        trials=trials, seed=seed, overlapping=True, workers=workers,
         compromise_model=compromise_model,
     )
 
@@ -261,18 +178,11 @@ def figure_16(
 ) -> FigureResult:
     """Fig. 16 — path anonymity vs compromised rate (Cambridge-like trace)."""
     return _trace_security_figure(
-        figure_id="Fig. 16",
-        title="Path anonymity w.r.t. compromised rate (Cambridge-like trace)",
-        n=n,
-        group_size=CAMBRIDGE_GROUP_SIZE,
-        onion_routers=CAMBRIDGE_ONIONS,
-        copy_counts=(1,),
-        compromise_rates=compromise_rates,
-        trials=trials,
-        seed=seed,
-        workers=workers,
-        metric="anonymity",
-        overlapping=True,
+        "Fig. 16",
+        "Path anonymity w.r.t. compromised rate (Cambridge-like trace)",
+        "Path anonymity",
+        n, CAMBRIDGE_GROUP_SIZE, CAMBRIDGE_ONIONS, (1,), compromise_rates,
+        trials=trials, seed=seed, overlapping=True, workers=workers,
         compromise_model=compromise_model,
     )
 
@@ -295,34 +205,10 @@ def figure_17(
     The off-hours plateau appears between deadlines that fall inside the
     first night: delivery stalls until contacts resume the next day.
     """
-    generator = ensure_rng(seed)
-    if trace is None:
-        trace = infocom05_like_trace(rng=generator)
-    # One fused sweep: all L values replay the trace once, in one engine
-    # pass — single-copy through BatchKernel, L>1 through the multi-copy
-    # kernel, over the same replayed contacts.
-    pairs = _trace_delivery_sweep(
-        trace,
-        group_size=INFOCOM_GROUP_SIZE,
-        onion_routers=INFOCOM_ONIONS,
-        copy_counts=copy_counts,
-        deadlines=deadlines,
-        sessions=sessions,
-        rng=generator,
-        overlapping=False,
-        labels=tuple(f"L={copies}" for copies in copy_counts),
-        workers=workers,
-    )
-    analysis_half = [pair[0] for pair in pairs]
-    simulation_half = [pair[1] for pair in pairs]
-    series = analysis_half + simulation_half
-    return FigureResult(
-        figure_id="Fig. 17",
-        title="Delivery rate w.r.t. deadline (Infocom-2005-like trace)",
-        x_label="Deadline (seconds)",
-        y_label="Delivery rate",
-        series=tuple(series),
-        metadata=workers_metadata(workers),
+    return _trace_delivery_figure(
+        "Fig. 17", "Delivery rate w.r.t. deadline (Infocom-2005-like trace)",
+        trace, infocom05_like_trace, INFOCOM_GROUP_SIZE, INFOCOM_ONIONS, copy_counts,
+        deadlines, sessions=sessions, seed=seed, overlapping=False, workers=workers,
     )
 
 
@@ -336,18 +222,11 @@ def figure_18(
 ) -> FigureResult:
     """Fig. 18 — traceable rate vs compromised rate (Infocom-like trace)."""
     return _trace_security_figure(
-        figure_id="Fig. 18",
-        title="Traceable rate w.r.t. compromised rate (Infocom-2005-like trace)",
-        n=n,
-        group_size=INFOCOM_GROUP_SIZE,
-        onion_routers=INFOCOM_ONIONS,
-        copy_counts=(1,),
-        compromise_rates=compromise_rates,
-        trials=trials,
-        seed=seed,
-        workers=workers,
-        metric="traceable",
-        overlapping=False,
+        "Fig. 18",
+        "Traceable rate w.r.t. compromised rate (Infocom-2005-like trace)",
+        "Traceable rate",
+        n, INFOCOM_GROUP_SIZE, INFOCOM_ONIONS, (1,), compromise_rates,
+        trials=trials, seed=seed, overlapping=False, workers=workers,
         compromise_model=compromise_model,
     )
 
@@ -363,17 +242,10 @@ def figure_19(
 ) -> FigureResult:
     """Fig. 19 — path anonymity vs compromised rate (Infocom-like trace)."""
     return _trace_security_figure(
-        figure_id="Fig. 19",
-        title="Path anonymity w.r.t. compromised rate (Infocom-2005-like trace)",
-        n=n,
-        group_size=INFOCOM_GROUP_SIZE,
-        onion_routers=INFOCOM_ONIONS,
-        copy_counts=copy_counts,
-        compromise_rates=compromise_rates,
-        trials=trials,
-        seed=seed,
-        workers=workers,
-        metric="anonymity",
-        overlapping=False,
+        "Fig. 19",
+        "Path anonymity w.r.t. compromised rate (Infocom-2005-like trace)",
+        "Path anonymity",
+        n, INFOCOM_GROUP_SIZE, INFOCOM_ONIONS, copy_counts, compromise_rates,
+        trials=trials, seed=seed, overlapping=False, workers=workers,
         compromise_model=compromise_model,
     )

@@ -19,8 +19,11 @@ from repro.experiments import (
     figure_17,
     figure_18,
     figure_19,
+    figure_r1,
 )
 from repro.experiments.config import DEFAULT_CONFIG
+from repro.experiments.security_figs import fused_security_points
+from repro.utils.rng import ensure_rng
 
 SMALL = DEFAULT_CONFIG.with_(
     deadlines=(120.0, 480.0, 1080.0),
@@ -156,6 +159,79 @@ class TestSecurityFigures:
         )
         series = result.get("Analysis: L=1")
         assert series.y_at(8.0) > series.y_at(2.0)
+
+
+class TestSecurityFusion:
+    """Each Simulation series equals direct fused calls in the documented order:
+    one call per group size, in first-appearance order, cells line-major."""
+
+    def test_figure_09_one_block_per_group_size(self):
+        rates, group_sizes = (0.1, 0.3), (4, 2, 6)
+        result = figure_09(
+            compromise_rates=rates, group_sizes=group_sizes, config=SMALL,
+            trials=60, seed=3,
+        )
+        generator = ensure_rng(3)
+        columns = [
+            fused_security_points(
+                SMALL.n, g, [(SMALL.onion_routers, 1, rate) for rate in rates],
+                60, 1, generator,
+            )
+            for g in group_sizes
+        ]
+        for row, rate in enumerate(rates):
+            expected = tuple(
+                (float(g), column[row][1])
+                for g, column in zip(group_sizes, columns)
+            )
+            assert result.get(f"Simulation: c/n={rate:.0%}").points == expected
+
+    def test_figure_07_one_rate_major_block(self):
+        rates, onion_router_counts = (0.3, 0.1), (1, 3, 5)
+        result = figure_07(
+            compromise_rates=rates, onion_router_counts=onion_router_counts,
+            config=SMALL, trials=60, seed=4,
+        )
+        scored = fused_security_points(
+            SMALL.n,
+            SMALL.group_size,
+            [(k, 1, rate) for rate in rates for k in onion_router_counts],
+            60,
+            1,
+            ensure_rng(4),
+        )
+        width = len(onion_router_counts)
+        for row, rate in enumerate(rates):
+            expected = tuple(
+                (float(k), scored[row * width + col][0])
+                for col, k in enumerate(onion_router_counts)
+            )
+            assert result.get(f"Simulation: c/n={rate:.0%}").points == expected
+
+
+class TestInvalidSizes:
+    @pytest.mark.parametrize("figure", [figure_04, figure_05, figure_10, figure_11])
+    def test_zero_graphs_rejected(self, figure):
+        with pytest.raises(ValueError, match="graphs must be positive"):
+            figure(config=SMALL, graphs=0, sessions_per_graph=2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "figure, size, keyword",
+        [
+            (figure_04, "sessions_per_graph", "sessions_per_variant"),
+            (figure_14, "sessions", "sessions_per_variant"),
+            (figure_r1, "sessions", "sessions"),
+            (figure_06, "trials", "trials"),
+        ],
+    )
+    def test_zero_size_names_the_count(self, figure, size, keyword, workers):
+        with pytest.raises(ValueError, match=f"^{keyword} must be positive"):
+            figure(**{size: 0}, workers=workers)
+
+    def test_figure_14_rejects_empty_deadlines(self):
+        with pytest.raises(ValueError, match="deadlines must not be empty"):
+            figure_14(deadlines=(), sessions=2)
 
 
 class TestTraceFigures:
