@@ -26,7 +26,7 @@ import argparse
 import inspect
 import os
 import sys
-from typing import Callable, Dict, Union
+from typing import Callable, Dict, Optional, Union
 
 from repro.experiments import (
     figure_04,
@@ -151,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="simulated sessions (delivery/cost figures)",
     )
     figure.add_argument(
-        "--workers", type=_positive_int, default=1,
+        "--workers", type=_positive_int, default=None,
         help="worker processes for the simulation/Monte Carlo batches "
         "(default 1: serial, seed-exact with historical runs)",
     )
@@ -254,29 +254,45 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-L", "--copies", type=_positive_int, default=1)
 
 
+# Figure flags, the figure-function keywords each one sets (the first one
+# the function takes), and the figure family named when none is taken.
+_FIGURE_FLAGS = {
+    "trials": (("trials",), "security"),
+    "compromise_model": (("compromise_model",), "security"),
+    "sessions": (("sessions_per_graph", "sessions"), "simulated"),
+    "workers": (("workers",), "parallel"),
+}
+
+
+def _figure_keyword(func, keywords) -> Optional[str]:
+    params = inspect.signature(func).parameters
+    return next((keyword for keyword in keywords if keyword in params), None)
+
+
 def _run_figure(args: argparse.Namespace) -> int:
     func = _FIGURES[args.number]
-    # A flag applies to the figures whose function takes its keyword.
-    params = inspect.signature(func).parameters
     kwargs = {}
     if args.seed is not None:
         kwargs["seed"] = args.seed
-    if args.trials is not None and "trials" in params:
-        kwargs["trials"] = args.trials
-    if args.compromise_model is not None:
-        if "compromise_model" not in params:
-            security = [
+    # A given flag applies to the figures whose function takes its keyword.
+    for flag, (keywords, family) in _FIGURE_FLAGS.items():
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        keyword = _figure_keyword(func, keywords)
+        if keyword is None:
+            takers = [
                 str(key)
                 for key in _sorted_figure_keys()
-                if "compromise_model" in inspect.signature(_FIGURES[key]).parameters
+                if _figure_keyword(_FIGURES[key], keywords)
             ]
             print(
-                f"error: --compromise-model only applies to the security "
-                f"figures ({', '.join(security)})",
+                f"error: --{flag.replace('_', '-')} only applies to the "
+                f"{family} figures ({', '.join(takers)})",
                 file=sys.stderr,
             )
             return 2
-        kwargs["compromise_model"] = args.compromise_model
+        kwargs[keyword] = value
     # Fail fast on a bad $REPRO_KERNEL_BACKEND instead of surfacing a
     # traceback from deep inside the sweep at resolve time.
     env_backend = os.environ.get(ENV_VAR)
@@ -286,12 +302,8 @@ def _run_figure(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"error: ${ENV_VAR}: {exc}", file=sys.stderr)
             return 2
-    if args.sessions is not None:
-        for size in ("sessions_per_graph", "sessions"):
-            if size in params:
-                kwargs[size] = args.sessions
-                break
-    if args.workers != 1 and "workers" in params:
+    workers = kwargs.pop("workers", 1)
+    if workers != 1:
         # One persistent pool for the whole figure: every batch the sweep
         # runs reuses the same worker processes instead of forking per call.
         # The pool is supervised — chunk timeouts, crash recovery, bounded
@@ -300,7 +312,7 @@ def _run_figure(args: argparse.Namespace) -> int:
         # the figure is the same on every host.
         from repro.experiments.parallel import WorkerPool
 
-        with WorkerPool(args.workers) as pool:
+        with WorkerPool(workers) as pool:
             kwargs["workers"] = pool
             result = func(**kwargs)
         if pool.report:

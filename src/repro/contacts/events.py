@@ -190,63 +190,45 @@ def as_event_source(events):
 class ExponentialContactProcess:
     """Sample a contact-event stream from exponential pairwise clocks.
 
-    Each pair with positive rate carries an independent Poisson process; the
-    merged stream is produced with a heap of per-pair next-contact times.
+    Each pair with positive rate carries an independent Poisson process.
     The process is a single-use iterator factory: each call to
-    :meth:`events_until` continues from where the previous call stopped.
+    :meth:`events_until` or :meth:`events_until_columnar` continues from
+    where the previous call stopped.
 
-    Inter-contact gaps are pre-drawn in blocks per pair (one vectorised
-    ``rng.exponential`` call fills ``block`` gaps) instead of one scalar
-    draw per popped event, amortising the generator-call overhead over the
-    whole block. Each pair consumes its gaps strictly in draw order and
-    refills deterministically at exhaustion, so a fixed seed still yields
-    one reproducible event stream.
+    The state is columnar, one row per pair in :meth:`ContactGraph.pairs`
+    order: the pair's next contact time (``heads``), a ``(pairs, block)``
+    matrix of pre-drawn inter-contact gaps, a read cursor into the pair's
+    row, and the pair's scale ``1 / rate``. Gaps are drawn ``block`` at a
+    time per pair (one vectorised generator call per block instead of one
+    scalar draw per event); each pair consumes its gaps strictly in draw
+    order and refills its row deterministically when it is exhausted, so a
+    fixed seed yields one reproducible event stream. Both read modes work
+    on these same arrays, so they can be mixed freely.
     """
 
     def __init__(self, graph: ContactGraph, rng: RandomSource = None, block: int = 32):
-        if block < 1:
-            raise ValueError(f"block must be a positive int, got {block}")
+        self._block = check_positive_int(block, "block")
         self._graph = graph
         self._rng = ensure_rng(rng)
-        self._block = int(block)
-        self._heap: list[tuple[float, int, int]] = []
         self._now = 0.0
-        # Per-pair gap buffers: scale, pre-drawn gaps, and read cursor.
-        self._scales: dict[tuple[int, int], float] = {}
-        self._gaps: dict[tuple[int, int], np.ndarray] = {}
-        self._cursors: dict[tuple[int, int], int] = {}
-        pairs = list(graph.pairs())
-        if pairs:
-            pair_arr = np.array(pairs, dtype=np.int64)
-            pair_i = pair_arr[:, 0]
-            pair_j = pair_arr[:, 1]
-            scales = 1.0 / graph.rates[pair_i, pair_j]
-            # One matrix draw, bit-identical to the historical per-pair
-            # ``rng.exponential(scale, block)`` loop: the generator consumes
-            # the same uniforms in the same order, and scaling a unit
-            # exponential is the exact float operation ``exponential``
-            # performs internally.
-            gaps2d = self._rng.standard_exponential(
-                (len(pairs), self._block)
-            ) * scales[:, None]
-            for row, (i, j) in enumerate(pairs):
-                self._scales[(i, j)] = float(scales[row])
-                self._gaps[(i, j)] = gaps2d[row]
-                self._cursors[(i, j)] = 1
-            self._heap = list(
-                zip(gaps2d[:, 0].tolist(), pair_i.tolist(), pair_j.tolist())
-            )
-            heapq.heapify(self._heap)
-            # Dense state for the columnar fast path; dropped at the first
-            # scalar consumption, after which the generic per-pair path
-            # (same results, more bookkeeping) takes over.
-            self._dense: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = (
-                pair_i,
-                pair_j,
-                gaps2d,
-            )
-        else:
-            self._dense = None
+        pairs = np.array(list(graph.pairs()), dtype=np.int64).reshape(-1, 2)
+        self._pair_a = pairs[:, 0]
+        self._pair_b = pairs[:, 1]
+        self._scales = 1.0 / graph.rates[self._pair_a, self._pair_b]
+        # One matrix draw, bit-identical to a per-pair
+        # ``rng.exponential(scale, block)`` loop: the generator consumes the
+        # same uniforms in the same order, and scaling a unit exponential is
+        # the exact float operation ``exponential`` performs internally.
+        self._gaps = (
+            self._rng.standard_exponential((len(pairs), self._block))
+            * self._scales[:, None]
+        )
+        self._heads = self._gaps[:, 0].copy()
+        self._cursor = np.ones(len(pairs), dtype=np.int64)
+        # The iterator's ``(time, a, b, row)`` heap over ``heads``; built on
+        # the first :meth:`events_until` call and dropped by every columnar
+        # read, which moves the heads without it.
+        self._heap: Optional[list[tuple[float, int, int, int]]] = None
 
     @property
     def graph(self) -> ContactGraph:
@@ -258,146 +240,106 @@ class ExponentialContactProcess:
         """Time of the most recently emitted event (0 before any)."""
         return self._now
 
-    def _next_gap(self, i: int, j: int) -> float:
-        """The pair's next pre-drawn gap, refilling its block if exhausted."""
-        self._dense = None  # scalar consumption invalidates the fast path
-        key = (i, j)
-        cursor = self._cursors[key]
-        gaps = self._gaps[key]
-        if cursor >= len(gaps):
-            gaps = self._rng.exponential(self._scales[key], size=self._block)
-            self._gaps[key] = gaps
-            cursor = 0
-        self._cursors[key] = cursor + 1
-        return float(gaps[cursor])
+    def _heap_of(self, times: np.ndarray, rows: np.ndarray) -> list:
+        """Heapified ``(time, a, b, row)`` entries; ``row`` breaks no tie."""
+        heap = list(
+            zip(
+                times.tolist(),
+                self._pair_a[rows].tolist(),
+                self._pair_b[rows].tolist(),
+                rows.tolist(),
+            )
+        )
+        heapq.heapify(heap)
+        return heap
+
+    def _refill(self, row: int) -> np.ndarray:
+        """Draw a fresh block of gaps into ``row``'s buffer."""
+        gaps = self._rng.exponential(self._scales[row], size=self._block)
+        self._gaps[row] = gaps
+        return gaps
 
     def events_until(self, horizon: float) -> Iterator[ContactEvent]:
         """Yield events with ``time <= horizon`` in chronological order."""
         check_non_negative(horizon, "horizon")
+        if self._heap is None:
+            self._heap = self._heap_of(self._heads, np.arange(len(self._heads)))
         heap = self._heap
+        heads, gaps, cursor = self._heads, self._gaps, self._cursor
         while heap and heap[0][0] <= horizon:
-            time, i, j = heap[0]
+            time, i, j, row = heap[0]
+            col = cursor.item(row)
+            if col == self._block:
+                self._refill(row)
+                col = 0
+            head = time + gaps.item(row, col)
+            cursor[row] = col + 1
+            heads[row] = head
             self._now = time
-            heapq.heapreplace(heap, (time + self._next_gap(i, j), i, j))
+            heapq.heapreplace(heap, (head, i, j, row))
             yield ContactEvent(time=time, a=i, b=j)
 
     def events_until_columnar(self, horizon: float) -> EventBlock:
         """The same window as :meth:`events_until`, as one :class:`EventBlock`.
 
         Seed-exact with the iterator: the generator is consumed in the exact
-        order the legacy heap loop would consume it, and the process is left
-        in the same resumable state, so a fixed seed yields one stream
-        regardless of which mode (or mixture of modes) reads it.
+        order the iterator would consume it, and the process is left in the
+        same resumable state, so a fixed seed yields one stream regardless
+        of which mode (or mixture of modes) reads it.
 
         Equivalence argument, pair by pair: a pair's event times are the
-        running partial sums of its gap draws, so the times fillable from
-        the current buffer are one prepended ``cumsum`` (floating-point
-        association matches the scalar loop exactly). The legacy loop
-        refills a pair's block at the pop of the last buffer-fillable event
-        — at time ``trigger = `` the buffer's final partial sum — and pops
-        are globally ordered by ``(time, a, b)``; draining a heap of refill
-        triggers in that same key order therefore replays the generator
-        calls in the legacy interleaving. The merged emission order is the
-        heap's total order ``(time, a, b)``, i.e. ``lexsort((b, a, times))``.
+        running partial sums of its head and its unconsumed gaps. One
+        row-wise ``cumsum`` over ``[head, gaps]`` for every due pair, with
+        the consumed gaps masked to ``0.0``, gives them all at once
+        (``x + 0.0`` is exact, so the sums match the iterator's bit for
+        bit). The iterator refills a pair's row at the pop of its last
+        buffer-fillable event — at time ``trigger =`` the row's final
+        partial sum — and pops are globally ordered by ``(time, a, b)``;
+        draining a heap of refill triggers in that same key order therefore
+        replays the generator calls in the iterator's interleaving. The
+        merged emission order is the heap's total order ``(time, a, b)``,
+        i.e. ``lexsort((b, a, times))``.
         """
         check_non_negative(horizon, "horizon")
-        # Per-pair partial-sum segments and the gap draws behind them;
-        # ``refills`` replays block refills in legacy pop order.
-        segments: dict[tuple[int, int], list[np.ndarray]] = {}
-        gap_runs: dict[tuple[int, int], list[np.ndarray]] = {}
-        pending: list[tuple[int, int]] = []
-        new_heap: list[tuple[float, int, int]] = []
-        refills: list[tuple[float, int, int]] = []
-        emit_times: list[np.ndarray] = []
-        emit_a: list[np.ndarray] = []
-        emit_b: list[np.ndarray] = []
-        if self._dense is not None:
-            # Pristine fast path: nothing consumed since __init__, so every
-            # pair is (cursor 1, full buffer) and one 2-D row-cumsum covers
-            # all buffer-fillable event times at once. Only pairs whose
-            # whole buffer lands inside the window fall through to the
-            # per-pair refill machinery below.
-            pair_i, pair_j, gaps2d = self._dense
-            tau2d = np.cumsum(gaps2d, axis=1)
-            within = tau2d <= horizon
-            counts = within.sum(axis=1)
-            done = counts < self._block
-            sub_tau = tau2d[done]
-            sub_counts = counts[done]
-            done_i = pair_i[done]
-            done_j = pair_j[done]
-            if sub_tau.size and sub_counts.any():
-                emit_times.append(sub_tau[within[done]])
-                emit_a.append(np.repeat(done_i, sub_counts))
-                emit_b.append(np.repeat(done_j, sub_counts))
-            next_heads = sub_tau[np.arange(len(sub_tau)), sub_counts]
-            new_heap.extend(
-                zip(next_heads.tolist(), done_i.tolist(), done_j.tolist())
-            )
-            for i, j, cursor in zip(
-                done_i.tolist(), done_j.tolist(), (sub_counts + 1).tolist()
-            ):
-                self._cursors[(i, j)] = cursor
-            for row in np.nonzero(~done)[0].tolist():
-                i = int(pair_i[row])
-                j = int(pair_j[row])
-                key = (i, j)
-                tau = tau2d[row]
-                segments[key] = [tau]
-                gap_runs[key] = [gaps2d[row, 1:]]  # gap m-1 yields tau[m]
-                pending.append(key)
-                refills.append((float(tau[-1]), i, j))
-            self._dense = None
-        else:
-            for head, i, j in self._heap:
-                if head > horizon:
-                    new_heap.append((head, i, j))  # untouched pair
-                    continue
-                key = (i, j)
-                remaining = self._gaps[key][self._cursors[key]:]
-                tau = np.cumsum(np.concatenate(((head,), remaining)))
-                segments[key] = [tau]
-                gap_runs[key] = [remaining]
-                pending.append(key)
-                trigger = float(tau[-1])
-                if trigger <= horizon:
-                    refills.append((trigger, i, j))
-        heapq.heapify(refills)
-        while refills:
-            trigger, i, j = heapq.heappop(refills)
-            key = (i, j)
-            gaps = self._rng.exponential(self._scales[key], size=self._block)
-            tau = np.cumsum(np.concatenate(((trigger,), gaps)))
-            segments[key].append(tau[1:])  # tau[0] is already emitted
-            gap_runs[key].append(gaps)
-            trigger = float(tau[-1])
-            if trigger <= horizon:
-                heapq.heappush(refills, (trigger, i, j))
-
-        for key in pending:
-            i, j = key
-            parts = segments[key]
-            tau = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            runs = gap_runs[key]
-            gaps = runs[0] if len(runs) == 1 else np.concatenate(runs)
-            # The refill loop guarantees tau[-1] > horizon, so the pair's
-            # next event and the gaps behind the later ones carry over.
-            count = int(np.searchsorted(tau, horizon, side="right"))
-            new_heap.append((float(tau[count]), i, j))
-            self._gaps[key] = gaps[count:]
-            self._cursors[key] = 0
-            if count:
-                emit_times.append(tau[:count])
-                emit_a.append(np.full(count, i, dtype=np.int64))
-                emit_b.append(np.full(count, j, dtype=np.int64))
-
-        heapq.heapify(new_heap)
-        self._heap = new_heap
-        if not emit_times:
+        due = np.flatnonzero(self._heads <= horizon)
+        if not len(due):
             return EventBlock.empty()
+        self._heap = None
+        cursor = self._cursor[due]
+        cols = np.arange(self._block + 1)
+        fresh = cols[None, :] >= cursor[:, None]  # tau[:, cursor] is the head
+        tau = np.empty((len(due), self._block + 1))
+        tau[:, 0] = self._heads[due]
+        tau[:, 1:] = np.where(fresh[:, :-1], self._gaps[due], 0.0)
+        np.cumsum(tau, axis=1, out=tau)
+        within = fresh & (tau <= horizon)
+        counts = within.sum(axis=1)
+        emit_times = [tau[within]]
+        emit_rows = [np.repeat(due, counts)]
+
+        # Pairs whose row lasts past the horizon just advance their cursor.
+        live = tau[:, -1] > horizon
+        rows = due[live]
+        stop = cursor[live] + counts[live]
+        self._heads[rows] = tau[live, stop]
+        self._cursor[rows] = stop
+        # The rest refill in the iterator's pop order.
+        refills = self._heap_of(tau[~live, -1], due[~live])
+        while refills:
+            trigger, i, j, row = heapq.heappop(refills)
+            run = np.cumsum(np.concatenate(((trigger,), self._refill(row))))
+            stop = int(np.searchsorted(run, horizon, side="right"))
+            emit_times.append(run[1:stop])  # run[0] is the emitted trigger
+            emit_rows.append(np.full(stop - 1, row))
+            if stop > self._block:
+                heapq.heappush(refills, (float(run[-1]), i, j, row))
+            else:
+                self._heads[row] = run[stop]
+                self._cursor[row] = stop
+
         times = np.concatenate(emit_times)
-        a = np.concatenate(emit_a)
-        b = np.concatenate(emit_b)
+        rows = np.concatenate(emit_rows)
+        a, b = self._pair_a[rows], self._pair_b[rows]
         order = np.lexsort((b, a, times))
         block = EventBlock(times=times[order], a=a[order], b=b[order])
         self._now = float(block.times[-1])
@@ -418,15 +360,15 @@ class TraceReplayProcess:
 
         if not isinstance(trace, ContactTrace):
             raise TypeError(f"expected ContactTrace, got {type(trace).__name__}")
-        self._records = [r for r in trace.records if r.start >= start_time]
-        self._records.sort(key=lambda r: r.start)
+        # ``trace.records`` is chronological with a stable tie order.
+        records = [r for r in trace.records if r.start >= start_time]
+        # Traces are columnar at rest: both read modes walk the same three
+        # columns with one cursor, so windowed block reads are plain slices.
+        self._times = np.array([r.start for r in records], dtype=np.float64)
+        self._a = np.array([r.a for r in records], dtype=np.int64)
+        self._b = np.array([r.b for r in records], dtype=np.int64)
         self._cursor = 0
         self._now = start_time
-        # Traces are columnar at rest: materialise the three columns once
-        # so windowed block reads are plain slices.
-        self._times = np.array([r.start for r in self._records], dtype=np.float64)
-        self._a = np.array([r.a for r in self._records], dtype=np.int64)
-        self._b = np.array([r.b for r in self._records], dtype=np.int64)
 
     @property
     def now(self) -> float:
@@ -435,13 +377,18 @@ class TraceReplayProcess:
 
     def events_until(self, horizon: float) -> Iterator[ContactEvent]:
         """Yield replayed events with ``time <= horizon`` in order."""
-        while self._cursor < len(self._records):
-            record = self._records[self._cursor]
-            if record.start > horizon:
+        check_non_negative(horizon, "horizon")
+        times = self._times
+        while self._cursor < len(times):
+            cursor = self._cursor
+            time = times.item(cursor)
+            if time > horizon:
                 return
-            self._cursor += 1
-            self._now = record.start
-            yield ContactEvent(time=record.start, a=record.a, b=record.b)
+            self._cursor = cursor + 1
+            self._now = time
+            yield ContactEvent(
+                time=time, a=self._a.item(cursor), b=self._b.item(cursor)
+            )
 
     def events_until_columnar(self, horizon: float) -> EventBlock:
         """The same window as :meth:`events_until`, as one :class:`EventBlock`.

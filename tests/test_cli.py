@@ -79,6 +79,29 @@ class TestFigure:
         err = capsys.readouterr().err
         assert "--compromise-model only applies to the security" in err
 
+    @pytest.mark.parametrize(
+        "argv, family",
+        [
+            (["figure", "4", "--trials", "3"], "security"),
+            (["figure", "6", "--sessions", "9"], "simulated"),
+            (["figure", "e1", "--workers", "2"], "parallel"),
+            (["figure", "e2", "--workers", "1"], "parallel"),
+            (["figure", "14", "--compromise-model", "stake"], "security"),
+        ],
+        ids=["4-trials", "6-sessions", "e1-workers", "e2-workers-1", "14-compromise"],
+    )
+    def test_inapplicable_flag_rejected(self, capsys, argv, family):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        flag = argv[2]
+        assert f"{flag} only applies to the {family} figures" in captured.err
+        assert captured.out == ""
+
+    def test_inapplicable_flag_error_lists_the_figures_that_take_it(self, capsys):
+        assert main(["figure", "e1", "--workers", "2"]) == 2
+        takers = capsys.readouterr().err.split("(")[1].rstrip(")\n").split(", ")
+        assert takers == [str(n) for n in range(4, 20)] + ["r1", "r2"]
+
     def test_unknown_compromise_model_rejected(self):
         with pytest.raises(SystemExit):
             main(["figure", "6", "--compromise-model", "nonsense"])

@@ -7,6 +7,8 @@ process (cursor state, RNG state) where the iterator would have left it,
 so columnar and iterator consumption are interchangeable mid-stream.
 """
 
+import collections
+import itertools
 import math
 
 import numpy as np
@@ -20,6 +22,7 @@ from repro.contacts.events import (
     TraceReplayProcess,
     as_event_source,
 )
+from repro.contacts.graph import ContactGraph
 from repro.contacts.random_graph import random_contact_graph
 from repro.contacts.synthetic import cambridge_like_trace
 from repro.contacts.traces import ContactRecord, ContactTrace
@@ -138,8 +141,8 @@ class TestExponentialColumnarEquivalence:
         tail = _events_tuples(mixed.events_until(500.0))
         assert head + tail == expected
 
-        # And the other way round: iterator first invalidates the pristine
-        # fast path, the generic columnar path must still agree.
+        # And the other way round: the iterator leaves the pair cursors
+        # mid-buffer, and the columnar read must resume from them.
         mixed2 = ExponentialContactProcess(graph, rng=np.random.default_rng(3))
         head2 = _events_tuples(mixed2.events_until(200.0))
         tail2 = _block_tuples(mixed2.events_until_columnar(500.0))
@@ -161,6 +164,67 @@ class TestExponentialColumnarEquivalence:
             legacy._rng.bit_generator.state
             == columnar._rng.bit_generator.state
         )
+
+
+# Read plans for the producer contract: ("columnar", horizon), ("lazy",
+# horizon), or ("lazy", horizon, count) to stop the iterator after
+# ``count`` events, mid-buffer.
+READ_PLANS = {
+    "one-shot": [("columnar", 1500.0)],
+    "widening-windows": [
+        ("columnar", horizon)
+        for horizon in (0.0, 2.0, 40.0, 41.0, 150.0, 600.0, 601.0, 1500.0)
+    ],
+    "columnar-partial-lazy-columnar-lazy": [
+        ("columnar", 100.0),
+        ("lazy", 1500.0, 57),
+        ("columnar", 400.0),
+        ("lazy", 900.0),
+        ("columnar", 1500.0),
+    ],
+    "lazy-columnar": [("lazy", 300.0), ("columnar", 1500.0)],
+}
+
+
+class TestExponentialProducerContract:
+    """Every mix of read modes equals the pure iterator at every block size."""
+
+    @staticmethod
+    def _read(process, plan):
+        events = []
+        for mode, horizon, *count in plan:
+            if mode == "columnar":
+                events += _block_tuples(process.events_until_columnar(horizon))
+            else:
+                stream = process.events_until(horizon)
+                if count:
+                    stream = itertools.islice(stream, count[0])
+                events += _events_tuples(stream)
+        return events
+
+    @pytest.mark.parametrize("plan", sorted(READ_PLANS))
+    @pytest.mark.parametrize("graph_kind", ["random", "no-pairs"])
+    @pytest.mark.parametrize("block", [1, 2, 32])
+    def test_matches_pure_iterator(self, block, graph_kind, plan):
+        if graph_kind == "random":
+            graph = random_contact_graph(
+                12, (5.0, 60.0), rng=np.random.default_rng(8)
+            )
+        else:
+            graph = ContactGraph(np.zeros((4, 4)))
+        pure = ExponentialContactProcess(
+            graph, rng=np.random.default_rng(21), block=block
+        )
+        expected = _events_tuples(pure.events_until(1500.0))
+        mixed = ExponentialContactProcess(
+            graph, rng=np.random.default_rng(21), block=block
+        )
+        assert self._read(mixed, READ_PLANS[plan]) == expected
+        assert mixed.now == pure.now
+        assert mixed._rng.bit_generator.state == pure._rng.bit_generator.state
+        if graph_kind == "random":  # the plans cross row refills
+            pair_counts = collections.Counter((a, b) for _, a, b in expected)
+            assert max(pair_counts.values()) > 4 * block
 
 
 class TestTraceColumnarEquivalence:

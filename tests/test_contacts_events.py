@@ -129,6 +129,14 @@ class TestTraceReplayProcess:
         with pytest.raises(TypeError, match="ContactTrace"):
             TraceReplayProcess([(0, 1, 0, 1)])
 
+    def test_negative_horizon_rejected_in_both_modes(self):
+        process = TraceReplayProcess(self._trace())
+        with pytest.raises(ValueError, match="horizon"):
+            list(process.events_until(-1.0))
+        with pytest.raises(ValueError, match="horizon"):
+            process.events_until_columnar(-1.0)
+        assert [e.time for e in process.events_until(100.0)] == [5.0, 10.0, 20.0]
+
 
 class TestBlockGapSampling:
     """Block pre-draws must not change seed reproducibility or rates."""
@@ -170,3 +178,9 @@ class TestBlockGapSampling:
     def test_block_must_be_positive(self):
         with pytest.raises(ValueError, match="block"):
             ExponentialContactProcess(self._graph(), rng=1, block=0)
+
+    @pytest.mark.parametrize("block", [2.5, True, 4.0])
+    def test_block_must_be_an_int(self, block):
+        # Truncating 2.5 to 2 or True to 1 would silently change the draws.
+        with pytest.raises(TypeError, match="block"):
+            ExponentialContactProcess(self._graph(), rng=1, block=block)
