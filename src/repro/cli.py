@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import math
 import os
 import sys
 from typing import Callable, Dict, Optional, Union
@@ -96,17 +97,33 @@ def _figure_key(value: str) -> FigureKey:
     return key
 
 
-def _positive_int(value: str) -> int:
-    """Argparse type for strictly positive integers (e.g. ``--workers``)."""
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}")
-    if parsed < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {parsed}"
-        )
-    return parsed
+def _checked(parse: Callable, accept: Callable, expected: str) -> Callable:
+    """Argparse type: ``parse`` the text, then require ``accept(value)``.
+
+    A bad value is a usage error (exit 2), never a traceback mid-run.
+    """
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text}")
+        return value
+
+    return convert
+
+
+# ``x < math.inf`` is False for nan and inf, so the floats must be finite.
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_seed = _checked(int, lambda v: v >= 0, "a non-negative integer seed")
+_positive_float = _checked(float, lambda v: 0 < v < math.inf, "a positive number")
+_non_negative_float = _checked(
+    float, lambda v: 0 <= v < math.inf, "a non-negative number"
+)
+_probability = _checked(float, lambda v: 0 <= v <= 1, "a probability in [0, 1]")
+_fraction = _checked(float, lambda v: 0 <= v < 1, "a fraction in [0, 1)")
 
 
 def _sorted_figure_keys() -> list:
@@ -134,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="FIGURE",
         help="paper figure number (4-19) or alias (e1, e2, r1, r2)",
     )
-    figure.add_argument("--seed", type=int, default=None)
+    figure.add_argument("--seed", type=_seed, default=None)
     figure.add_argument(
         "--trials", type=_positive_int, default=None,
         help="Monte Carlo trials (security figures)",
@@ -169,22 +186,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_config_args(model)
     model.add_argument(
-        "--deadline", type=float, default=720.0, help="deadline T (minutes)"
+        "--deadline", type=_non_negative_float, default=720.0,
+        help="deadline T (minutes)",
     )
     model.add_argument(
-        "--compromise", type=float, default=0.10, help="compromise rate c/n"
+        "--compromise", type=_probability, default=0.10,
+        help="compromise rate c/n",
     )
-    model.add_argument("--seed", type=int, default=0)
+    model.add_argument("--seed", type=_seed, default=0)
 
     plan = subparsers.add_parser(
         "plan", help="invert the models: deadline or copies for a target"
     )
     _add_config_args(plan)
-    plan.add_argument("--target", type=float, required=True,
+    plan.add_argument("--target", type=_fraction, required=True,
                       help="delivery target, e.g. 0.95")
-    plan.add_argument("--deadline", type=float, default=None,
+    plan.add_argument("--deadline", type=_positive_float, default=None,
                       help="fix the deadline and solve for copies L")
-    plan.add_argument("--seed", type=int, default=0)
+    plan.add_argument("--seed", type=_seed, default=0)
 
     simulate = subparsers.add_parser(
         "simulate", help="simulate one protocol configuration"
@@ -195,9 +214,9 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("single", "multi", "arden", "epidemic", "spray", "direct"),
         default="single",
     )
-    simulate.add_argument("--deadline", type=float, default=720.0)
+    simulate.add_argument("--deadline", type=_positive_float, default=720.0)
     simulate.add_argument("--trials", type=_positive_int, default=100)
-    simulate.add_argument("--seed", type=int, default=0)
+    simulate.add_argument("--seed", type=_seed, default=0)
     faults = simulate.add_argument_group(
         "fault injection",
         "node churn / fail-stop affect every protocol (suppressed "
@@ -205,31 +224,35 @@ def _build_parser() -> argparse.ArgumentParser:
         "--protocol single or multi",
     )
     faults.add_argument(
-        "--availability", type=float, default=None,
+        "--availability", default=None,
+        type=_checked(
+            float, lambda v: 0 < v < 1,
+            "an availability in (0, 1) (omit the flag for no churn)",
+        ),
         help="stationary node availability under churn, in (0, 1)",
     )
     faults.add_argument(
-        "--churn-cycle", type=float, default=20.0,
+        "--churn-cycle", type=_positive_float, default=20.0,
         help="mean up+down churn cycle length (same units as --deadline)",
     )
     faults.add_argument(
-        "--death-rate", type=float, default=None,
+        "--death-rate", type=_non_negative_float, default=None,
         help="per-node fail-stop death rate (permanent crashes)",
     )
     faults.add_argument(
-        "--drop-prob", type=float, default=None,
+        "--drop-prob", type=_probability, default=None,
         help="greyhole drop probability of compromised relays",
     )
     faults.add_argument(
-        "--drop-compromise", type=float, default=0.2,
+        "--drop-compromise", type=_fraction, default=0.2,
         help="compromised fraction acting as dropping relays",
     )
     faults.add_argument(
-        "--custody-timeout", type=float, default=None,
+        "--custody-timeout", type=_positive_float, default=None,
         help="enable custody recovery with this re-anycast timeout",
     )
     faults.add_argument(
-        "--max-retries", type=int, default=3,
+        "--max-retries", type=_positive_int, default=3,
         help="bounded recovery retries / ticket reclamations",
     )
 
@@ -421,19 +444,6 @@ def _run_simulate(args: argparse.Namespace) -> int:
         print(
             "error: --drop-prob requires --protocol single or multi "
             "(only the onion sessions model dropping relays)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.availability is not None and not (0.0 < args.availability < 1.0):
-        print(
-            "error: --availability must lie in (0, 1) "
-            f"(got {args.availability:g}); omit the flag for no churn",
-            file=sys.stderr,
-        )
-        return 2
-    if args.drop_prob is not None and not (0.0 <= args.drop_prob <= 1.0):
-        print(
-            f"error: --drop-prob must lie in [0, 1] (got {args.drop_prob:g})",
             file=sys.stderr,
         )
         return 2

@@ -7,8 +7,10 @@ provides
 
 * :class:`~repro.contacts.graph.ContactGraph` — the rate matrix plus helpers,
 * random generators matching the paper's Table II configuration,
-* trace ingestion for CRAWDAD-style contact records, and
-* synthetic stand-ins for the Cambridge / Infocom 2005 haggle traces.
+* trace ingestion for CRAWDAD-style contact records and rate estimation
+  from a trace,
+* synthetic stand-ins for the Cambridge / Infocom 2005 haggle traces, and
+* a random-waypoint mobility model that turns motion into a contact trace.
 """
 
 from repro.contacts.events import ContactEvent, ExponentialContactProcess, TraceReplayProcess
@@ -17,27 +19,12 @@ from repro.contacts.intercontact import (
     estimate_rates_from_trace,
     sample_intercontact_times,
 )
-from repro.contacts.community import (
-    CommunityConfig,
-    CommunityGraph,
-    community_contact_graph,
-)
 from repro.contacts.mobility import (
     RandomWaypointConfig,
     RandomWaypointMobility,
     random_waypoint_trace,
 )
-from repro.contacts.impairments import (
-    JitteredContactProcess,
-    ThinnedContactProcess,
-    thinned_graph,
-)
 from repro.contacts.random_graph import random_contact_graph
-from repro.contacts.statistics import (
-    fit_exponential,
-    pooled_exponential_fit,
-    summarize_trace,
-)
 from repro.contacts.synthetic import (
     cambridge_like_trace,
     infocom05_like_trace,
@@ -52,19 +39,10 @@ __all__ = [
     "ContactRecord",
     "ContactTrace",
     "random_contact_graph",
-    "ThinnedContactProcess",
-    "JitteredContactProcess",
-    "thinned_graph",
-    "fit_exponential",
-    "pooled_exponential_fit",
-    "summarize_trace",
     "cambridge_like_trace",
     "infocom05_like_trace",
     "estimate_rates_from_trace",
     "sample_intercontact_times",
-    "CommunityConfig",
-    "CommunityGraph",
-    "community_contact_graph",
     "RandomWaypointConfig",
     "RandomWaypointMobility",
     "random_waypoint_trace",

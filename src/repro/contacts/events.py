@@ -253,6 +253,12 @@ class ExponentialContactProcess:
         heapq.heapify(heap)
         return heap
 
+    def _shared_heap(self) -> list:
+        """The iterator heap, rebuilt from ``heads`` if a columnar read dropped it."""
+        if self._heap is None:
+            self._heap = self._heap_of(self._heads, np.arange(len(self._heads)))
+        return self._heap
+
     def _refill(self, row: int) -> np.ndarray:
         """Draw a fresh block of gaps into ``row``'s buffer."""
         gaps = self._rng.exponential(self._scales[row], size=self._block)
@@ -260,11 +266,14 @@ class ExponentialContactProcess:
         return gaps
 
     def events_until(self, horizon: float) -> Iterator[ContactEvent]:
-        """Yield events with ``time <= horizon`` in chronological order."""
+        """Yield events with ``time <= horizon`` in chronological order.
+
+        A suspended generator resumes from the process's current state, so
+        reads made while it was suspended (columnar windows, other
+        generators) are never replayed.
+        """
         check_non_negative(horizon, "horizon")
-        if self._heap is None:
-            self._heap = self._heap_of(self._heads, np.arange(len(self._heads)))
-        heap = self._heap
+        heap = self._shared_heap()
         heads, gaps, cursor = self._heads, self._gaps, self._cursor
         while heap and heap[0][0] <= horizon:
             time, i, j, row = heap[0]
@@ -278,6 +287,8 @@ class ExponentialContactProcess:
             self._now = time
             heapq.heapreplace(heap, (head, i, j, row))
             yield ContactEvent(time=time, a=i, b=j)
+            if self._heap is not heap:
+                heap = self._shared_heap()
 
     def events_until_columnar(self, horizon: float) -> EventBlock:
         """The same window as :meth:`events_until`, as one :class:`EventBlock`.

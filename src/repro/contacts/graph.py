@@ -15,11 +15,6 @@ import numpy as np
 
 from repro.utils.validation import check_non_negative, check_positive_int
 
-try:  # networkx is a declared dependency but keep the import failure readable
-    import networkx as nx
-except ImportError:  # pragma: no cover
-    nx = None
-
 
 class ContactGraph:
     """Symmetric matrix of contact rates ``λ_ij`` over ``n`` nodes.
@@ -177,22 +172,6 @@ class ContactGraph:
         upper = self._rates[np.triu_indices(self.n, k=1)]
         positive = upper[upper > 0]
         return float(positive.mean()) if positive.size else 0.0
-
-    def to_networkx(self) -> "nx.Graph":
-        """Export to a :mod:`networkx` graph with ``rate`` edge attributes."""
-        if nx is None:  # pragma: no cover
-            raise ImportError("networkx is required for to_networkx()")
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self.n))
-        for i, j in self.pairs():
-            graph.add_edge(i, j, rate=self.rate(i, j))
-        return graph
-
-    def is_connected(self) -> bool:
-        """Whether the contact graph (positive-rate edges) is connected."""
-        if nx is None:  # pragma: no cover
-            raise ImportError("networkx is required for is_connected()")
-        return nx.is_connected(self.to_networkx())
 
     def __repr__(self) -> str:
         return (

@@ -4,10 +4,9 @@ The paper's models (Eq. 4–7) assume every node is always up and every relay
 forwards honestly. Real DTNs violate both: carriers power-cycle, crash, and
 — in the threat model of practical onion routing — compromised relays drop
 the bundles they are asked to carry. This package injects those faults into
-the simulation the same way :mod:`repro.contacts.impairments` injects radio
-imperfections: every fault process ships with an analytical counterpart, so
-the Eq. 4–7 predictions stay exact (or exact-in-the-limit) under faults and
-tests can verify the equivalence.
+the simulation as filters over the contact stream, and every fault process
+ships with an analytical counterpart, so the Eq. 4–7 predictions stay exact
+(or exact-in-the-limit) under faults and tests can verify the equivalence.
 
 * :mod:`repro.faults.churn` — per-node on/off renewal processes; contacts
   involving a down node are suppressed. Counterpart:

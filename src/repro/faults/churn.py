@@ -166,9 +166,8 @@ class FaultFilteredContactProcess:
     """Suppress contacts whose endpoints are not both up.
 
     Generic over any schedule exposing ``is_up(node, time)`` — node churn
-    and fail-stop both use it. Wraps any chronological event source, like
-    the :mod:`repro.contacts.impairments` transformers, so fault processes
-    compose with thinning and jitter in a single stream.
+    and fail-stop both use it. Wraps any chronological event source, so
+    fault processes compose with each other in a single stream.
     """
 
     def __init__(self, inner, schedule):
@@ -212,8 +211,7 @@ def churned_graph(
     ``availability`` is either one scalar for all nodes or a length-``n``
     per-node sequence. Feeding the scaled graph to the Eq. 4–7 models
     predicts what the protocol experiences on a :class:`NodeChurnProcess`
-    (fast-churn regime), exactly as :func:`~repro.contacts.impairments.thinned_graph`
-    does for thinning.
+    (fast-churn regime), by the Poisson thinning property.
     """
     a = np.asarray(availability, dtype=float)
     if a.ndim == 0:

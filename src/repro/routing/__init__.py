@@ -1,27 +1,19 @@
 """Non-anonymous DTN routing baselines.
 
-These implement the classic carry-and-forward schemes the paper's related
-work surveys (§VI-A). They serve three purposes: the non-anonymous cost
-baseline of Fig. 11, context in examples, and independent validation of the
-simulation engine (e.g. epidemic routing dominates every other scheme's
-delivery rate by construction).
+These are the carry-and-forward schemes the paper compares against (§V,
+§VI-A): direct delivery, epidemic flooding and spray-and-wait. They serve
+as the non-anonymous cost baseline of Fig. 11, as ``onion-dtn simulate``
+protocols, and as independent validation of the simulation engine (e.g.
+epidemic routing dominates every other scheme's delivery rate by
+construction).
 """
 
 from repro.routing.direct import DirectDeliverySession
 from repro.routing.epidemic import EpidemicSession
-from repro.routing.first_contact import FirstContactSession
-from repro.routing.oracle import OracleShortestDelaySession, shortest_expected_delay_path
-from repro.routing.prophet import ProphetSession
 from repro.routing.spray_and_wait import SprayAndWaitSession
-from repro.routing.utility import GreedyUtilitySession
 
 __all__ = [
     "DirectDeliverySession",
     "EpidemicSession",
-    "FirstContactSession",
     "SprayAndWaitSession",
-    "GreedyUtilitySession",
-    "ProphetSession",
-    "OracleShortestDelaySession",
-    "shortest_expected_delay_path",
 ]

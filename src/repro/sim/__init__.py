@@ -15,7 +15,6 @@ from repro.sim.metrics import (
     status_counts,
     summarize,
 )
-from repro.sim.node import Buffer, Node
 from repro.sim.protocol import ProtocolSession
 from repro.sim.workload import (
     PoissonWorkload,
@@ -26,8 +25,6 @@ from repro.sim.workload import (
 __all__ = [
     "SimulationEngine",
     "Message",
-    "Node",
-    "Buffer",
     "ProtocolSession",
     "DeliveryOutcome",
     "SummaryStats",

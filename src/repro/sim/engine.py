@@ -23,9 +23,9 @@ outcomes are byte-identical whichever path a session takes:
 ``consume`` only chooses where the events come from. ``"auto"`` reads one
 horizon-wide block, ``"stream"`` reads successive windows from
 :func:`~repro.contacts.events.stream_event_blocks`, and ``"iterator"`` —
-like any source without ``events_until_columnar`` (fault filters,
-impairments) — pulls events lazily from ``events_until`` into the object
-loop, one at a time. Kernels need blocks, so a lazily pulled run puts
+like any source without ``events_until_columnar`` (the fault filters) —
+pulls events lazily from ``events_until`` into the object loop, one at a
+time. Kernels need blocks, so a lazily pulled run puts
 every session in the object loop. :attr:`SimulationEngine.dispatch_mode_counts`
 records how many sessions each run routed through each path.
 """

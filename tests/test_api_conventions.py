@@ -1,16 +1,25 @@
 """Repository-level API conventions.
 
 Meta-tests keeping the public surface disciplined: everything exported is
-importable and documented, `__all__` lists are accurate, and the figure
-registry stays in sync with the experiment modules.
+importable and documented, `__all__` lists are accurate, the figure
+registry stays in sync with the experiment modules, the runtime imports
+stay light, and the module names the docs cite still exist.
 """
 
 import importlib
 import inspect
+import os
+import pathlib
+import pkgutil
+import re
+import subprocess
+import sys
 
 import pytest
 
 import repro
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 PACKAGES = [
     "repro",
@@ -100,3 +109,69 @@ class TestFigureRegistry:
         parts = repro.__version__.split(".")
         assert len(parts) == 3
         assert all(part.isdigit() for part in parts)
+
+
+class TestRuntimeImports:
+    def test_runtime_loads_neither_scipy_nor_networkx(self):
+        """Only the tests and benchmarks use scipy; no run needs networkx."""
+        code = (
+            "import sys, repro, repro.cli, repro.experiments, repro.routing; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} "
+            "& {'scipy', 'networkx'}))"
+        )
+        src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True, env=env,
+        )
+        assert result.stdout.strip() == "[]"
+
+
+# Docs whose backticked module names must resolve. perfbench/README.md is
+# left out: its metric names (``sim.kernel.self_s``) only look like modules.
+DOCS = ["README.md", "DESIGN.md", "ARCHITECTURE.md", "EXPERIMENTS.md"] + sorted(
+    str(path.relative_to(ROOT)) for path in (ROOT / "docs").glob("*.md")
+)
+_SUBPACKAGES = sorted(
+    module.name for module in pkgutil.iter_modules(repro.__path__) if module.ispkg
+)
+_DOTTED = re.compile(
+    r"(?<![\w./])(repro(?:\.\w+)+|(?:%s)(?:\.\w+)+)" % "|".join(_SUBPACKAGES)
+)
+
+
+def _doc_references():
+    """``(doc, name)`` for each dotted module name inside inline code."""
+    refs = set()
+    for doc in DOCS:
+        text = re.sub(r"```.*?```", "", (ROOT / doc).read_text(), flags=re.S)
+        for span in re.findall(r"`([^`\n]+)`", text):
+            refs.update((doc, match) for match in _DOTTED.findall(span))
+    return sorted(refs)
+
+
+def _resolve(name):
+    """Import the longest module prefix of ``name``, then walk attributes."""
+    parts = name.removeprefix("repro.").split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module("repro." + ".".join(parts[:split]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[split:]:
+            obj = getattr(obj, attr)
+        return obj
+    raise ModuleNotFoundError(name)
+
+
+class TestDocReferences:
+    def test_docs_cite_modules(self):
+        assert len(_doc_references()) > 50
+
+    @pytest.mark.parametrize("doc, name", _doc_references())
+    def test_reference_resolves(self, doc, name):
+        _resolve(name)

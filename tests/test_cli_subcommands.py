@@ -205,6 +205,41 @@ class TestNonPositiveCounts:
         assert "positive integer" in capsys.readouterr().err
 
 
+class TestOutOfRangeNumbers:
+    """Numbers outside a flag's range are usage errors (exit 2), never tracebacks."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["simulate", "--deadline", "0"], "--deadline"),
+            (["simulate", "--deadline", "nan"], "--deadline"),
+            (["simulate", "--death-rate", "-1"], "--death-rate"),
+            (["simulate", "--churn-cycle", "-3"], "--churn-cycle"),
+            (["simulate", "--custody-timeout", "-1"], "--custody-timeout"),
+            (["simulate", "--max-retries", "-1"], "--max-retries"),
+            (["simulate", "--availability", "1.5"], "--availability"),
+            (["simulate", "--drop-prob", "1.5"], "--drop-prob"),
+            (["simulate", "--drop-compromise", "1"], "--drop-compromise"),
+            (["simulate", "--seed", "-1"], "--seed"),
+            (["plan", "--target", "1.5"], "--target"),
+            (["plan", "--target", "1"], "--target"),
+            (["plan", "--target", "0.5", "--deadline", "-5"], "--deadline"),
+            (["model", "--deadline", "-5"], "--deadline"),
+            (["model", "--compromise", "1.5"], "--compromise"),
+            (["figure", "4", "--seed", "-1"], "--seed"),
+        ],
+    )
+    def test_rejected_with_usage_error(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert f"argument {flag}: expected" in errors[0]
+        assert "Traceback" not in err
+
+
 # Backends the registry once held; selecting one must now fail loudly.
 REMOVED_BACKENDS = ("numba", "cupy")
 

@@ -227,6 +227,45 @@ class TestExponentialProducerContract:
             assert max(pair_counts.values()) > 4 * block
 
 
+class TestSuspendedIterator:
+    """A suspended ``events_until`` generator resumes from the shared state."""
+
+    @pytest.mark.parametrize("block", [1, 4, 32])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_interleaved_reads_match_pure_iterator(self, seed, block):
+        graph = random_contact_graph(
+            10, (5.0, 60.0), rng=np.random.default_rng(seed)
+        )
+        pure = ExponentialContactProcess(
+            graph, rng=np.random.default_rng(seed + 100), block=block
+        )
+        expected = _events_tuples(pure.events_until(1500.0))
+
+        mixed = ExponentialContactProcess(
+            graph, rng=np.random.default_rng(seed + 100), block=block
+        )
+        suspended = mixed.events_until(1500.0)
+
+        def take(stream, count):
+            return _events_tuples(itertools.islice(stream, count))
+
+        events = take(suspended, 5)
+        events += _block_tuples(mixed.events_until_columnar(100.0))
+        events += take(suspended, 10)
+        events += take(mixed.events_until(1500.0), 7)
+        events += take(suspended, 3)
+        events += _block_tuples(mixed.events_until_columnar(600.0))
+        other = mixed.events_until(900.0)
+        events += take(other, 4)
+        events += take(suspended, 2)
+        events += take(other, 3)
+        events += _block_tuples(mixed.events_until_columnar(1500.0))
+        events += _events_tuples(suspended) + _events_tuples(other)
+        assert events == expected
+        assert mixed.now == pure.now
+        assert mixed._rng.bit_generator.state == pure._rng.bit_generator.state
+
+
 class TestTraceColumnarEquivalence:
     def _trace(self):
         return cambridge_like_trace(rng=np.random.default_rng(14))

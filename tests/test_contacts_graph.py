@@ -140,20 +140,3 @@ class TestAggregateRates:
         graph = ContactGraph.complete(4, 0.1)
         with pytest.raises(ValueError, match="non-empty"):
             graph.group_to_group_rate([], [1])
-
-
-class TestNetworkxExport:
-    def test_roundtrip_edges(self):
-        graph = triangle_graph()
-        nxg = graph.to_networkx()
-        assert set(nxg.nodes) == {0, 1, 2}
-        assert nxg.edges[0, 1]["rate"] == pytest.approx(0.1)
-
-    def test_is_connected(self):
-        assert triangle_graph().is_connected()
-
-    def test_disconnected_detected(self):
-        rates = np.zeros((4, 4))
-        rates[0, 1] = rates[1, 0] = 0.1
-        rates[2, 3] = rates[3, 2] = 0.1
-        assert not ContactGraph(rates).is_connected()

@@ -1,9 +1,9 @@
-"""Smoke tests: the fast example scripts must run end to end.
+"""Smoke tests: every example script must run end to end.
 
-The slower examples (trace_analysis, mobile_network_load,
-adaptive_deployment) are exercised by their own integration tests through
-the same code paths; here we run the quick ones as real subprocesses so a
-packaging or import regression cannot hide.
+Each runs as a real subprocess so a packaging or import regression cannot
+hide. mobile_network_load (random-waypoint mobility) and
+adaptive_deployment (configuration search, managed groups) are the only
+callers of the modules they demonstrate.
 """
 
 import subprocess
@@ -63,3 +63,38 @@ class TestAnonymityTradeoff:
         assert "delivery anonymity traceable" in output
         assert "recommended:" in output
         assert "takeaways" in output
+
+
+class TestTraceAnalysis:
+    @pytest.fixture(scope="class")
+    def output(self):
+        return _run("trace_analysis.py")
+
+    def test_both_traces_compared_to_the_model(self, output):
+        assert "Cambridge-like trace" in output
+        assert "Infocom-2005-like trace" in output
+        assert output.count("deadline (s)    model  measured") == 2
+
+
+class TestMobileNetworkLoad:
+    @pytest.fixture(scope="class")
+    def output(self):
+        return _run("mobile_network_load.py")
+
+    def test_mobility_feeds_every_protocol(self, output):
+        assert "mobility: 30 nodes" in output
+        assert "estimated contact graph:" in output
+        for protocol in ("onion L=1", "onion L=3", "TPS", "ALAR", "epidemic"):
+            assert protocol in output
+
+
+class TestAdaptiveDeployment:
+    @pytest.fixture(scope="class")
+    def output(self):
+        return _run("adaptive_deployment.py")
+
+    def test_plan_operate_audit(self, output):
+        assert "planned configuration:" in output
+        assert "provisioned" in output
+        assert "operated:" in output
+        assert "audit:" in output

@@ -1,16 +1,7 @@
 """Tests for the non-anonymous DTN routing baselines."""
 
-import pytest
-
-from repro.contacts.graph import ContactGraph
 from repro.routing.direct import DirectDeliverySession
 from repro.routing.epidemic import EpidemicSession
-from repro.routing.first_contact import FirstContactSession
-from repro.routing.oracle import (
-    OracleShortestDelaySession,
-    shortest_expected_delay_path,
-)
-from repro.routing.prophet import ProphetSession
 from repro.routing.spray_and_wait import SprayAndWaitSession
 from repro.sim.message import Message
 
@@ -97,80 +88,3 @@ class TestSprayAndWait:
         session = SprayAndWaitSession(_message(), copies=3)
         feed(session, [(1.0, 0, 9)])
         assert session.outcome().delivered
-
-
-class TestFirstContact:
-    def test_forwards_to_anyone(self):
-        session = FirstContactSession(_message())
-        feed(session, [(1.0, 0, 4), (2.0, 4, 7)])
-        assert session.holder == 7
-
-    def test_delivers_on_destination_contact(self):
-        session = FirstContactSession(_message())
-        feed(session, [(1.0, 0, 4), (2.0, 4, 9)])
-        assert session.outcome().delivered
-
-    def test_max_hops_parks_copy(self):
-        session = FirstContactSession(_message(), max_hops=1)
-        feed(session, [(1.0, 0, 4), (2.0, 4, 7)])
-        assert session.holder == 4  # parked after one hop
-        feed(session, [(3.0, 4, 9)])
-        assert session.outcome().delivered
-
-
-class TestProphet:
-    def test_direct_contact_delivers(self):
-        session = ProphetSession(_message())
-        feed(session, [(1.0, 0, 9)])
-        assert session.outcome().delivered
-
-    def test_forwards_toward_better_predictability(self):
-        session = ProphetSession(_message())
-        # node 1 repeatedly meets the destination: its P(1, 9) grows
-        feed(session, [(1.0, 1, 9), (2.0, 1, 9), (3.0, 1, 9)])
-        feed(session, [(4.0, 0, 1)])
-        assert session.holder == 1
-
-    def test_does_not_forward_to_stranger(self):
-        session = ProphetSession(_message())
-        feed(session, [(1.0, 0, 2)])  # node 2 has never met the destination
-        assert session.holder == 0
-
-    def test_invalid_gamma(self):
-        with pytest.raises(ValueError, match="gamma"):
-            ProphetSession(_message(), gamma=1.5)
-
-
-class TestOracle:
-    def _graph(self):
-        # 0-1 fast, 1-9 fast, 0-9 very slow: best path is 0 -> 1 -> 9.
-        import numpy as np
-
-        rates = np.zeros((10, 10))
-        rates[0, 1] = rates[1, 0] = 1.0
-        rates[1, 9] = rates[9, 1] = 1.0
-        rates[0, 9] = rates[9, 0] = 0.001
-        return ContactGraph(rates)
-
-    def test_shortest_path_choice(self):
-        path = shortest_expected_delay_path(self._graph(), 0, 9)
-        assert path == [0, 1, 9]
-
-    def test_session_follows_plan(self):
-        session = OracleShortestDelaySession(_message(), self._graph())
-        feed(session, [(1.0, 0, 9)])  # not the planned next hop
-        assert not session.outcome().delivered
-        feed(session, [(2.0, 0, 1), (3.0, 1, 9)])
-        outcome = session.outcome()
-        assert outcome.delivered
-        assert outcome.transmissions == 2
-
-    def test_disconnected_raises(self):
-        import networkx as nx
-        import numpy as np
-
-        rates = np.zeros((4, 4))
-        rates[0, 1] = rates[1, 0] = 1.0
-        graph = ContactGraph(rates)
-        with pytest.raises(nx.NetworkXNoPath):
-            shortest_expected_delay_path(graph, 0, 3)

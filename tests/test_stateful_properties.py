@@ -1,8 +1,7 @@
 """Stateful property tests (hypothesis rule-based state machines).
 
-These drive long random operation sequences against the stateful
-components — the buffer and the managed group directory — checking
-invariants after every step.
+These drive long random operation sequences against the managed group
+directory, checking invariants after every step.
 """
 
 import hypothesis.strategies as st
@@ -14,50 +13,6 @@ from hypothesis.stateful import (
 )
 
 from repro.core.group_management import ManagedGroupDirectory, MembershipError
-from repro.sim.node import Buffer
-
-CAPACITY = 5
-
-
-class BufferMachine(RuleBasedStateMachine):
-    """A bounded buffer must mirror an ordered-dict model with eviction."""
-
-    def __init__(self):
-        super().__init__()
-        self.buffer = Buffer(capacity=CAPACITY)
-        self.model: list[int] = []  # insertion-ordered message ids
-        self.expected_drops = 0
-
-    @rule(message_id=st.integers(min_value=0, max_value=20))
-    def put(self, message_id):
-        if message_id in self.model:
-            self.buffer.put(message_id)
-            return
-        if len(self.model) >= CAPACITY:
-            self.model.pop(0)
-            self.expected_drops += 1
-        self.model.append(message_id)
-        self.buffer.put(message_id)
-
-    @rule(message_id=st.integers(min_value=0, max_value=20))
-    def remove(self, message_id):
-        self.buffer.remove(message_id)
-        if message_id in self.model:
-            self.model.remove(message_id)
-
-    @invariant()
-    def contents_match_model(self):
-        assert len(self.buffer) == len(self.model)
-        for message_id in self.model:
-            assert message_id in self.buffer
-
-    @invariant()
-    def capacity_respected(self):
-        assert len(self.buffer) <= CAPACITY
-
-    @invariant()
-    def drops_counted(self):
-        assert self.buffer.drops == self.expected_drops
 
 
 class GroupMembershipMachine(RuleBasedStateMachine):
@@ -132,5 +87,4 @@ class GroupMembershipMachine(RuleBasedStateMachine):
             per_group[entry.group_id] = entry.epoch
 
 
-TestBufferMachine = BufferMachine.TestCase
 TestGroupMembershipMachine = GroupMembershipMachine.TestCase
