@@ -15,7 +15,7 @@ report. This script proves it end to end:
    key, and the last key hits both an exception that exhausts the chunk
    degradation ladder and a kernel-rung failure the ladder absorbs.
 3. A shared-memory phase ships one event block through the pool-owned
-   zero-copy arena, SIGKILLs a worker mid-chunk, and asserts the requeued
+   zero-copy arena, SIGKILLs a worker mid-task, and asserts the requeued
    merge equals a fuse-free shared run — and that no ``reproarena-*``
    segment survives under ``/dev/shm`` once the pool closes.
 4. The harness asserts the per-key result digests match the reference and
@@ -144,8 +144,9 @@ def chaotic_batch(
     The explicit ``kernel`` parameter opts this wrapper into the chunk
     degradation ladder (a failed execution is retried with
     ``kernel=False``); all simulation arguments pass straight through —
-    including the shared-stream protocol's ``events`` — so an execution
-    whose fuses are spent is byte-identical to the clean runner.
+    including the shared-stream protocol's ``events`` and its per-chunk
+    ``sessions``/``rng`` lists, one fuse check per worker task — so an
+    execution whose fuses are spent is byte-identical to the clean runner.
     """
     _trip_one_fuse(fuse_dir, parent_pid, kernel)
     extra = {} if kernel is None else {"kernel": kernel}
@@ -273,9 +274,9 @@ def main(argv=None) -> int:
 
             # Phase 4: the shared-memory arena under a SIGKILLed worker.
             # The block travels as a zero-copy descriptor through the
-            # pool-owned arena; one worker dies mid-chunk, the supervisor
-            # restarts the pool (the arena must survive the restart so the
-            # requeued chunk can reattach), and the merge must equal the
+            # pool-owned arena; one worker dies mid-task, the supervisor
+            # restarts the pool (the segment must survive the restart so
+            # the requeued task can reattach), and the merge must equal the
             # fuse-free shared run chunk for chunk.
             shared_block = ExponentialContactProcess(
                 graph, rng=np.random.default_rng(args.seed)

@@ -356,6 +356,24 @@ def _run_figure(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_route_config(parser: argparse.ArgumentParser, args) -> None:
+    """Reject ``--n``/``-g``/``-K`` combinations no route can satisfy.
+
+    A route from node 0 to node n-1 picks K distinct groups other than
+    the endpoints' own, so it needs K + 2 of the ⌈n/g⌉ groups whenever
+    the endpoints land in different groups.
+    """
+    n, g, k = args.n, args.group_size, args.onion_routers
+    if g > n:
+        parser.error(f"-g {g} exceeds --n {n}")
+    groups = -(-n // g)
+    if groups < k + 2:
+        parser.error(
+            f"-K {k} needs K + 2 = {k + 2} onion groups, but --n {n} "
+            f"with -g {g} gives {groups}"
+        )
+
+
 def _sample_route(args, rng):
     from repro.contacts.random_graph import random_contact_graph
     from repro.core.onion_groups import OnionGroupDirectory
@@ -395,6 +413,10 @@ def _run_model(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The most copies ``plan --deadline`` considers.
+_PLAN_MAX_COPIES = 64
+
+
 def _run_plan(args: argparse.Namespace) -> int:
     from repro.analysis.delay import copies_for_deadline, deadline_for_target
     from repro.utils.rng import ensure_rng
@@ -409,10 +431,19 @@ def _run_plan(args: argparse.Namespace) -> int:
         print(f"deadline for {args.target:.0%} delivery at L={args.copies}: "
               f"{deadline:.1f} time units")
     else:
-        copies = copies_for_deadline(
-            graph, route.source, route.groups, route.destination,
-            args.deadline, args.target,
-        )
+        try:
+            copies = copies_for_deadline(
+                graph, route.source, route.groups, route.destination,
+                args.deadline, args.target, max_copies=_PLAN_MAX_COPIES,
+            )
+        except ValueError:
+            print(
+                f"onion-dtn plan: a {args.target:g} delivery target is "
+                f"unreachable within T={args.deadline:g}, even at the "
+                f"{_PLAN_MAX_COPIES}-copy limit",
+                file=sys.stderr,
+            )
+            return 1
         print(f"copies for {args.target:.0%} delivery within "
               f"T={args.deadline:g}: L={copies}")
     return 0
@@ -573,7 +604,10 @@ def _run_backends(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command in ("model", "plan", "simulate"):
+        _check_route_config(parser, args)
     if args.command == "list":
         for key in _sorted_figure_keys():
             doc = (_FIGURES[key].__doc__ or "").strip().splitlines()[0]

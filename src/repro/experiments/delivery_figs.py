@@ -64,7 +64,7 @@ def graph_sweeps(
             config.n, config.mean_intercontact_range, rng=graph_rng
         )
         # Shared-stream protocol: generate this graph's contact stream once
-        # and ship it to every chunk instead of re-sampling per chunk. The
+        # and ship it to the worker tasks instead of re-sampling per chunk. The
         # block draw advances graph_rng, so parallel results are a different
         # (equally valid) sample than serial — workers=1 stays untouched.
         yield graph, run_parallel_fused_sweep(

@@ -13,7 +13,10 @@ default chunk layout is a pure function of the workload size
 (:func:`default_chunk_count`), *not* of the worker count, so for a fixed
 master seed the merged result is byte-identical across every requested
 worker count ≥ 2 and every effective process count — chunk streams never
-collide, and a machine upgrade cannot silently change a figure.
+collide, and a machine upgrade cannot silently change a figure. How
+chunks are grouped into worker tasks never changes what a chunk draws:
+on a shared event stream one task runs several chunks, each from its own
+seed, in one engine.
 ``workers=1`` bypasses the pool and the spawning entirely — it calls the
 serial runner with the caller's generator, keeping historical seed-exact
 behaviour (and is therefore the one layout that differs: see
@@ -29,13 +32,14 @@ Two amortisation mechanisms make the parallel path profitable:
   merged results are identical everywhere.
 * ``shared_events`` — the contact-event stream is generated once
   (:func:`shared_contact_block`) or loaded, registered in the pool's
-  :class:`~repro.experiments.shm.SharedBlockArena`, and reattached
-  zero-copy by every chunk through
-  :class:`~repro.contacts.events.ColumnarEventSource`: only a tiny
-  ``(shm_name, dtype, shape, offset)`` descriptor travels through the
-  task pickle, warm workers cache the mapping per segment name, and the
-  owning pool unlinks the segments on close, after completion, crash,
-  and interrupt alike.
+  :class:`~repro.experiments.shm.SharedBlockArena`, and attached
+  zero-copy through :class:`~repro.contacts.events.ColumnarEventSource`
+  by one task per pool process. Each task places the sessions of a
+  contiguous run of chunks in one engine and replays the stream once
+  for all of them. Only a tiny ``(shm_name, dtype, shape, offset)``
+  descriptor travels through the task pickle; each task closes its
+  mapping when it ends, and the call unlinks the segment when it
+  returns, after completion, crash, and interrupt alike.
 
 Supervision: every multi-worker dispatch goes through one supervisor.
 A :class:`WorkerPool` carries a :class:`~repro.utils.resilience.RetryPolicy`
@@ -58,6 +62,7 @@ from __future__ import annotations
 import concurrent.futures
 import contextlib
 import inspect
+import itertools
 import logging
 import os
 import pickle
@@ -77,6 +82,7 @@ from repro.experiments.shm import (
     BlockDescriptor,
     SharedBlockArena,
     attach_block,
+    detach_attached,
 )
 from repro.utils.resilience import (
     CHUNK_ERROR,
@@ -95,9 +101,9 @@ logger = logging.getLogger(__name__)
 #: Default number of chunks a parallel run splits into. Fixed (instead of
 #: the requested worker count) so the chunk layout — and therefore the
 #: spawned per-chunk seed streams — is a pure function of the workload:
-#: ``workers=2`` and ``workers=16`` merge byte-identical results. 32
-#: chunks keep pools busy up to 32 effective processes and smooth load
-#: imbalance; ask for more via ``chunks=`` on wider machines.
+#: ``workers=2`` and ``workers=16`` merge byte-identical results. The
+#: count fixes seeds only: a shared-stream batch groups its chunks into
+#: one task per process, and other batches run one task per chunk.
 DEFAULT_CHUNK_COUNT = 32
 
 
@@ -151,7 +157,7 @@ class WorkerPool:
     ``workers=1``.
 
     Every pool is supervised: each ``parallel_map`` call through it gets
-    per-chunk timeouts, crash detection with pool rebuilds, and bounded
+    per-task timeouts, crash detection with pool rebuilds, and bounded
     seed-exact retries under ``policy`` (a
     :class:`~repro.utils.resilience.RetryPolicy`, ``RetryPolicy()`` by
     default), with incidents recorded on ``report`` (a fresh
@@ -202,17 +208,20 @@ class WorkerPool:
     def share_block(self, block) -> BlockDescriptor:
         """Register ``block`` in the pool-owned arena; returns a descriptor.
 
-        The arena lives as long as the pool: registration is idempotent
-        per block object, so every sweep point of a figure that reuses
-        one window allocates a single segment, warm workers keep their
-        mapping across sweep points, and :meth:`close` unlinks
-        everything. ``terminate`` (the supervisor's crash-restart
-        primitive) deliberately leaves the arena alone — requeued chunks
+        The parallel call that shares a block releases it with
+        :meth:`release_block` when it returns, and :meth:`close` unlinks
+        whatever is left. ``terminate`` (the supervisor's crash-restart
+        primitive) deliberately leaves the arena alone — requeued tasks
         reattach in the rebuilt workers.
         """
         if self._arena is None:
             self._arena = SharedBlockArena()
         return self._arena.register(block)
+
+    def release_block(self, block) -> None:
+        """Unlink ``block``'s segment now that no task needs it."""
+        if self._arena is not None:
+            self._arena.release(block)
 
     def _ensure_executor(self) -> concurrent.futures.ProcessPoolExecutor:
         if self._executor is None:
@@ -318,7 +327,8 @@ def shared_contact_block(
     One worker runs the serial runner on the caller's generator, which
     samples its own stream, so nothing is drawn and ``None`` comes back.
     More workers get ``graph``'s exponential stream up to ``horizon``,
-    drawn once from ``rng`` and replayed whole by every chunk. The draw
+    drawn once from ``rng`` and replayed whole, once per worker task, for
+    the sessions of every chunk in the task. The draw
     advances ``rng``, so pass this as a call argument of the
     ``run_parallel_*`` entry point: it then runs before the chunk seeds
     are spawned from the same generator.
@@ -585,10 +595,10 @@ def parallel_map(
     still works on a pickled copy of its arguments. ``fn`` and every
     argument must be picklable when subprocesses are used.
 
-    Dispatch is always supervised under the pool's ``policy``: per-chunk
+    Dispatch is always supervised under the pool's ``policy``: per-task
     wall-clock timeouts, crash detection with pool rebuilds, bounded
     seed-exact retries, and incident rows on the pool's ``report``. A
-    chunk whose retries are exhausted re-raises with its index attached
+    task whose retries are exhausted re-raises with its index attached
     as a note; :class:`KeyboardInterrupt` terminates the workers promptly
     instead of hanging on shutdown.
     """
@@ -638,15 +648,16 @@ def _degradation_rungs(
 
 def _run_chunk_with_ladder(
     batch_fn: Callable[..., Any],
-    seed_seq: np.random.SeedSequence,
+    seeds: "np.random.SeedSequence | List[np.random.SeedSequence]",
     kwargs: dict,
     fixed: dict,
-    block: EventBlock | None = None,
+    payload: BlockDescriptor | None = None,
 ) -> _ChunkPayload:
-    """Run one chunk, degrading kernel → object loop on failure.
+    """Run one task, degrading kernel → object loop on failure.
 
-    Each rung calls ``batch_fn(**fixed, rng=..., **rung_kwargs)`` with a
-    generator rebuilt from the chunk seed and, given a shared ``block``, a
+    Each rung calls ``batch_fn(**fixed, rng=..., **rung_kwargs)`` with
+    generators rebuilt from the seeds (one seed, or a list with one per
+    chunk of the task) and, given a shared event-block ``payload``, a
     fresh ``events=`` cursor over it (a partially consumed cursor must
     never be reused). Each rung thus re-executes from scratch, and a
     degraded rung's outcome is byte-identical to a clean run of that rung
@@ -657,13 +668,16 @@ def _run_chunk_with_ladder(
     rungs = _degradation_rungs(batch_fn, kwargs)
     events: List[dict] = []
     for k, (label, rung_kwargs) in enumerate(rungs):
-        if block is not None:
-            rung_kwargs = dict(rung_kwargs, events=ColumnarEventSource(block))
-        try:
-            result = batch_fn(
-                **fixed, rng=np.random.default_rng(seed_seq), **rung_kwargs
+        if payload is not None:
+            rung_kwargs = dict(
+                rung_kwargs, events=ColumnarEventSource(attach_block(payload))
             )
-            return _ChunkPayload(result, events)
+        if isinstance(seeds, np.random.SeedSequence):
+            rng = np.random.default_rng(seeds)
+        else:
+            rng = [np.random.default_rng(seed) for seed in seeds]
+        try:
+            return _ChunkPayload(batch_fn(**fixed, rng=rng, **rung_kwargs), events)
         except Exception as error:
             if k + 1 == len(rungs):
                 raise
@@ -694,19 +708,25 @@ def _run_batch_chunk(
 
 def _run_shared_batch_chunk(
     batch_fn: Callable[..., list],
-    sessions: int,
-    seed_seq: np.random.SeedSequence,
-    payload,
+    sessions: List[int],
+    seeds: List[np.random.SeedSequence],
+    payload: BlockDescriptor,
     kwargs: dict,
 ) -> _ChunkPayload:
-    """Batch chunk replaying a shared columnar event stream.
+    """One worker task's chunks, in one engine over a shared event stream.
 
-    The parent registers the :class:`EventBlock` once; every chunk
-    reattaches it and replays it through a fresh cursor per ladder rung.
+    The parent registers the :class:`EventBlock` once; the task attaches
+    it, replays it once through a fresh cursor per ladder rung with every
+    chunk's sessions placed (``batch_fn`` gets per-chunk ``sessions`` and
+    ``rng`` lists and returns one result per chunk), and closes its
+    mapping when it ends.
     """
-    return _run_chunk_with_ladder(
-        batch_fn, seed_seq, kwargs, {"sessions": sessions}, attach_block(payload)
-    )
+    try:
+        return _run_chunk_with_ladder(
+            batch_fn, seeds, kwargs, {"sessions": sessions}, payload
+        )
+    finally:
+        detach_attached()
 
 
 def _concat_chunks(_sizes: List[int], parts: List[Any]) -> list:
@@ -734,14 +754,16 @@ def _dispatch_chunks(
     ``workers == 1`` calls ``fn`` directly with the caller's ``rng`` (and
     ``shared`` as ``shared_keyword=``). Otherwise ``total`` is split by
     :func:`chunk_sizes`, each chunk gets a :func:`spawn_chunk_seeds`
-    child, ``shared`` travels through the pool's arena as a descriptor,
-    and the unwrapped chunk results go to ``merge(sizes, parts)`` in chunk
-    order. An ``int`` count runs on a private pool, so the arena always
-    belongs to a pool and is unlinked when that pool closes.
-    ``chunk_fns`` is the ``(plain, shared)`` chunk-function pair; a shared
-    ``block`` is sliced by trial-row offset, a shared event stream is
-    replayed whole by every chunk. A ``total`` below one raises
-    :class:`ValueError` naming ``size_keyword`` on every path.
+    child, and the unwrapped chunk results go to ``merge(sizes, parts)``
+    in chunk order. ``chunk_fns`` is the ``(plain, shared)`` chunk-function
+    pair. Without ``shared`` every chunk is a task of its own. ``shared``
+    travels through the pool's arena as a descriptor and is released when
+    the call returns. A shared trial ``block`` is sliced by trial-row
+    offset, one chunk per task. A shared event stream is split into one
+    task per pool process, each a contiguous run of chunks that replays
+    the stream once, in one engine, for all of its chunks. A ``total``
+    below one raises :class:`ValueError` naming ``size_keyword`` on every
+    path.
     """
     check_positive_int(total, size_keyword)
     if shared is not None and not isinstance(shared, shared_type):
@@ -758,28 +780,38 @@ def _dispatch_chunks(
     )
     seeds = spawn_chunk_seeds(rng, len(sizes))
     plain_chunk, shared_chunk = chunk_fns
+    grouped = shared is not None and shared_keyword == "events"
     with _pool_for(workers) as pool:
         if shared is None:
-            chunk_fn = plain_chunk
             tasks = [(fn, size, seed, kwargs) for size, seed in zip(sizes, seeds)]
         else:
-            chunk_fn = shared_chunk
             payload = pool.share_block(shared)
-            if shared_keyword == "block":
-                offsets = np.concatenate(([0], np.cumsum(sizes)))[:-1]
+            if grouped:
+                bounds = list(
+                    itertools.accumulate(
+                        chunk_sizes(len(sizes), pool.processes), initial=0
+                    )
+                )
                 tasks = [
-                    (fn, size, int(offset), seed, payload, kwargs)
-                    for size, offset, seed in zip(sizes, offsets, seeds)
+                    (fn, sizes[start:stop], seeds[start:stop], payload, kwargs)
+                    for start, stop in zip(bounds, bounds[1:])
                 ]
             else:
+                offsets = itertools.accumulate(sizes, initial=0)
                 tasks = [
-                    (fn, size, seed, payload, kwargs)
-                    for size, seed in zip(sizes, seeds)
+                    (fn, size, offset, seed, payload, kwargs)
+                    for size, offset, seed in zip(sizes, offsets, seeds)
                 ]
-        parts = [
-            _unwrap_chunk(part, pool.report)
-            for part in parallel_map(chunk_fn, tasks, pool)
-        ]
+        try:
+            results = [
+                _unwrap_chunk(result, pool.report)
+                for result in parallel_map(
+                    plain_chunk if shared is None else shared_chunk, tasks, pool
+                )
+            ]
+        finally:
+            pool.release_block(shared)
+    parts = [part for task in results for part in task] if grouped else results
     return merge(sizes, parts)
 
 
@@ -816,13 +848,19 @@ def run_parallel_batch(
     chunks:
         Number of chunks. Defaults to :func:`default_chunk_count`, a pure
         function of ``sessions`` — so the merged outcome is byte-identical
-        for every ``workers ≥ 2``; more chunks smooth load imbalance at
-        the cost of more per-chunk setup.
+        for every ``workers ≥ 2``. Without ``shared_events`` each chunk
+        is a task, so more chunks smooth load imbalance at the cost of
+        more per-chunk setup.
     shared_events:
-        Optional pre-generated :class:`EventBlock` shipped to every chunk
-        (``batch_fn`` must accept an ``events=`` keyword) through a
-        shared-memory arena — chunks reattach it zero-copy. Without it
-        each chunk regenerates its own event stream from the chunk seed.
+        Optional pre-generated :class:`EventBlock` shipped through a
+        shared-memory arena to one task per pool process, which attaches
+        it zero-copy. ``batch_fn`` must accept an ``events=`` keyword and
+        per-chunk ``sessions=``/``rng=`` lists, and return one result per
+        chunk (see :func:`~repro.experiments.runners.run_random_graph_batch`):
+        a task calls it once for its contiguous run of chunks, so the
+        stream is replayed once per task. The segment is unlinked when
+        the call returns. Without it each chunk is a task of its own and
+        regenerates its own event stream from the chunk seed.
         :func:`shared_contact_block` draws it for graph batches.
     kwargs:
         Every other keyword goes to ``batch_fn`` in every chunk — the
@@ -862,19 +900,23 @@ def _run_fused_sweep_chunk(
 
 def _run_shared_fused_sweep_chunk(
     sweep_fn: Callable[..., list],
-    sessions_per_variant: int,
-    seed_seq: np.random.SeedSequence,
-    payload,
+    sessions_per_variant: List[int],
+    seeds: List[np.random.SeedSequence],
+    payload: BlockDescriptor,
     kwargs: dict,
 ) -> _ChunkPayload:
-    """Fused-sweep chunk replaying a shared columnar event stream."""
-    return _run_chunk_with_ladder(
-        sweep_fn,
-        seed_seq,
-        kwargs,
-        {"sessions_per_variant": sessions_per_variant},
-        attach_block(payload),
-    )
+    """One worker task's fused-sweep chunks over a shared event stream,
+    as :func:`_run_shared_batch_chunk` runs batch chunks."""
+    try:
+        return _run_chunk_with_ladder(
+            sweep_fn,
+            seeds,
+            kwargs,
+            {"sessions_per_variant": sessions_per_variant},
+            payload,
+        )
+    finally:
+        detach_attached()
 
 
 def run_parallel_fused_sweep(
@@ -947,12 +989,20 @@ def _run_shared_montecarlo_chunk(
     Trials are independent rows, so chunk ``k`` scores
     ``block[offset : offset + trials]`` — views into the shared segment,
     no copies — and the trial-weighted merge reproduces the full-block
-    estimate.
+    estimate. The chunk closes its mapping when it ends.
     """
-    chunk_block = attach_block(payload).slice_trials(offset, offset + trials)
-    return _run_chunk_with_ladder(
-        mc_fn, seed_seq, kwargs, {"trials": trials, "block": chunk_block}
-    )
+    try:
+        return _run_chunk_with_ladder(
+            mc_fn,
+            seed_seq,
+            kwargs,
+            {
+                "trials": trials,
+                "block": attach_block(payload).slice_trials(offset, offset + trials),
+            },
+        )
+    finally:
+        detach_attached()
 
 
 def run_parallel_montecarlo(

@@ -92,7 +92,8 @@ def figure_r1(
             )
         )
         # Parallel chunks share one pre-generated base stream; the churn
-        # filter still wraps it per chunk (filters are per-event iterators).
+        # filter wraps it once per worker task (filters are per-event
+        # iterators whose output depends only on the schedule).
         pairs = run_parallel_batch(
             run_faulty_graph_batch,
             sessions=sessions,

@@ -9,6 +9,7 @@ keeps the discrete-event cost amortised.
 
 from __future__ import annotations
 
+import copy
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
@@ -171,45 +172,102 @@ def _place_graph_sessions(
     return pairs
 
 
+def _chunk_inputs(
+    sessions, rng: "RandomSource | Sequence[RandomSource]"
+) -> List[Tuple[int, np.random.Generator]]:
+    """A graph runner's ``(sessions, generator)`` pair per chunk.
+
+    A scalar ``sessions`` with one ``rng`` is the one-chunk serial case.
+    Equal-length sequences of counts and seed sources are one chunk each:
+    the parallel layer runs a worker task's chunks this way, in one
+    engine over one shared event stream.
+    """
+    if not isinstance(sessions, Sequence):
+        return [(sessions, ensure_rng(rng))]
+    if not isinstance(rng, Sequence):
+        raise TypeError("per-chunk sessions need one rng per chunk")
+    if len(sessions) != len(rng) or not sessions:
+        raise ValueError(
+            f"per-chunk sessions ({len(sessions)}) and rngs ({len(rng)}) "
+            "must be non-empty and of equal length"
+        )
+    return [(count, ensure_rng(source)) for count, source in zip(sessions, rng)]
+
+
 def _run_graph_variants(
     graph: ContactGraph,
     variants: Sequence[SweepVariant],
     horizon: float,
     deadline: float,
-    sessions_per_variant: int,
-    rng: RandomSource,
+    sessions_per_variant,
+    rng,
     events,
+    *,
+    churn: Optional[NodeChurnSchedule] = None,
+    failstop: Optional[FailStopSchedule] = None,
+    relays=None,
+    recovery: Optional[RecoveryPolicy] = None,
     **engine_options,
-) -> List[List[RouteOutcome]]:
-    """Shared body of the random-graph batch and the fused graph sweep.
+) -> List[List[List[RouteOutcome]]]:
+    """Shared body of the random-graph runners; per chunk, per variant.
 
-    Draw order: the first variant's group directory, then the contact
-    process's block pre-draws, then that variant's sessions; every later
-    variant draws its directory and then its sessions. A batch is the
-    sweep with one variant, so both runners consume the generator alike.
+    Every chunk (see :func:`_chunk_inputs`) places its sessions in one
+    engine over one event stream. Draw order per chunk: each variant's
+    group directory, then that variant's sessions. Without ``events``
+    (one chunk only) the contact process's block pre-draws come right
+    after the first directory. A batch is the sweep with one variant, so
+    every runner consumes a generator alike.
+
+    The fail-stop and churn filters wrap the stream once: their output
+    depends only on their initial state. ``relays`` draws a drop per
+    receive, so in the per-chunk form each chunk gets its own copy, with
+    the state a chunk run on its own would start from.
     ``engine_options`` go to :class:`~repro.sim.engine.SimulationEngine`.
     """
-    generator = ensure_rng(rng)
-    results: List[List[RouteOutcome]] = []
+    chunks = _chunk_inputs(sessions_per_variant, rng)
+    per_chunk = isinstance(sessions_per_variant, Sequence)
+    if events is None and len(chunks) > 1:
+        raise ValueError("per-chunk sessions need a shared events stream")
     engine: Optional[SimulationEngine] = None
-    for variant in variants:
-        directory = OnionGroupDirectory(
-            graph.n, variant.group_size, rng=generator
-        )
-        if engine is None:
-            if events is None:
-                source = ExponentialContactProcess(graph, rng=generator)
-            else:
-                source = as_event_source(events)
-            engine = SimulationEngine(source, horizon=horizon, **engine_options)
-        results.append(
-            _place_graph_sessions(
-                engine, graph.n, directory, variant, deadline,
-                sessions_per_variant, generator,
+    results: List[List[List[RouteOutcome]]] = []
+    for sessions, generator in chunks:
+        plan: Optional[FaultPlan] = None
+        if failstop is not None or relays is not None:
+            plan = FaultPlan(
+                failstop=failstop,
+                relays=copy.deepcopy(relays) if per_chunk else relays,
             )
-        )
+        chunk: List[List[RouteOutcome]] = []
+        for variant in variants:
+            directory = OnionGroupDirectory(
+                graph.n, variant.group_size, rng=generator
+            )
+            if engine is None:
+                if events is None:
+                    source = ExponentialContactProcess(graph, rng=generator)
+                else:
+                    source = as_event_source(events)
+                if failstop is not None:
+                    source = FailStopContactProcess(source, failstop)
+                if churn is not None:
+                    source = NodeChurnProcess(source, churn)
+                engine = SimulationEngine(source, horizon=horizon, **engine_options)
+            chunk.append(
+                _place_graph_sessions(
+                    engine, graph.n, directory, variant, deadline, sessions,
+                    generator, plan, recovery,
+                )
+            )
+        results.append(chunk)
     engine.run()
     return results
+
+
+def _variant_results(results, sessions, variant: Optional[int] = None):
+    """Unwrap :func:`_run_graph_variants`: one chunk's result, or a list
+    with one entry per chunk when ``sessions`` was given per chunk."""
+    parts = [chunk if variant is None else chunk[variant] for chunk in results]
+    return parts if isinstance(sessions, Sequence) else parts[0]
 
 
 def run_random_graph_batch(
@@ -218,8 +276,8 @@ def run_random_graph_batch(
     onion_routers: int,
     copies: int,
     horizon: float,
-    sessions: int,
-    rng: RandomSource = None,
+    sessions: "int | Sequence[int]",
+    rng: "RandomSource | Sequence[RandomSource]" = None,
     spray_policy: SprayPolicy = SprayPolicy.SOURCE,
     events=None,
     consume: str = "auto",
@@ -243,10 +301,16 @@ def run_random_graph_batch(
     ``events`` overrides the sampled contact process with a pre-generated
     source (an :class:`~repro.contacts.events.EventBlock` or any event
     source) — the shared-stream parallel protocol uses this so worker
-    chunks replay one stream instead of re-sampling it. Note the override
+    tasks replay one stream instead of re-sampling it. Note the override
     skips the process's block pre-draws, so the per-session endpoint/route
     draws sit at a different offset of the master stream than with
     ``events=None``.
+
+    ``sessions`` and ``rng`` may instead be equal-length per-chunk
+    sequences (``events`` is then required): every chunk draws from its
+    own generator as a one-chunk call would, all chunks' sessions run in
+    one engine pass over ``events``, and the result is one outcome list
+    per chunk.
 
     ``kernel`` defaults to on: eligible fault-free single-copy and
     multi-copy sessions are swept by the struct-of-arrays kernels and
@@ -266,21 +330,22 @@ def run_random_graph_batch(
     ``"cc"``; see :mod:`repro.sim.backend`) and is forwarded
     to the engine. Outcomes are byte-identical across backends.
     """
-    return _run_graph_variants(
+    results = _run_graph_variants(
         graph,
         [SweepVariant("", group_size, onion_routers, copies, spray_policy)],
         horizon, horizon if deadline is None else deadline, sessions, rng, events,
         consume=consume, kernel=kernel, stream_window=stream_window,
         max_window_events=max_window_events, backend=backend,
-    )[0]
+    )
+    return _variant_results(results, sessions, 0)
 
 
 def run_fused_graph_sweep(
     graph: ContactGraph,
     variants: Sequence[SweepVariant],
     horizon: float,
-    sessions_per_variant: int,
-    rng: RandomSource = None,
+    sessions_per_variant: "int | Sequence[int]",
+    rng: "RandomSource | Sequence[RandomSource]" = None,
     events=None,
     consume: str = "auto",
     kernel: bool = True,
@@ -298,15 +363,18 @@ def run_fused_graph_sweep(
     sequence is deterministic); with a single variant the result is
     byte-identical to :func:`run_random_graph_batch` on the same seed.
 
-    Returns one outcome list per variant, parallel to ``variants``.
+    Returns one outcome list per variant, parallel to ``variants``; with
+    per-chunk ``sessions_per_variant`` and ``rng`` sequences (see
+    :func:`run_random_graph_batch`), one such list of lists per chunk.
     """
     if not variants:
         raise ValueError("run_fused_graph_sweep needs at least one variant")
-    return _run_graph_variants(
+    results = _run_graph_variants(
         graph, variants, horizon, horizon, sessions_per_variant, rng, events,
         consume=consume, kernel=kernel, stream_window=stream_window,
         max_window_events=max_window_events, backend=backend,
     )
+    return _variant_results(results, sessions_per_variant)
 
 
 def run_faulty_graph_batch(
@@ -315,8 +383,8 @@ def run_faulty_graph_batch(
     onion_routers: int,
     copies: int,
     horizon: float,
-    sessions: int,
-    rng: RandomSource = None,
+    sessions: "int | Sequence[int]",
+    rng: "RandomSource | Sequence[RandomSource]" = None,
     spray_policy: SprayPolicy = SprayPolicy.SOURCE,
     *,
     churn: Optional[NodeChurnSchedule] = None,
@@ -337,9 +405,11 @@ def run_faulty_graph_batch(
     the batch.
 
     ``events`` overrides the sampled base stream (shared-stream parallel
-    chunks pass the parent's block here); the fault filters still wrap it,
+    tasks pass the parent's block here); the fault filters still wrap it,
     and since they are per-event iterators the engine pulls the filtered
-    stream lazily into its object loop.
+    stream lazily into its object loop. ``sessions`` and ``rng`` may be
+    per-chunk sequences as in :func:`run_random_graph_batch`; each chunk
+    then gets its own copy of ``relays``.
 
     ``kernel`` (default on) only bites when no fault filter wraps the
     stream (filtered events arrive one at a time, which kernels cannot
@@ -347,27 +417,14 @@ def run_faulty_graph_batch(
     i.e. exactly when this call degenerates to the fault-free batch — so
     it is safe to leave on in sweeps that include a fault-free baseline.
     """
-    generator = ensure_rng(rng)
-    directory = OnionGroupDirectory(graph.n, group_size, rng=generator)
-    if events is None:
-        events = ExponentialContactProcess(graph, rng=generator)
-    else:
-        events = as_event_source(events)
-    if failstop is not None:
-        events = FailStopContactProcess(events, failstop)
-    if churn is not None:
-        events = NodeChurnProcess(events, churn)
-    plan: Optional[FaultPlan] = None
-    if failstop is not None or relays is not None:
-        plan = FaultPlan(failstop=failstop, relays=relays)
-    engine = SimulationEngine(events, horizon=horizon, kernel=kernel, backend=backend)
-    pairs = _place_graph_sessions(
-        engine, graph.n, directory,
-        SweepVariant("", group_size, onion_routers, copies, spray_policy),
-        horizon, sessions, generator, plan, recovery,
+    results = _run_graph_variants(
+        graph,
+        [SweepVariant("", group_size, onion_routers, copies, spray_policy)],
+        horizon, horizon, sessions, rng, events,
+        churn=churn, failstop=failstop, relays=relays, recovery=recovery,
+        kernel=kernel, backend=backend,
     )
-    engine.run()
-    return pairs
+    return _variant_results(results, sessions, 0)
 
 
 def simulated_delivery_curve(

@@ -4,26 +4,30 @@ The parallel layer ships immutable struct-of-arrays blocks —
 :class:`~repro.contacts.events.EventBlock` contact windows and
 :class:`~repro.adversary.kernel.SecurityTrialBlock` Monte Carlo samples —
 to worker processes. Pickling them into every task would copy every
-column once per chunk; with 32 chunks over a million-event window that is
-thirty-two full copies of data that never changes.
+column once per task; with one task per chunk and 32 chunks over a
+million-event window that is thirty-two full copies of data that never
+changes.
 
 :class:`SharedBlockArena` instead registers each block's numpy columns
 once in a :mod:`multiprocessing.shared_memory` segment and hands out a
 tiny :class:`BlockDescriptor` — ``(shm_name, kind, meta, columns)`` where
 each column is ``(name, dtype, shape, offset)``. Workers call
 :func:`attach_block` to map the segment and rebuild the block as
-read-only views over shared pages: no copy, no deserialisation, and the
-mapping is cached per segment name so a warm worker pays the ``mmap``
-once per sweep rather than once per chunk.
+read-only views over shared pages: no copy, no deserialisation.
 
 Lifecycle rules (see ARCHITECTURE.md "Memory & parallelism"):
 
-* the *owner* process (the one that called ``register``) is solely
-  responsible for ``unlink()`` — every arena belongs to a
-  :class:`~repro.experiments.parallel.WorkerPool` whose ``close()``
-  unlinks it (an ``int`` worker count runs on a private pool closed when
-  the call ends), so segments disappear on normal completion and on
-  ``KeyboardInterrupt``;
+* a segment lives for one parallel call: the call that registers a block
+  releases it (:meth:`SharedBlockArena.release`) when it returns, on
+  normal completion, on error and on ``KeyboardInterrupt`` alike. The
+  *owner* process (the one that called ``register``) is solely
+  responsible for unlinking; every arena belongs to a
+  :class:`~repro.experiments.parallel.WorkerPool`, whose ``close()``
+  unlinks whatever is left;
+* a worker's mapping lives for one task: every chunk function that
+  attaches calls :func:`detach_attached` when it ends, so no worker keeps
+  a mapping, or a cache entry per segment name, from one call to the
+  next;
 * workers never own a segment's :mod:`multiprocessing.resource_tracker`
   entry — they attach with ``track=False``, or on older Pythons leave the
   owner's shared tracker alone and unregister from a tracker of their
@@ -147,11 +151,11 @@ def _spec_for(block):
 # _OWNED maps segment name -> the original block in the *owner* process:
 # when a chunk runs inline (degraded pool, workers=1 layouts, 1-CPU
 # hosts), attach_block short-circuits to the exact object that was
-# registered instead of mapping the segment a second time.
+# registered instead of mapping the segment a second time. A forked
+# worker is never an owner, so it starts with an empty map.
 #
-# _ATTACHED caches (shm, block) per segment name in *worker* processes:
-# a persistent pool's warm workers reuse the mapping across every chunk
-# and sweep point that ships the same block.
+# _ATTACHED holds (shm, block) per segment name in *worker* processes
+# for the rest of the running task; detach_attached closes them.
 
 _OWNED: Dict[str, object] = {}
 _ATTACHED: Dict[str, Tuple[shared_memory.SharedMemory, object]] = {}
@@ -192,8 +196,13 @@ def _tracker_shared() -> bool:
     return _TRACKER_SHARED[1]
 
 
+def _after_fork_in_child() -> None:
+    _OWNED.clear()
+    _tracker_shared()
+
+
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_tracker_shared)
+    os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 def _attach_segment(name: str) -> shared_memory.SharedMemory:
@@ -246,13 +255,11 @@ def _release_segments(segments: Dict[str, shared_memory.SharedMemory]) -> None:
 class SharedBlockArena:
     """Owner-side registry of blocks exported through shared memory.
 
-    One arena per ownership scope: a :class:`WorkerPool` owns one for its
-    lifetime (unlinked in ``close()``, *kept* across ``terminate()`` pool
-    restarts so requeued chunks can reattach); a ``workers=int`` call
-    runs on a private pool, so its arena lives exactly as long as the
-    call.
-    ``register`` is idempotent per block object, so fused sweeps that
-    ship the same window at every grid point allocate one segment total.
+    A :class:`WorkerPool` owns one for its lifetime (unlinked in
+    ``close()``, *kept* across ``terminate()`` pool restarts so requeued
+    chunks can reattach). Each parallel call registers its block and
+    releases it when it returns. ``register`` is idempotent per block
+    object while the block is registered.
     """
 
     def __init__(self) -> None:
@@ -289,10 +296,13 @@ class SharedBlockArena:
             offset = _align(offset + array.nbytes)
         shm = _create_segment(max(offset, 1))
         for (name, array), spec in zip(arrays, specs):
-            view = np.ndarray(
+            np.ndarray(
                 spec.shape, dtype=array.dtype, buffer=shm.buf, offset=spec.offset
-            )
-            view[...] = array
+            )[...] = array
+        # The owner reads the registered block itself, never the segment:
+        # unmapping it here keeps the pages out of the owner's RSS and
+        # out of every worker it forks later. Unlinking needs no mapping.
+        shm.close()
         descriptor = BlockDescriptor(
             shm_name=shm.name,
             kind=kind,
@@ -305,6 +315,16 @@ class SharedBlockArena:
         self._retained[key] = block
         _OWNED[shm.name] = block
         return descriptor
+
+    def release(self, block) -> None:
+        """Unlink ``block``'s segment, if registered. Idempotent."""
+        descriptor = self._descriptors.pop(id(block), None)
+        if descriptor is None:
+            return
+        self._retained.pop(id(block), None)
+        _release_segments(
+            {descriptor.shm_name: self._segments.pop(descriptor.shm_name)}
+        )
 
     @property
     def segment_names(self) -> Tuple[str, ...]:
@@ -324,8 +344,8 @@ def attach_block(descriptor: BlockDescriptor):
     """Rebuild the block behind ``descriptor`` as read-only shared views.
 
     In the owner process this returns the originally registered block
-    (no second mapping); in workers the mapping is cached per segment
-    name, so repeated chunks against the same block are free.
+    (no second mapping); in workers the mapping is kept, and reused by
+    later attaches, until :func:`detach_attached` closes it.
     """
     owned = _OWNED.get(descriptor.shm_name)
     if owned is not None:
@@ -350,13 +370,21 @@ def attach_block(descriptor: BlockDescriptor):
 
 
 def detach_attached() -> None:
-    """Drop this process's attachment cache (tests, worker teardown)."""
+    """Close this process's mappings (the end of every attaching task).
+
+    A mapping whose views are still referenced — by the traceback of a
+    failing task, say — cannot close yet; it stays listed, and a later
+    call closes it.
+    """
     for name in list(_ATTACHED):
-        shm, _block = _ATTACHED.pop(name)
+        shm, _block = _ATTACHED[name]
         try:
             shm.close()
-        except (OSError, ValueError, BufferError):
+        except BufferError:
+            continue
+        except (OSError, ValueError):  # pragma: no cover - already closed
             pass
+        del _ATTACHED[name]
 
 
 def leaked_arena_segments() -> List[str]:

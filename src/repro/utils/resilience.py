@@ -210,9 +210,12 @@ class RetryPolicy:
 
     ``max_retries`` bounds *re-executions* per chunk (a chunk runs at most
     ``max_retries + 1`` times on the pool before degrading to inline
-    execution in the supervisor process). ``timeout`` is the per-chunk
+    execution in the supervisor process). ``timeout`` is the per-task
     wall-clock budget in seconds (``None`` disables timeouts; inline
     execution cannot be interrupted, so timeouts only bite on the pool).
+    A task is one chunk, except on a shared event stream, where one task
+    per pool process runs a contiguous run of chunks, so the budget must
+    cover all of them.
     Backoff for attempt ``k`` (1-based) is
     ``backoff * factor**(k-1) * (1 + jitter * u)`` with ``u`` drawn
     deterministically from the (chunk, attempt) pair — reproducible, yet

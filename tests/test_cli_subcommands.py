@@ -240,6 +240,50 @@ class TestOutOfRangeNumbers:
         assert "Traceback" not in err
 
 
+class TestRouteConfig:
+    """Flag combinations no route can satisfy are usage errors (exit 2)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--n", "20", "--trials", "2"],
+            ["model", "--n", "20"],
+            ["plan", "--n", "20", "--target", "0.9"],
+        ],
+    )
+    def test_too_few_groups_for_k_relays(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert "-K 3 needs K + 2 = 5 onion groups" in errors[0]
+        assert "Traceback" not in err
+
+    def test_group_larger_than_network(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["model", "--n", "10", "-g", "20"])
+        assert excinfo.value.code == 2
+        assert "-g 20 exceeds --n 10" in capsys.readouterr().err
+
+    def test_smallest_valid_network_runs(self, capsys):
+        assert main(["model", "--n", "25", "-g", "5", "-K", "3"]) == 0
+
+
+class TestPlanUnreachable:
+    def test_unreachable_target_is_one_line(self, capsys):
+        code = main(["plan", "--target", "0.9999", "--deadline", "1", "--n", "30"])
+        assert code != 0
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert "unreachable within T=1" in lines[0]
+        assert "64-copy limit" in lines[0]
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+
 # Backends the registry once held; selecting one must now fail loudly.
 REMOVED_BACKENDS = ("numba", "cupy")
 

@@ -1,8 +1,11 @@
 """Tests for the parallel batch layer: chunking, seeding, determinism."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.adversary.dropping import DroppingRelays
 from repro.cli import main
 from repro.contacts.random_graph import random_contact_graph
 from repro.contacts.events import (
@@ -15,13 +18,21 @@ from repro.experiments.parallel import (
     default_chunk_count,
     parallel_map,
     run_parallel_batch,
+    run_parallel_fused_sweep,
     run_parallel_montecarlo,
     spawn_chunk_seeds,
 )
+from repro.core.multi_copy import SprayPolicy
 from repro.experiments.runners import (
+    SweepVariant,
+    run_faulty_graph_batch,
+    run_fused_graph_sweep,
     run_random_graph_batch,
     security_montecarlo,
 )
+from repro.faults.churn import NodeChurnSchedule
+from repro.faults.failstop import FailStopSchedule
+from repro.faults.recovery import RecoveryPolicy
 
 
 class TestChunkSizes:
@@ -344,4 +355,140 @@ class TestSharedStreamParallel:
                 onion_routers=2,
                 copies=1,
                 horizon=240.0,
+            )
+
+
+def _faults(kind):
+    """Fresh fault keywords for one run: stateful objects are never reused."""
+    if kind == "churn":
+        return dict(
+            churn=NodeChurnSchedule.from_availability(
+                30, 0.7, 20.0, rng=np.random.default_rng(5)
+            )
+        )
+    if kind == "relays+recovery":
+        return dict(
+            relays=DroppingRelays(range(0, 30, 3), 0.5, rng=np.random.default_rng(6)),
+            recovery=RecoveryPolicy(custody_timeout=30.0, max_retries=2),
+        )
+    return dict(
+        failstop=FailStopSchedule(30, death_rate=1 / 400, rng=np.random.default_rng(8))
+    )
+
+
+def _full_signature(pairs):
+    return [f"{route!r}|{outcome!r}" for route, outcome in pairs]
+
+
+class TestSharedStreamTasks:
+    """A worker task runs its chunks in one engine over the shared stream.
+
+    Each merge must equal replaying every chunk serially, on its own
+    pickled copy of the keywords (what a task of its own would get), and
+    must not depend on how many processes the chunks are spread over.
+    """
+
+    CHUNKS = 8
+    HORIZON = 240.0
+
+    def _block(self, graph):
+        return ExponentialContactProcess(
+            graph, rng=np.random.default_rng(33)
+        ).events_until_columnar(self.HORIZON)
+
+    def _replay(self, fn, size_keyword, total, block, kwargs):
+        sizes = chunk_sizes(total, self.CHUNKS)
+        seeds = spawn_chunk_seeds(np.random.default_rng(17), len(sizes))
+        return [
+            fn(
+                **{size_keyword: size},
+                rng=np.random.default_rng(seed),
+                events=ColumnarEventSource(block),
+                **pickle.loads(pickle.dumps(kwargs)),
+            )
+            for size, seed in zip(sizes, seeds)
+        ]
+
+    def _faulty(self, graph, block, kind, processes):
+        with WorkerPool(4, max_processes=processes) as pool:
+            return _full_signature(
+                run_parallel_batch(
+                    run_faulty_graph_batch,
+                    sessions=24,
+                    workers=pool,
+                    rng=np.random.default_rng(17),
+                    chunks=self.CHUNKS,
+                    shared_events=block,
+                    graph=graph,
+                    group_size=4,
+                    onion_routers=2,
+                    copies=1,
+                    horizon=self.HORIZON,
+                    **_faults(kind),
+                )
+            )
+
+    def _faulty_replay(self, graph, block, kind):
+        kwargs = dict(
+            graph=graph, group_size=4, onion_routers=2, copies=1,
+            horizon=self.HORIZON, **_faults(kind),
+        )
+        parts = self._replay(run_faulty_graph_batch, "sessions", 24, block, kwargs)
+        return _full_signature([pair for part in parts for pair in part])
+
+    @pytest.mark.parametrize("kind", ["churn", "relays+recovery", "failstop"])
+    def test_faulty_batch_matches_per_chunk_replay(self, graph, kind):
+        block = self._block(graph)
+        expected = self._faulty_replay(graph, block, kind)
+        for processes in (1, 2, 3):
+            assert self._faulty(graph, block, kind, processes) == expected, processes
+
+    def test_chunks_sharing_one_relays_object_are_caught(self, graph, monkeypatch):
+        # Planted fault: every chunk of a task draws its drops from the
+        # task's one relays object instead of a copy of its own.
+        import types
+
+        from repro.experiments import runners
+
+        block = self._block(graph)
+        expected = self._faulty_replay(graph, block, "relays+recovery")
+        monkeypatch.setattr(runners, "copy", types.SimpleNamespace(deepcopy=lambda x: x))
+        assert self._faulty(graph, block, "relays+recovery", 1) != expected
+
+    def test_fused_sweep_matches_per_chunk_replay(self, graph):
+        block = self._block(graph)
+        variants = [
+            SweepVariant(f"L={copies}", 4, 2, copies=copies) for copies in (1, 2, 4)
+        ] + [SweepVariant("K=3", 4, 3, copies=2, spray_policy=SprayPolicy.BINARY)]
+        kwargs = dict(graph=graph, horizon=self.HORIZON, variants=variants)
+        parts = self._replay(run_fused_graph_sweep, "sessions_per_variant", 12, block, kwargs)
+        expected = [
+            _full_signature([pair for part in parts for pair in part[slot]])
+            for slot in range(len(variants))
+        ]
+        for processes in (1, 2, 3):
+            with WorkerPool(4, max_processes=processes) as pool:
+                merged = run_parallel_fused_sweep(
+                    run_fused_graph_sweep,
+                    variants=variants,
+                    sessions_per_variant=12,
+                    workers=pool,
+                    rng=np.random.default_rng(17),
+                    chunks=self.CHUNKS,
+                    shared_events=block,
+                    graph=graph,
+                    horizon=self.HORIZON,
+                )
+            assert [_full_signature(pairs) for pairs in merged] == expected, processes
+
+    def test_per_chunk_sessions_need_a_shared_stream(self, graph):
+        with pytest.raises(ValueError, match="shared events"):
+            run_random_graph_batch(
+                graph, 4, 2, copies=1, horizon=self.HORIZON,
+                sessions=[2, 2], rng=[1, 2],
+            )
+        with pytest.raises(ValueError, match="equal length"):
+            run_random_graph_batch(
+                graph, 4, 2, copies=1, horizon=self.HORIZON,
+                sessions=[2, 2], rng=[1], events=self._block(graph),
             )

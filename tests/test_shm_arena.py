@@ -233,12 +233,43 @@ class TestCrashSafety:
             report=report,
         ) as pool:
             crashed = run(dict(workers=pool))
-            # The arena outlives the crash-restart: segments stay mapped
-            # until close(), which runs on the with-exit below.
-            assert len(pool.arena) == 1
+            # The segment survives the crash-restart inside the call (the
+            # requeued chunks reattach it) and is gone once the call
+            # returns, before the pool closes.
+            assert len(pool.arena) == 0
+            assert leaked_arena_segments() == []
         assert crashed == clean
         assert report.counts().get(WORKER_CRASH, 0) >= 1
         assert leaked_arena_segments() == []
+
+    def test_persistent_pool_releases_every_call(self, graph):
+        # Each call unlinks its segment when it returns, and each worker
+        # closes its mapping when its task ends: a long-lived pool holds
+        # no shared memory between calls.
+        with WorkerPool(4, max_processes=2) as pool:
+            for seed in (1, 2, 3):
+                block = ExponentialContactProcess(
+                    graph, rng=np.random.default_rng(seed)
+                ).events_until_columnar(240.0)
+                run_parallel_batch(
+                    run_random_graph_batch,
+                    sessions=8,
+                    workers=pool,
+                    rng=np.random.default_rng(seed),
+                    shared_events=block,
+                    graph=graph,
+                    group_size=4,
+                    onion_routers=2,
+                    copies=1,
+                    horizon=240.0,
+                )
+                assert len(pool.arena) == 0
+                assert leaked_arena_segments() == []
+                workers = list(pool._ensure_executor()._processes)
+                assert len(workers) == 2
+                for pid in workers:
+                    maps = Path(f"/proc/{pid}/maps").read_text()
+                    assert shm.ARENA_PREFIX not in maps, pid
 
     def test_int_workers_arena_released_on_completion(self, graph, event_block):
         run_parallel_batch(
