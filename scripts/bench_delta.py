@@ -4,9 +4,9 @@
 Prints a markdown delta table (and appends it to ``$GITHUB_STEP_SUMMARY``
 when set, so it shows up on the workflow run page). Absolute numbers
 depend on machine speed, so they are reported as a trend signal only; the
-*ratio* metrics (producer speedup, columnar-vs-indexed,
-kernel-vs-columnar and its multicopy and trace variants, and the compiled
-backend vs numpy on the single-copy kernel) are machine-independent, and
+*ratio* metrics (kernel-vs-columnar and its multicopy and trace
+variants, and the compiled backend vs numpy on the single-copy kernel)
+are machine-independent, and
 those are gated: a ratio regressing by more than ``--threshold`` percent
 (default 25%) against the committed baseline fails the run. Pass
 ``--allow-regression`` to demote the gate back to report-only — e.g. when
@@ -72,12 +72,6 @@ def _delta(current, baseline, higher_is_better=True):
 
 METRICS = (
     # (label, key path, unit, higher-is-better, machine-independent ratio)
-    ("producer speedup (columnar/iterator)",
-     ("producer", "columnar_producer_speedup"), "x", True, True),
-    ("producer events/s (columnar)",
-     ("producer", "columnar_events_per_second"), "", True, False),
-    ("indexed events/s",
-     ("results", "indexed", "events_per_second"), "", True, False),
     ("columnar events/s",
      ("results", "columnar", "events_per_second"), "", True, False),
     ("kernel events/s",
@@ -86,8 +80,6 @@ METRICS = (
      ("results", "kernel-multicopy", "events_per_second"), "", True, False),
     ("kernel-trace events/s",
      ("results", "kernel-trace", "events_per_second"), "", True, False),
-    ("columnar vs indexed",
-     ("speedup_columnar_vs_indexed",), "x", True, True),
     ("kernel vs columnar dispatch",
      ("speedup_kernel_vs_columnar",), "x", True, True),
     ("multicopy kernel vs columnar dispatch",

@@ -11,14 +11,9 @@ Reference workload (paper-scale defaults): 1000 single-copy onion
 sessions over one n=100 random contact graph (g=5, K=3, L=1) with a
 720-minute horizon.
 
-* **producer** — raw contact-event generation: the lazy iterator
-  (``events_until``) vs the columnar window (``events_until_columnar``),
-  same seed, same events.
-* **kernel** — the batch through the engine's object loop fed lazily by
-  the event iterator (``indexed``, ``consume="iterator"``; ``--mode all``
-  only), the object loop over one columnar window (``columnar``,
-  ``kernel=False``), and the struct-of-arrays :class:`BatchKernel` sweep
-  (``kernel``).
+* **kernel** — the batch through the engine's object loop over one
+  columnar window (``columnar``, ``kernel=False``) vs the
+  struct-of-arrays :class:`BatchKernel` sweep (``kernel``).
 * **multicopy** — the same graph and stream with L=4 spray-and-wait
   copies per session: ``columnar-multicopy`` vs ``kernel-multicopy``.
 * **trace** — single-copy sessions replayed over the Infocom-2005-like
@@ -113,25 +108,18 @@ def batch_stream(graph, seed, group_size=None, onion_routers=None, sessions=0):
     return process
 
 
-def count_events(graph, group_size, onion_routers, sessions, horizon, seed):
-    """Events the engine dispatches for the batch's seeded stream."""
-    stream = batch_stream(graph, seed, group_size, onion_routers, sessions)
-    return sum(1 for _ in stream.events_until(horizon))
-
-
 def produce_events(
-    graph, seed, horizon, columnar, group_size=None, onion_routers=None, sessions=0
+    graph, seed, horizon, group_size=None, onion_routers=None, sessions=0
 ):
     """Produce the seeded contact stream; returns its event count.
 
     With the batch's ``group_size``, ``onion_routers`` and ``sessions``,
     the stream is the one the engine run over the same seed sees (see
-    :func:`batch_stream`), so it matches :func:`count_events`.
+    :func:`batch_stream`), so the count is the events the engine
+    dispatches.
     """
     process = batch_stream(graph, seed, group_size, onion_routers, sessions)
-    if columnar:
-        return len(process.events_until_columnar(horizon))
-    return sum(1 for _ in process.events_until(horizon))
+    return len(process.events_until_columnar(horizon))
 
 
 def observe_batch(pairs) -> dict:
@@ -205,33 +193,6 @@ def compare(arms, repeat, reference, cost=lambda wall, observed: wall, warm=None
     return best, identical, round(numerator / denominator, 2)
 
 
-def producer_benchmark(graph, horizon, seed, repeat):
-    """Raw event-generation timing: legacy iterator vs columnar window."""
-    arms = {
-        kind: call_arm(
-            lambda columnar=columnar: produce_events(graph, seed, horizon, columnar),
-            lambda events: {"digest": events},
-        )
-        for kind, columnar in (("iterator", False), ("columnar", True))
-    }
-    best, identical, speedup = compare(arms, repeat, "iterator")
-    (legacy_wall, legacy), (columnar_wall, columnar) = best.values()
-    if not identical:
-        raise AssertionError(
-            f"producer streams diverged: iterator yielded {legacy['digest']} "
-            f"events, columnar {columnar['digest']}"
-        )
-    events = legacy["digest"]
-    return {
-        "events": events,
-        "legacy_iterator_seconds": round(legacy_wall, 4),
-        "columnar_seconds": round(columnar_wall, 4),
-        "legacy_events_per_second": round(events / legacy_wall, 1),
-        "columnar_events_per_second": round(events / columnar_wall, 1),
-        "columnar_producer_speedup": speedup,
-    }
-
-
 def paths(suffix=""):
     """The object-loop and kernel arms of one engine workload."""
     return {
@@ -247,8 +208,7 @@ def engine_benchmark(
     """Time ``run(**kwargs)`` per mode; ``(rows, identity_checks, speedups)``.
 
     ``modes`` maps a row name to the runner kwargs selecting its path:
-    an optional ``indexed`` arm, then the columnar reference, with the
-    kernel last. ``generate`` maps a row name to a call producing its
+    the columnar reference first, the kernel last. ``generate`` maps a row name to a call producing its
     event stream; each attempt times it just before the arm's run, and
     that time splits the attempt's wall into generation and dispatch, so
     both halves are measured under the same conditions. The identity
@@ -272,8 +232,7 @@ def engine_benchmark(
     def dispatch(wall, observed):
         return wall - observed["generation"]
 
-    reference = next(name for name in modes if name != "indexed")
-    best, identical, ratio = compare(arms, repeat, reference, cost=dispatch)
+    best, identical, ratio = compare(arms, repeat, next(iter(modes)), cost=dispatch)
     rows = {
         name: {
             "wall_seconds": round(wall, 4),
@@ -296,7 +255,7 @@ def graph_benchmark(
     """Engine paths on the random-graph batch; see ``engine_benchmark``.
 
     Session construction draws no randomness, so every copy count sees
-    the stream ``count_events`` counted.
+    the stream ``produce_events`` counts.
     """
 
     def run(**kwargs):
@@ -305,12 +264,12 @@ def graph_benchmark(
             sessions=sessions, rng=np.random.default_rng(seed), **kwargs,
         )
 
-    generate = {
-        name: lambda columnar=kw.get("consume") != "iterator": produce_events(
-            graph, seed, horizon, columnar, group_size, onion_routers, sessions
+    def produce():
+        return produce_events(
+            graph, seed, horizon, group_size, onion_routers, sessions
         )
-        for name, kw in modes.items()
-    }
+
+    generate = dict.fromkeys(modes, produce)
     return engine_benchmark(
         run, modes, generate, events, repeat, check, speedup_key, extra
     )
@@ -454,13 +413,12 @@ def run_benchmark(
     )
     graph_args = (graph, group_size, onion_routers)
     if mode in ("all", "kernel", "multicopy"):
-        events = count_events(*graph_args, sessions, horizon, seed)
-    single = paths()
-    if mode == "all":
-        single = {"indexed": dict(consume="iterator"), **single}
+        events = produce_events(
+            graph, seed, horizon, group_size, onion_routers, sessions
+        )
     workloads = {
         "kernel": lambda: graph_benchmark(
-            *graph_args, copies, horizon, sessions, seed, repeat, single, events,
+            *graph_args, copies, horizon, sessions, seed, repeat, paths(), events,
             "single", "speedup_kernel_vs_columnar",
         ),
         "multicopy": lambda: graph_benchmark(
@@ -476,9 +434,6 @@ def run_benchmark(
             seed, repeat,
         ),
     }
-    producer = None
-    if mode in ("all", "kernel"):
-        producer = producer_benchmark(graph, horizon, seed, repeat)
     results = {}
     identity_checks = {}
     speedups = {}
@@ -508,13 +463,7 @@ def run_benchmark(
         "identical_outcomes": all(identity_checks.values()),
         "identity_checks": identity_checks,
     }
-    if producer is not None:
-        report["producer"] = producer
     report.update(speedups)
-    if "indexed" in results:
-        report["speedup_columnar_vs_indexed"] = round(
-            results["indexed"]["wall_seconds"] / results["columnar"]["wall_seconds"], 2
-        )
     return report
 
 
@@ -564,13 +513,6 @@ def main(argv=None) -> int:
     args.output.write_text(json.dumps(report, indent=2) + "\n")
 
     print(f"workload: {sessions} sessions, n=100, horizon={horizon:g}")
-    producer = report.get("producer")
-    if producer is not None:
-        print(
-            f"producer:  iterator {producer['legacy_iterator_seconds']:.3f}s, "
-            f"columnar {producer['columnar_seconds']:.3f}s  "
-            f"speedup {producer['columnar_producer_speedup']:.2f}x"
-        )
     for name, row in report["results"].items():
         if "dispatch_seconds" in row:
             detail = (

@@ -109,6 +109,6 @@ def copies_for_deadline(
         if dist.cdf(deadline) >= target_delivery:
             return copies
     raise ValueError(
-        f"even L={max_copies} copies cannot reach "
-        f"{target_delivery:.0%} within T={deadline:g} on this route"
+        f"even L={max_copies} copies cannot reach a delivery rate of "
+        f"{target_delivery!r} within T={deadline:g} on this route"
     )

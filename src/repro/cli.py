@@ -464,7 +464,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
     from repro.sim.engine import SimulationEngine
     from repro.sim.message import Message
     from repro.sim.metrics import status_counts, summarize
-    from repro.utils.rng import ensure_rng
+    from repro.utils.rng import ensure_rng, spawn_rng
 
     faulty = (
         args.availability is not None
@@ -480,6 +480,9 @@ def _run_simulate(args: argparse.Namespace) -> int:
         return 2
 
     rng = ensure_rng(args.seed)
+    # Each trial's contacts come from its own child stream, so no trial
+    # depends on how far an earlier one read; ``rng`` feeds the rest.
+    contact_rngs = spawn_rng(rng, args.trials)
     graph, directory, _ = _sample_route(args, rng)
     relays = None
     if args.drop_prob is not None:
@@ -493,9 +496,8 @@ def _run_simulate(args: argparse.Namespace) -> int:
             custody_timeout=args.custody_timeout, max_retries=args.max_retries
         )
     outcomes = []
-    for _ in range(args.trials):
-        # Fresh schedules each trial: engines restart the clock at zero and
-        # the schedules are time-monotone.
+    for contact_rng in contact_rngs:
+        # Fresh schedules each trial: engines restart the clock at zero.
         failstop = None
         if args.death_rate is not None:
             failstop = FailStopSchedule(args.n, death_rate=args.death_rate, rng=rng)
@@ -530,17 +532,14 @@ def _run_simulate(args: argparse.Namespace) -> int:
             session = SprayAndWaitSession(message, copies=args.copies)
         else:
             session = DirectDeliverySession(message)
-        events = ExponentialContactProcess(graph, rng=rng)
+        events = ExponentialContactProcess(graph, rng=contact_rng)
         if failstop is not None:
             events = FailStopContactProcess(events, failstop)
         if churn is not None:
             events = NodeChurnProcess(events, churn)
-        # Iterator consumption: trials share one generator and usually end
-        # well before the deadline, so pulling events lazily both avoids
-        # generating events past delivery and keeps the historical
-        # cross-trial rng consumption (a block would pre-draw the full
-        # window and shift every later trial's stream).
-        engine = SimulationEngine(events, horizon=args.deadline, consume="iterator")
+        # Trials usually end well before the deadline; windowed reads stop
+        # producing events soon after delivery.
+        engine = SimulationEngine(events, horizon=args.deadline, consume="stream")
         engine.add_session(session)
         engine.run()
         outcomes.append(session.outcome())

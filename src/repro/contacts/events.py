@@ -1,21 +1,22 @@
 """Contact event streams.
 
 The simulation engine (:mod:`repro.sim`) is driven by a time-ordered stream
-of :class:`ContactEvent` items. Two producers are provided:
+of contacts, read window by window. Every event source has one method,
+``events_until_columnar(horizon)``, which returns the events up to
+``horizon`` that earlier calls have not returned, as an
+:class:`EventBlock` of parallel ``(times, a, b)`` NumPy arrays. Successive
+windows concatenate to the one-shot window, bit for bit. The producers:
 
 * :class:`ExponentialContactProcess` — samples pairwise contacts from the
   exponential inter-contact model of a :class:`~repro.contacts.graph.ContactGraph`.
 * :class:`TraceReplayProcess` — replays recorded contacts from a
   :class:`~repro.contacts.traces.ContactTrace`.
+* :class:`ColumnarEventSource` — replays a precomputed block (e.g. one
+  shipped to a worker process).
 
-Both producers additionally expose a *columnar* window mode
-(:meth:`events_until_columnar`) that returns the same window as an
-:class:`EventBlock` of parallel ``(times, a, b)`` NumPy arrays instead of a
-per-event object stream. The columnar and iterator modes consume the
-generator identically — for a fixed seed they emit the same events in the
-same order and leave the process in the same resumable state — so callers
-can mix the two freely. :class:`ColumnarEventSource` replays a precomputed
-block (e.g. one shipped to a worker process) through either interface.
+The fault filters in :mod:`repro.faults` wrap any of them and mask each
+window. :class:`ContactEvent` is the per-event view a block iterates as,
+for sessions that take event objects.
 """
 
 from __future__ import annotations
@@ -121,10 +122,9 @@ class ColumnarEventSource:
 
     This is what worker processes run against in the shared-stream parallel
     protocol: the parent generates (or loads) the event window once, ships
-    the block, and every worker replays it through the standard
-    ``events_until`` / ``events_until_columnar`` interface. The source keeps
-    a cursor, so successive horizon windows resume exactly like the sampled
-    and trace producers do.
+    the block, and every worker replays it through
+    ``events_until_columnar``. The source keeps a cursor, so successive
+    horizon windows resume exactly like the sampled and trace producers do.
     """
 
     def __init__(self, block: EventBlock):
@@ -143,22 +143,6 @@ class ColumnarEventSource:
     def now(self) -> float:
         """Time of the most recently emitted event (0 before any)."""
         return self._now
-
-    def events_until(self, horizon: float) -> Iterator[ContactEvent]:
-        """Yield replayed events with ``time <= horizon`` in order."""
-        check_non_negative(horizon, "horizon")
-        times = self._block.times
-        while self._cursor < len(times):
-            time = float(times[self._cursor])
-            if time > horizon:
-                return
-            self._cursor += 1
-            self._now = time
-            yield ContactEvent(
-                time=time,
-                a=int(self._block.a[self._cursor - 1]),
-                b=int(self._block.b[self._cursor - 1]),
-            )
 
     def events_until_columnar(self, horizon: float) -> EventBlock:
         """The remaining events with ``time <= horizon`` as one block."""
@@ -180,7 +164,7 @@ def as_event_source(events):
     """Coerce ``events`` into an event source (blocks get a replay cursor)."""
     if isinstance(events, EventBlock):
         return ColumnarEventSource(events)
-    if not hasattr(events, "events_until"):
+    if not hasattr(events, "events_until_columnar"):
         raise TypeError(
             f"expected an event source or EventBlock, got {type(events).__name__}"
         )
@@ -191,9 +175,8 @@ class ExponentialContactProcess:
     """Sample a contact-event stream from exponential pairwise clocks.
 
     Each pair with positive rate carries an independent Poisson process.
-    The process is a single-use iterator factory: each call to
-    :meth:`events_until` or :meth:`events_until_columnar` continues from
-    where the previous call stopped.
+    The process is single-use: each :meth:`events_until_columnar` call
+    continues from where the previous call stopped.
 
     The state is columnar, one row per pair in :meth:`ContactGraph.pairs`
     order: the pair's next contact time (``heads``), a ``(pairs, block)``
@@ -202,8 +185,7 @@ class ExponentialContactProcess:
     time per pair (one vectorised generator call per block instead of one
     scalar draw per event); each pair consumes its gaps strictly in draw
     order and refills its row deterministically when it is exhausted, so a
-    fixed seed yields one reproducible event stream. Both read modes work
-    on these same arrays, so they can be mixed freely.
+    fixed seed yields one reproducible event stream.
     """
 
     def __init__(self, graph: ContactGraph, rng: RandomSource = None, block: int = 32):
@@ -225,10 +207,6 @@ class ExponentialContactProcess:
         )
         self._heads = self._gaps[:, 0].copy()
         self._cursor = np.ones(len(pairs), dtype=np.int64)
-        # The iterator's ``(time, a, b, row)`` heap over ``heads``; built on
-        # the first :meth:`events_until` call and dropped by every columnar
-        # read, which moves the heads without it.
-        self._heap: Optional[list[tuple[float, int, int, int]]] = None
 
     @property
     def graph(self) -> ContactGraph:
@@ -240,82 +218,39 @@ class ExponentialContactProcess:
         """Time of the most recently emitted event (0 before any)."""
         return self._now
 
-    def _heap_of(self, times: np.ndarray, rows: np.ndarray) -> list:
-        """Heapified ``(time, a, b, row)`` entries; ``row`` breaks no tie."""
-        heap = list(
-            zip(
-                times.tolist(),
-                self._pair_a[rows].tolist(),
-                self._pair_b[rows].tolist(),
-                rows.tolist(),
-            )
-        )
-        heapq.heapify(heap)
-        return heap
-
-    def _shared_heap(self) -> list:
-        """The iterator heap, rebuilt from ``heads`` if a columnar read dropped it."""
-        if self._heap is None:
-            self._heap = self._heap_of(self._heads, np.arange(len(self._heads)))
-        return self._heap
-
     def _refill(self, row: int) -> np.ndarray:
         """Draw a fresh block of gaps into ``row``'s buffer."""
         gaps = self._rng.exponential(self._scales[row], size=self._block)
         self._gaps[row] = gaps
         return gaps
 
-    def events_until(self, horizon: float) -> Iterator[ContactEvent]:
-        """Yield events with ``time <= horizon`` in chronological order.
-
-        A suspended generator resumes from the process's current state, so
-        reads made while it was suspended (columnar windows, other
-        generators) are never replayed.
-        """
-        check_non_negative(horizon, "horizon")
-        heap = self._shared_heap()
-        heads, gaps, cursor = self._heads, self._gaps, self._cursor
-        while heap and heap[0][0] <= horizon:
-            time, i, j, row = heap[0]
-            col = cursor.item(row)
-            if col == self._block:
-                self._refill(row)
-                col = 0
-            head = time + gaps.item(row, col)
-            cursor[row] = col + 1
-            heads[row] = head
-            self._now = time
-            heapq.heapreplace(heap, (head, i, j, row))
-            yield ContactEvent(time=time, a=i, b=j)
-            if self._heap is not heap:
-                heap = self._shared_heap()
-
     def events_until_columnar(self, horizon: float) -> EventBlock:
-        """The same window as :meth:`events_until`, as one :class:`EventBlock`.
+        """The events with ``time <= horizon`` not yet returned, as one block.
 
-        Seed-exact with the iterator: the generator is consumed in the exact
-        order the iterator would consume it, and the process is left in the
-        same resumable state, so a fixed seed yields one stream regardless
-        of which mode (or mixture of modes) reads it.
+        Seed-exact with the per-event merge of the pair clocks: pop the
+        earliest ``(time, a, b)`` head from a heap, advance that pair by
+        its next gap, and refill the pair's row when the gap it needs is
+        past the end of the buffer. The generator is consumed in that
+        merge's order, so windowed calls return the one-shot stream and
+        leave the generator where the merge would.
 
         Equivalence argument, pair by pair: a pair's event times are the
         running partial sums of its head and its unconsumed gaps. One
         row-wise ``cumsum`` over ``[head, gaps]`` for every due pair, with
         the consumed gaps masked to ``0.0``, gives them all at once
-        (``x + 0.0`` is exact, so the sums match the iterator's bit for
-        bit). The iterator refills a pair's row at the pop of its last
+        (``x + 0.0`` is exact, so the sums match the merge's bit for
+        bit). The merge refills a pair's row at the pop of its last
         buffer-fillable event — at time ``trigger =`` the row's final
         partial sum — and pops are globally ordered by ``(time, a, b)``;
         draining a heap of refill triggers in that same key order therefore
-        replays the generator calls in the iterator's interleaving. The
-        merged emission order is the heap's total order ``(time, a, b)``,
-        i.e. ``lexsort((b, a, times))``.
+        replays the generator calls in the merge's interleaving. The
+        emission order is the heap's total order ``(time, a, b)``, i.e.
+        ``lexsort((b, a, times))``.
         """
         check_non_negative(horizon, "horizon")
         due = np.flatnonzero(self._heads <= horizon)
         if not len(due):
             return EventBlock.empty()
-        self._heap = None
         cursor = self._cursor[due]
         cols = np.arange(self._block + 1)
         fresh = cols[None, :] >= cursor[:, None]  # tau[:, cursor] is the head
@@ -334,8 +269,18 @@ class ExponentialContactProcess:
         stop = cursor[live] + counts[live]
         self._heads[rows] = tau[live, stop]
         self._cursor[rows] = stop
-        # The rest refill in the iterator's pop order.
-        refills = self._heap_of(tau[~live, -1], due[~live])
+        # The rest refill in the merge's pop order: a heap of
+        # ``(trigger, a, b, row)`` entries, where ``row`` breaks no tie.
+        spent = due[~live]
+        refills = list(
+            zip(
+                tau[~live, -1].tolist(),
+                self._pair_a[spent].tolist(),
+                self._pair_b[spent].tolist(),
+                spent.tolist(),
+            )
+        )
+        heapq.heapify(refills)
         while refills:
             trigger, i, j, row = heapq.heappop(refills)
             run = np.cumsum(np.concatenate(((trigger,), self._refill(row))))
@@ -360,8 +305,7 @@ class ExponentialContactProcess:
 class TraceReplayProcess:
     """Replay a recorded contact trace as an event stream.
 
-    Each trace record contributes one :class:`ContactEvent` at its start
-    time (the full-transfer assumption makes the end time irrelevant to the
+    Each trace record contributes one event at its start time (the full-transfer assumption makes the end time irrelevant to the
     forwarding logic; it is retained in the trace for rate estimation).
     """
 
@@ -373,8 +317,8 @@ class TraceReplayProcess:
             raise TypeError(f"expected ContactTrace, got {type(trace).__name__}")
         # ``trace.records`` is chronological with a stable tie order.
         records = [r for r in trace.records if r.start >= start_time]
-        # Traces are columnar at rest: both read modes walk the same three
-        # columns with one cursor, so windowed block reads are plain slices.
+        # Traces are columnar at rest: one cursor walks the three columns,
+        # so windowed block reads are plain slices.
         self._times = np.array([r.start for r in records], dtype=np.float64)
         self._a = np.array([r.a for r in records], dtype=np.int64)
         self._b = np.array([r.b for r in records], dtype=np.int64)
@@ -386,26 +330,11 @@ class TraceReplayProcess:
         """Time of the most recently emitted event."""
         return self._now
 
-    def events_until(self, horizon: float) -> Iterator[ContactEvent]:
-        """Yield replayed events with ``time <= horizon`` in order."""
-        check_non_negative(horizon, "horizon")
-        times = self._times
-        while self._cursor < len(times):
-            cursor = self._cursor
-            time = times.item(cursor)
-            if time > horizon:
-                return
-            self._cursor = cursor + 1
-            self._now = time
-            yield ContactEvent(
-                time=time, a=self._a.item(cursor), b=self._b.item(cursor)
-            )
-
     def events_until_columnar(self, horizon: float) -> EventBlock:
-        """The same window as :meth:`events_until`, as one :class:`EventBlock`.
+        """The records starting at or before ``horizon`` not yet returned.
 
         Slices the at-rest columns in cursor order, so simultaneous records
-        keep the trace's stable tie order — identical to the iterator.
+        keep the trace's stable tie order.
         """
         check_non_negative(horizon, "horizon")
         start = self._cursor

@@ -293,8 +293,8 @@ def run_random_graph_batch(
     random-membership group directory; all sessions share the same sampled
     contact process (they are read-only observers of it, so this is
     statistically equivalent to independent runs and much cheaper).
-    ``consume`` (``"auto"``, ``"stream"`` or ``"iterator"``) is forwarded
-    to :class:`~repro.sim.engine.SimulationEngine`; every mode produces
+    ``consume`` (``"auto"`` or ``"stream"``) is forwarded to
+    :class:`~repro.sim.engine.SimulationEngine`; both modes produce
     byte-identical outcomes. The batch is :func:`run_fused_graph_sweep`
     with one variant.
 
@@ -405,17 +405,17 @@ def run_faulty_graph_batch(
     the batch.
 
     ``events`` overrides the sampled base stream (shared-stream parallel
-    tasks pass the parent's block here); the fault filters still wrap it,
-    and since they are per-event iterators the engine pulls the filtered
-    stream lazily into its object loop. ``sessions`` and ``rng`` may be
-    per-chunk sequences as in :func:`run_random_graph_batch`; each chunk
-    then gets its own copy of ``relays``.
+    tasks pass the parent's block here); the fault filters still wrap it
+    and mask each window. ``sessions`` and ``rng`` may be per-chunk
+    sequences as in :func:`run_random_graph_batch`; each chunk then gets
+    its own copy of ``relays``.
 
-    ``kernel`` (default on) only bites when no fault filter wraps the
-    stream (filtered events arrive one at a time, which kernels cannot
-    sweep) and no :class:`~repro.faults.recovery.FaultPlan` is attached —
-    i.e. exactly when this call degenerates to the fault-free batch — so
-    it is safe to leave on in sweeps that include a fault-free baseline.
+    ``kernel`` (default on) sweeps the sessions that carry no
+    :class:`~repro.faults.recovery.FaultPlan` and no recovery policy:
+    churn alone only thins the stream, so a churn-only batch runs on the
+    kernels, while fail-stop and dropping relays attach a plan and keep
+    their sessions in the object loop. Outcomes are byte-identical either
+    way.
     """
     results = _run_graph_variants(
         graph,

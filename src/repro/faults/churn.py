@@ -22,11 +22,11 @@ verify the match at Monte Carlo tolerance).
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
-from repro.contacts.events import ContactEvent
+from repro.contacts.events import EventBlock
 from repro.contacts.graph import ContactGraph
 from repro.utils.rng import RandomSource, ensure_rng
 from repro.utils.validation import check_non_negative, check_positive, check_positive_int
@@ -40,10 +40,12 @@ class NodeChurnSchedule:
     Nodes start in the stationary regime: up with probability
     :attr:`availability`.
 
-    Queries must be time-monotone per node (the contact streams and the
-    protocol sessions both observe events chronologically, so this holds by
-    construction); querying a node at an earlier time than a previous query
-    raises.
+    A node's timeline is its initial state plus its toggle times, the
+    running sums of alternating up and down durations drawn from the
+    node's own stream. It is drawn ahead, one vectorised draw per node at
+    a time, as far as queries reach; a node is up at ``t`` iff its
+    initial state, flipped once per toggle at or before ``t``, is up.
+    Queries may come in any time order.
 
     Parameters
     ----------
@@ -75,11 +77,13 @@ class NodeChurnSchedule:
             raise ValueError("generator has no seed sequence to spawn from")
         self._rngs = [np.random.default_rng(child) for child in seed_seq.spawn(n)]
         availability = self.availability
-        self._up = [generator.random() < availability for generator in self._rngs]
-        self._next_toggle = [
-            self._draw_duration(node) for node in range(n)
-        ]
-        self._last_query = [0.0] * n
+        self._up = np.array(
+            [generator.random() < availability for generator in self._rngs]
+        )
+        self._toggles = [np.empty(0)] * n
+        # Every timeline is drawn past this time; never-failing nodes have
+        # no toggles at all.
+        self._covered = math.inf if self._fail_rate == 0.0 else 0.0
 
     @property
     def n(self) -> int:
@@ -100,39 +104,57 @@ class NodeChurnSchedule:
             return math.inf
         return 1.0 / self._fail_rate + 1.0 / self._repair_rate
 
-    def _draw_duration(self, node: int) -> float:
-        """Absolute end time of the node's current period (from time 0)."""
-        if self._up[node]:
-            if self._fail_rate == 0.0:
-                return math.inf
-            return self._rngs[node].exponential(1.0 / self._fail_rate)
-        return self._rngs[node].exponential(1.0 / self._repair_rate)
+    def _cover(self, time: float) -> None:
+        """Draw every node's toggles until its timeline passes ``time``.
+
+        Duration ``k`` of a node is an up period iff ``k`` is even and the
+        node started up, or odd and it started down. Each is its scale
+        times a unit exponential, the exact float product
+        ``exponential(scale)`` computes, and the toggle times are their
+        running sums, so the timeline is bit-identical to drawing one
+        duration per toggle as the node's clock reaches it.
+        """
+        if time < self._covered:
+            return
+        for node, generator in enumerate(self._rngs):
+            toggles = self._toggles[node]
+            while not len(toggles) or toggles[-1] <= time:
+                start = toggles[-1] if len(toggles) else 0.0
+                count = 16 + int(2.5 * (time - start) / self.mean_cycle)
+                phase = np.arange(len(toggles), len(toggles) + count)
+                scales = np.where(
+                    (phase % 2 == 0) == self._up[node],
+                    1.0 / self._fail_rate,
+                    1.0 / self._repair_rate,
+                )
+                durations = generator.standard_exponential(count) * scales
+                toggles = np.concatenate(
+                    (toggles, np.cumsum(np.concatenate(((start,), durations)))[1:])
+                )
+            self._toggles[node] = toggles
+        self._covered = min(toggles[-1] for toggles in self._toggles)
+
+    def up_mask(self, nodes: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """Whether ``nodes[k]`` is up at ``times[k]``, for every ``k``."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        times = np.asarray(times, dtype=np.float64)
+        up = self._up[nodes]
+        if not len(times) or self._fail_rate == 0.0:
+            return up
+        self._cover(float(times.max()))
+        order = np.argsort(nodes, kind="stable")
+        bounds = np.searchsorted(nodes[order], np.arange(self._n + 1))
+        for node in np.flatnonzero(np.diff(bounds)).tolist():
+            rows = order[bounds[node] : bounds[node + 1]]
+            flips = np.searchsorted(self._toggles[node], times[rows], side="right")
+            up[rows] ^= (flips & 1).astype(bool)
+        return up
 
     def is_up(self, node: int, time: float) -> bool:
-        """Whether ``node`` is up at ``time`` (time-monotone per node)."""
+        """Whether ``node`` is up at ``time``."""
         if not (0 <= node < self._n):
             raise ValueError(f"node {node} outside 0..{self._n - 1}")
-        if time < self._last_query[node]:
-            raise ValueError(
-                f"churn queries must be time-monotone per node: node {node} "
-                f"queried at {time} after {self._last_query[node]}"
-            )
-        self._last_query[node] = time
-        while self._next_toggle[node] <= time:
-            toggle_at = self._next_toggle[node]
-            self._up[node] = not self._up[node]
-            if self._up[node]:
-                if self._fail_rate == 0.0:  # pragma: no cover - never toggles down
-                    self._next_toggle[node] = math.inf
-                else:
-                    self._next_toggle[node] = toggle_at + self._rngs[
-                        node
-                    ].exponential(1.0 / self._fail_rate)
-            else:
-                self._next_toggle[node] = toggle_at + self._rngs[
-                    node
-                ].exponential(1.0 / self._repair_rate)
-        return self._up[node]
+        return bool(self.up_mask(np.array([node]), np.array([time]))[0])
 
     @classmethod
     def from_availability(
@@ -165,9 +187,10 @@ class NodeChurnSchedule:
 class FaultFilteredContactProcess:
     """Suppress contacts whose endpoints are not both up.
 
-    Generic over any schedule exposing ``is_up(node, time)`` — node churn
-    and fail-stop both use it. Wraps any chronological event source, so
-    fault processes compose with each other in a single stream.
+    Generic over any schedule exposing ``up_mask(nodes, times)`` — node
+    churn and fail-stop both do. Wraps any event source, so fault
+    processes compose with each other in a single stream: each window is
+    the inner window with the contacts of a down endpoint masked out.
     """
 
     def __init__(self, inner, schedule):
@@ -179,13 +202,14 @@ class FaultFilteredContactProcess:
         """The up/down schedule driving the suppression."""
         return self._schedule
 
-    def events_until(self, horizon: float) -> Iterator[ContactEvent]:
-        """Yield the wrapped stream's contacts between two up nodes."""
-        for event in self._inner.events_until(horizon):
-            if self._schedule.is_up(event.a, event.time) and self._schedule.is_up(
-                event.b, event.time
-            ):
-                yield event
+    def events_until_columnar(self, horizon: float) -> EventBlock:
+        """The inner window's contacts between two up nodes."""
+        block = self._inner.events_until_columnar(horizon)
+        if not len(block):
+            return block
+        keep = self._schedule.up_mask(block.a, block.times)
+        keep &= self._schedule.up_mask(block.b, block.times)
+        return EventBlock(times=block.times[keep], a=block.a[keep], b=block.b[keep])
 
 
 class NodeChurnProcess(FaultFilteredContactProcess):

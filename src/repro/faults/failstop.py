@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from typing import Mapping, Optional
 
+import numpy as np
+
 from repro.faults.churn import FaultFilteredContactProcess
 from repro.utils.rng import RandomSource, ensure_rng
 from repro.utils.validation import check_non_negative, check_positive_int
@@ -38,15 +40,13 @@ class FailStopSchedule:
         if (death_rate is None) == (deaths is None):
             raise ValueError("provide exactly one of death_rate or deaths")
         self._n = n
-        self._death_time = [math.inf] * n
+        self._death_time = np.full(n, math.inf)
         if death_rate is not None:
             check_non_negative(death_rate, "death_rate")
             if death_rate > 0:
-                generator = ensure_rng(rng)
-                for node in range(n):
-                    self._death_time[node] = float(
-                        generator.exponential(1.0 / death_rate)
-                    )
+                self._death_time[:] = ensure_rng(rng).exponential(
+                    1.0 / death_rate, size=n
+                )
         else:
             for node, time in deaths.items():
                 if not (0 <= node < n):
@@ -64,19 +64,23 @@ class FailStopSchedule:
         """When ``node`` dies; ``inf`` if it never does."""
         if not (0 <= node < self._n):
             raise ValueError(f"node {node} outside 0..{self._n - 1}")
-        return self._death_time[node]
+        return self._death_time.item(node)
 
     def is_dead(self, node: int, time: float) -> bool:
         """Whether ``node`` has permanently failed by ``time``."""
         return time >= self.death_time(node)
 
     def is_up(self, node: int, time: float) -> bool:
-        """Schedule interface shared with churn: alive means up."""
+        """Alive means up."""
         return not self.is_dead(node, time)
+
+    def up_mask(self, nodes: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """Schedule interface shared with churn: alive at ``times[k]``."""
+        return np.asarray(times) < self._death_time[np.asarray(nodes)]
 
     def survivors(self, time: float) -> int:
         """Number of nodes still alive at ``time``."""
-        return sum(1 for death in self._death_time if time < death)
+        return int(np.count_nonzero(time < self._death_time))
 
 
 class FailStopContactProcess(FaultFilteredContactProcess):

@@ -20,14 +20,14 @@ outcomes are byte-identical whichever path a session takes:
   (e.g. per-receive greyhole draws) consumes the same random stream as a
   plain scan over every session would.
 
-``consume`` only chooses where the events come from. ``"auto"`` reads one
-horizon-wide block, ``"stream"`` reads successive windows from
-:func:`~repro.contacts.events.stream_event_blocks`, and ``"iterator"`` —
-like any source without ``events_until_columnar`` (the fault filters) —
-pulls events lazily from ``events_until`` into the object loop, one at a
-time. Kernels need blocks, so a lazily pulled run puts
-every session in the object loop. :attr:`SimulationEngine.dispatch_mode_counts`
-records how many sessions each run routed through each path.
+Events reach both paths as :class:`~repro.contacts.events.EventBlock`
+windows from the source's ``events_until_columnar``; the object loop walks
+each window's rows. ``consume`` only chooses the windows: ``"auto"`` reads
+one horizon-wide block, and ``"stream"`` reads successive windows from
+:func:`~repro.contacts.events.stream_event_blocks`, so a run whose
+sessions all finish early stops producing events soon after.
+:attr:`SimulationEngine.dispatch_mode_counts` records how many sessions
+each run routed through each path.
 """
 
 from __future__ import annotations
@@ -53,9 +53,9 @@ _ORDER_KEY = attrgetter("order")
 
 
 class EventSource(TypingProtocol):
-    """Anything that yields chronological contact events up to a horizon."""
+    """Anything that returns its chronological contacts window by window."""
 
-    def events_until(self, horizon: float) -> Iterable[ContactEvent]:  # pragma: no cover
+    def events_until_columnar(self, horizon: float) -> EventBlock:  # pragma: no cover
         ...
 
 
@@ -148,22 +148,19 @@ class SimulationEngine:
     Parameters
     ----------
     consume:
-        Where the events come from. ``"auto"`` (default) reads one
+        How the events are windowed. ``"auto"`` (default) reads one
         horizon-wide :class:`~repro.contacts.events.EventBlock` from
         ``events_until_columnar``; ``"stream"`` reads successive
         ``stream_window``-sized windows (each at most
         ``max_window_events`` long), so the full event set is never
-        resident; ``"iterator"`` pulls events lazily from
-        ``events_until``, which callers need when later draws on a shared
-        generator must start exactly where the last dispatched event left
-        it. A source without ``events_until_columnar`` is always pulled
-        lazily. Outcomes are identical across all three.
+        resident and a run stops producing events soon after its last
+        session finishes. Outcomes are identical across both.
     kernel:
         Sweep kernel-eligible sessions with the struct-of-arrays kernels
         (:class:`~repro.sim.kernel.BatchKernel` for single-copy,
         :class:`~repro.sim.kernel.MultiCopyBatchKernel` for multi-copy);
         the rest run in the object loop. ``False`` runs every session in
-        the object loop. Only block windows can feed the kernels.
+        the object loop.
     backend:
         Kernel-backend selection for the struct-of-arrays sweeps: a
         :mod:`repro.sim.backend` registry name (``"numpy"`` or
@@ -177,9 +174,9 @@ class SimulationEngine:
 
     One degradation rule covers every run: a kernel that raises before it
     has dispatched anything, while the first window is processed, hands
-    its group to the object loop, and a source that cannot produce the
-    first window is pulled lazily instead. Both are recorded as
-    :attr:`fallback_events`; any later failure propagates.
+    its group to the object loop, recorded as :attr:`fallback_events`.
+    Any other failure propagates, including a source that cannot produce
+    a window.
 
     One bookkeeping caveat: when no session runs in the object loop,
     :attr:`events_processed` counts every consumed window in full (the
@@ -204,9 +201,12 @@ class SimulationEngine:
             raise ValueError(
                 f"on_error must be 'quarantine' or 'raise', got {on_error!r}"
             )
-        if consume not in ("auto", "stream", "iterator"):
-            raise ValueError(
-                f"consume must be 'auto', 'stream', or 'iterator', got {consume!r}"
+        if consume not in ("auto", "stream"):
+            raise ValueError(f"consume must be 'auto' or 'stream', got {consume!r}")
+        if not hasattr(events, "events_until_columnar"):
+            raise TypeError(
+                f"expected an event source with events_until_columnar, got "
+                f"{type(events).__name__}"
             )
         if stream_window is not None:
             check_positive(stream_window, "stream_window")
@@ -243,14 +243,13 @@ class SimulationEngine:
 
     @property
     def consume(self) -> str:
-        """Consumption mode: ``auto``, ``stream``, or ``iterator``."""
+        """Consumption mode: ``auto`` or ``stream``."""
         return self._consume
 
     @property
     def stream_stats(self) -> Tuple[int, int]:
         """``(windows consumed, peak window event count)`` of the last run
-        — the memory-ceiling observability hook; ``(0, 0)`` when the run
-        pulled events lazily."""
+        — the memory-ceiling observability hook."""
         return self._stream_windows, self._stream_peak_window
 
     @property
@@ -279,8 +278,7 @@ class SimulationEngine:
         """Degradations taken this run.
 
         Each entry is a :data:`~repro.utils.resilience.KERNEL_FALLBACK`
-        event: a kernel group handed to the object loop, a source pulled
-        lazily after failing to produce its first window, or a kernel
+        event: a kernel group handed to the object loop, or a kernel
         backend degraded to numpy. Outcomes are byte-identical either way
         — a fallback costs wall time, never correctness.
         """
@@ -377,18 +375,6 @@ class SimulationEngine:
         self._stream_windows = self._stream_peak_window = 0
         loop = _ObjectLoop()
         blocks = self._open_blocks()
-        if blocks is None:
-            for order, session in pending:
-                loop.add(order, session)
-            self._count_mode("object", loop.live)
-            self._dispatch(
-                loop,
-                (
-                    (event.time, event.a, event.b)
-                    for event in self._events.events_until(self._horizon)
-                ),
-            )
-            return
 
         from repro.sim.kernel import KERNEL_CLASSES, kernel_class_for
 
@@ -426,48 +412,26 @@ class SimulationEngine:
             for kernel in kernels:
                 self._harvest_kernel(kernel)
 
-    def _open_blocks(self) -> Optional[Iterator[EventBlock]]:
-        """The run's columnar windows, or None to pull events lazily.
-
-        The first window is produced here. A source that cannot produce
-        it is pulled lazily through ``events_until`` instead — the same
-        events in the same order, so outcomes do not change.
-        """
-        if self._consume == "iterator" or not hasattr(
-            self._events, "events_until_columnar"
-        ):
-            return None
-        rest: Iterator[EventBlock] = iter(())
-        try:
-            if self._consume == "stream":
-                window = self._stream_window
-                if window is None:
-                    # With a ceiling but no window hint, start narrow and
-                    # let the generator's adaptation find the rate;
-                    # otherwise a modest fixed split keeps per-window
-                    # overhead amortised.
-                    window = self._horizon / (
-                        256.0 if self._max_window_events else 16.0
-                    )
-                rest = stream_event_blocks(
-                    self._events,
-                    self._horizon,
-                    window=window,
-                    max_window_events=self._max_window_events,
-                )
-                first = next(rest, None)
-                if first is None:  # every window was empty
-                    first = EventBlock.empty()
-            else:
-                first = self._events.events_until_columnar(self._horizon)
-        except Exception as error:
-            self._record_fallback(
-                f"consume={self._consume}",
-                error,
-                "columnar window production failed; degraded to lazy events_until",
-            )
-            return None
-        return itertools.chain((first,), rest)
+    def _open_blocks(self) -> Iterator[EventBlock]:
+        """The run's windows; there is always at least one, maybe empty."""
+        if self._consume == "auto":
+            return iter((self._events.events_until_columnar(self._horizon),))
+        window = self._stream_window
+        if window is None:
+            # With a ceiling but no window hint, start narrow and let the
+            # generator's adaptation find the rate; otherwise a modest
+            # fixed split keeps per-window overhead amortised.
+            window = self._horizon / (256.0 if self._max_window_events else 16.0)
+        blocks = stream_event_blocks(
+            self._events,
+            self._horizon,
+            window=window,
+            max_window_events=self._max_window_events,
+        )
+        first = next(blocks, None)
+        if first is None:  # every window was empty
+            first = EventBlock.empty()
+        return itertools.chain((first,), blocks)
 
     def _start_kernels(
         self, groups, block: EventBlock, loop: _ObjectLoop, kernels: list
@@ -538,9 +502,8 @@ class SimulationEngine:
     ) -> None:
         """The object loop: dispatch ``(time, a, b)`` triples through ``loop``.
 
-        Stops as soon as no session in ``loop`` is live, so a lazy
-        ``events`` iterator is never pulled past the event that finished
-        the last session. ``loop`` persists across calls, so successive
+        Stops as soon as no session in ``loop`` is live. ``loop`` persists
+        across calls, so successive
         windows dispatch exactly as the events of one big window would.
         :class:`ContactEvent` objects are built only for sessions that do
         not implement the scalar hook, and at most once per event.

@@ -10,9 +10,8 @@ long sweep can hit is classified into one of five kinds:
   pool broke and every in-flight chunk was requeued.
 * ``CHUNK_ERROR`` — a chunk raised an ordinary exception.
 * ``KERNEL_FALLBACK`` — a struct-of-arrays kernel failed before mutating
-  any session (or an event source could not produce its first block) and
-  the run degraded to the engine's object loop (or to lazily pulled
-  events), with byte-identical outcomes.
+  any session and the run degraded to the engine's object loop, with
+  byte-identical outcomes.
 * ``CHECKPOINT_CORRUPT`` — a checkpoint file failed JSON parsing or
   checksum validation and was quarantined; the affected work is recomputed.
 
@@ -32,7 +31,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.utils.validation import check_positive_int

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import heapq
+import math
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -9,26 +11,28 @@ import numpy as np
 from repro.adversary.compromise import BernoulliCompromise
 from repro.adversary.observer import observed_path_anonymity
 from repro.adversary.tracer import PathTracer
-from repro.contacts.events import ContactEvent
+from repro.contacts.events import ColumnarEventSource, ContactEvent, EventBlock
 
 
-class ScriptedEvents:
-    """A deterministic contact-event source built from (time, a, b) tuples."""
+class ScriptedEvents(ColumnarEventSource):
+    """A deterministic block source built from (time, a, b) tuples.
+
+    Simultaneous contacts keep their listed order.
+    """
 
     def __init__(self, events: Iterable[Tuple[float, int, int]]):
-        self._events: List[ContactEvent] = sorted(
-            (ContactEvent(time=t, a=a, b=b) for t, a, b in events),
-            key=lambda e: e.time,
+        rows = sorted(
+            ((e.time, e.a, e.b) if isinstance(e, ContactEvent) else tuple(e)
+             for e in events),
+            key=lambda row: row[0],
         )
-        self._cursor = 0
-
-    def events_until(self, horizon: float):
-        while self._cursor < len(self._events):
-            event = self._events[self._cursor]
-            if event.time > horizon:
-                return
-            self._cursor += 1
-            yield event
+        super().__init__(
+            EventBlock(
+                times=[row[0] for row in rows],
+                a=[row[1] for row in rows],
+                b=[row[2] for row in rows],
+            )
+        )
 
 
 def feed(session, events: Sequence[Tuple[float, int, int]]) -> None:
@@ -40,12 +44,14 @@ def feed(session, events: Sequence[Tuple[float, int, int]]) -> None:
 class BroadcastEngine:
     """Equivalence oracle for :class:`~repro.sim.engine.SimulationEngine`.
 
-    The plain O(events × sessions) scan: every event is pulled lazily and
-    offered to every live session in registration order, with no interest
-    index, wakeup heap, kernels or scalar fast path. It has the engine's
-    ``add_session``/``run`` API and quarantine semantics, and it accepts
-    (and ignores) the engine's consumption knobs, so tests can
-    monkeypatch it over ``repro.experiments.runners.SimulationEngine``.
+    The plain O(events × sessions) scan: the source's horizon-wide block
+    is walked row by row, and every event is offered as a
+    :class:`ContactEvent` to every live session in registration order,
+    with no interest index, wakeup heap, kernels or scalar fast path. It
+    has the engine's ``add_session``/``run`` API and quarantine
+    semantics, and it accepts (and ignores) the engine's consumption
+    knobs, so tests can monkeypatch it over
+    ``repro.experiments.runners.SimulationEngine``.
     """
 
     def __init__(self, events, horizon: float, on_error: str = "quarantine", **_knobs):
@@ -65,7 +71,7 @@ class BroadcastEngine:
 
     def run(self) -> None:
         failed = set()
-        for event in self._events.events_until(self._horizon):
+        for event in self._events.events_until_columnar(self._horizon):
             all_done = True
             for session in self._sessions:
                 if id(session) in failed or session.done:
@@ -82,6 +88,88 @@ class BroadcastEngine:
                 all_done = all_done and session.done
             if all_done:
                 return
+
+
+class HeapContactOracle:
+    """Per-event reference for :class:`~repro.contacts.events.ExponentialContactProcess`.
+
+    The pair clocks merged one event at a time: a heap of ``(time, a, b,
+    row)`` heads, where popping an event advances its pair by the next
+    pre-drawn gap and refills the pair's row of ``block`` gaps with one
+    ``exponential(scale, block)`` call when the row runs out. The initial
+    gap matrix is drawn as the producer draws it. ``events_until`` is a
+    resumable generator of ``(time, a, b)`` tuples, so a suspended oracle
+    can be read alongside the producer's windows.
+    """
+
+    def __init__(self, graph, rng: np.random.Generator, block: int = 32):
+        self._rng = rng
+        self._block = block
+        pairs = np.array(list(graph.pairs()), dtype=np.int64).reshape(-1, 2)
+        self._scales = 1.0 / graph.rates[pairs[:, 0], pairs[:, 1]]
+        self._gaps = rng.standard_exponential((len(pairs), block)) * self._scales[:, None]
+        self._cursor = [1] * len(pairs)
+        self._heap = [
+            (float(self._gaps[row, 0]), int(a), int(b), row)
+            for row, (a, b) in enumerate(pairs.tolist())
+        ]
+        heapq.heapify(self._heap)
+        self.now = 0.0
+
+    def events_until(self, horizon: float):
+        heap = self._heap
+        while heap and heap[0][0] <= horizon:
+            time, a, b, row = heap[0]
+            col = self._cursor[row]
+            if col == self._block:
+                self._gaps[row] = self._rng.exponential(self._scales[row], size=self._block)
+                col = 0
+            self._cursor[row] = col + 1
+            heapq.heapreplace(heap, (time + self._gaps.item(row, col), a, b, row))
+            self.now = time
+            yield time, a, b
+
+
+class ScalarChurnOracle:
+    """Per-query reference for :class:`~repro.faults.churn.NodeChurnSchedule`.
+
+    The alternating renewal process drawn one duration at a time, as each
+    node's clock reaches its next toggle: the same child streams, the same
+    initial-state draw, then ``exponential(1 / fail_rate)`` for an up
+    period and ``exponential(1 / repair_rate)`` for a down one. Queries
+    must be time-monotone per node.
+    """
+
+    def __init__(self, n: int, fail_rate: float, repair_rate: float, rng):
+        seed_seq = rng.bit_generator.seed_seq
+        self._rngs = [np.random.default_rng(child) for child in seed_seq.spawn(n)]
+        self._fail_rate, self._repair_rate = fail_rate, repair_rate
+        availability = 1.0 if fail_rate == 0 else repair_rate / (fail_rate + repair_rate)
+        self._up = [generator.random() < availability for generator in self._rngs]
+        self._next = [self._duration(node) for node in range(n)]
+
+    @classmethod
+    def from_availability(cls, n, availability, mean_cycle, rng):
+        return cls(
+            n,
+            1.0 / (availability * mean_cycle),
+            1.0 / ((1.0 - availability) * mean_cycle),
+            rng,
+        )
+
+    def _duration(self, node: int) -> float:
+        if self._up[node]:
+            if self._fail_rate == 0:
+                return math.inf
+            return self._rngs[node].exponential(1.0 / self._fail_rate)
+        return self._rngs[node].exponential(1.0 / self._repair_rate)
+
+    def is_up(self, node: int, time: float) -> bool:
+        while self._next[node] <= time:
+            toggle_at = self._next[node]
+            self._up[node] = not self._up[node]
+            self._next[node] = toggle_at + self._duration(node)
+        return self._up[node]
 
 
 def block_copy_paths(block, trial: int, onion_routers: int, copies: int) -> List[List[int]]:

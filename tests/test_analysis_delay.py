@@ -104,3 +104,11 @@ class TestPlanning:
     def test_unreachable_target_raises(self, graph):
         with pytest.raises(ValueError, match="cannot reach"):
             copies_for_deadline(graph, 0, GROUPS, 19, 0.01, 0.99, max_copies=4)
+
+    def test_unreachable_target_is_printed_unrounded(self, graph):
+        # A 0.9999 target must not read as "100%" in the error.
+        with pytest.raises(ValueError, match="cannot reach") as excinfo:
+            copies_for_deadline(graph, 0, GROUPS, 19, 0.01, 0.9999, max_copies=4)
+        message = str(excinfo.value)
+        assert "0.9999" in message
+        assert "100%" not in message

@@ -56,6 +56,39 @@ class TestSimulate:
         assert "delivery_rate=" in out
 
 
+class TestSimulateStreams:
+    def test_trial_streams_are_spawned_children(self, capsys, monkeypatch):
+        # Trial i's contacts come from the i-th child spawned from the
+        # seed, whatever the other trials read from their own streams.
+        import numpy as np
+
+        from repro.contacts import events
+        from repro.utils.rng import spawn_rng
+
+        seen = []
+        original = events.ExponentialContactProcess
+
+        class Recording(original):
+            def __init__(self, graph, rng=None, **kwargs):
+                seen.append(rng.bit_generator.state)
+                super().__init__(graph, rng=rng, **kwargs)
+
+        monkeypatch.setattr(events, "ExponentialContactProcess", Recording)
+        args = ["simulate", "--n", "30", "--trials", "4", "--deadline", "400",
+                "--seed", "17", "--availability", "0.6"]
+        assert main(args) == 0
+        expected = spawn_rng(np.random.default_rng(17), 4)
+        assert seen == [child.bit_generator.state for child in expected]
+
+    def test_output_is_reproducible(self, capsys):
+        args = ["simulate", "--n", "30", "--trials", "6", "--deadline", "400",
+                "--seed", "5", "--death-rate", "0.002"]
+        assert main(args) == 0
+        first = capsys.readouterr().out
+        assert main(args) == 0
+        assert capsys.readouterr().out == first
+
+
 class TestTraceStats:
     def test_stats_output(self, capsys, tmp_path):
         trace = ContactTrace.from_rows(

@@ -1,15 +1,14 @@
 """Columnar event pipeline: block format, producer equivalence, engine modes.
 
 The load-bearing property of the whole pipeline is *seed-exactness*: for a
-fixed seed, the columnar producers must emit exactly the events the legacy
-iterators emit — same times, same pairs, same order — and leave the
-process (cursor state, RNG state) where the iterator would have left it,
-so columnar and iterator consumption are interchangeable mid-stream.
+fixed seed, the sampled producer must emit exactly the events of the
+per-event heap merge of its pair clocks (``tests.helpers.HeapContactOracle``)
+— same times, same pairs, same order — and leave its generator where the
+merge would, however the stream is cut into windows.
 """
 
 import collections
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -21,6 +20,7 @@ from repro.contacts.events import (
     ExponentialContactProcess,
     TraceReplayProcess,
     as_event_source,
+    stream_event_blocks,
 )
 from repro.contacts.graph import ContactGraph
 from repro.contacts.random_graph import random_contact_graph
@@ -29,7 +29,7 @@ from repro.contacts.traces import ContactRecord, ContactTrace
 from repro.experiments import runners
 from repro.experiments.runners import run_random_graph_batch, run_trace_batch
 from repro.sim.engine import SimulationEngine
-from tests.helpers import BroadcastEngine
+from tests.helpers import BroadcastEngine, HeapContactOracle
 
 
 def _events_tuples(events):
@@ -83,16 +83,19 @@ class TestColumnarEventSource:
         assert _block_tuples(second) == [(3.0, 2, 6), (4.0, 3, 7)]
 
     def test_iterator_and_columnar_share_cursor(self):
+        # A window read through its ContactEvent view still moves the cursor.
         source = ColumnarEventSource(self._block())
-        assert _events_tuples(source.events_until(1.5)) == [(1.0, 0, 4)]
+        assert _events_tuples(source.events_until_columnar(1.5)) == [(1.0, 0, 4)]
         rest = source.events_until_columnar(10.0)
         assert _block_tuples(rest) == [(2.0, 1, 5), (3.0, 2, 6), (4.0, 3, 7)]
 
     def test_as_event_source_wraps_blocks(self):
         source = as_event_source(self._block())
         assert isinstance(source, ColumnarEventSource)
-        # Pass-through for anything that already streams events.
+        # Pass-through for anything that already serves windows.
         assert as_event_source(source) is source
+        with pytest.raises(TypeError, match="event source"):
+            as_event_source([ContactEvent(time=1.0, a=0, b=1)])
 
 
 class TestExponentialColumnarEquivalence:
@@ -102,13 +105,11 @@ class TestExponentialColumnarEquivalence:
         graph = random_contact_graph(
             n, (10.0, 120.0), rng=np.random.default_rng(seed)
         )
-        legacy = ExponentialContactProcess(
-            graph, rng=np.random.default_rng(seed)
-        )
+        legacy = HeapContactOracle(graph, np.random.default_rng(seed))
         columnar = ExponentialContactProcess(
             graph, rng=np.random.default_rng(seed)
         )
-        expected = _events_tuples(legacy.events_until(horizon))
+        expected = list(legacy.events_until(horizon))
         block = columnar.events_until_columnar(horizon)
         assert _block_tuples(block) == expected
 
@@ -128,33 +129,43 @@ class TestExponentialColumnarEquivalence:
         assert merged == _block_tuples(one_shot)
 
     def test_mixed_mode_stays_seed_exact(self):
-        # Columnar window first, legacy iterator for the rest — the stream
-        # must be the same one the pure iterator would have produced.
+        # One horizon-wide window, then streamed windows for the rest —
+        # the engine's two consume modes — and the other way round: the
+        # stream must be the one the pure merge produces.
         graph = random_contact_graph(
             15, (10.0, 120.0), rng=np.random.default_rng(2)
         )
-        pure = ExponentialContactProcess(graph, rng=np.random.default_rng(3))
-        expected = _events_tuples(pure.events_until(500.0))
+        expected = list(
+            HeapContactOracle(graph, np.random.default_rng(3)).events_until(500.0)
+        )
 
         mixed = ExponentialContactProcess(graph, rng=np.random.default_rng(3))
         head = _block_tuples(mixed.events_until_columnar(200.0))
-        tail = _events_tuples(mixed.events_until(500.0))
+        tail = [
+            row
+            for block in stream_event_blocks(mixed, 500.0, window=7.0)
+            for row in _block_tuples(block)
+        ]
         assert head + tail == expected
 
-        # And the other way round: the iterator leaves the pair cursors
-        # mid-buffer, and the columnar read must resume from them.
+        # Streamed windows leave the pair cursors mid-buffer, and the
+        # wide read must resume from them.
         mixed2 = ExponentialContactProcess(graph, rng=np.random.default_rng(3))
-        head2 = _events_tuples(mixed2.events_until(200.0))
+        head2 = [
+            row
+            for block in stream_event_blocks(mixed2, 200.0, window=7.0)
+            for row in _block_tuples(block)
+        ]
         tail2 = _block_tuples(mixed2.events_until_columnar(500.0))
         assert head2 + tail2 == expected
 
     def test_rng_state_matches_iterator_after_window(self):
-        # Interchangeability is stronger than equal output: the generator
-        # must be bit-identical after either consumption style.
+        # Stronger than equal output: the generator must be bit-identical
+        # to the per-event merge's after the window.
         graph = random_contact_graph(
             10, (10.0, 120.0), rng=np.random.default_rng(4)
         )
-        legacy = ExponentialContactProcess(graph, rng=np.random.default_rng(5))
+        legacy = HeapContactOracle(graph, np.random.default_rng(5))
         columnar = ExponentialContactProcess(
             graph, rng=np.random.default_rng(5)
         )
@@ -166,9 +177,11 @@ class TestExponentialColumnarEquivalence:
         )
 
 
-# Read plans for the producer contract: ("columnar", horizon), ("lazy",
-# horizon), or ("lazy", horizon, count) to stop the iterator after
-# ``count`` events, mid-buffer.
+# Read plans for the producer contract: ("columnar", horizon) is one
+# window; ("lazy", horizon[, ceiling]) reads up to ``horizon`` through
+# ``stream_event_blocks`` — narrow windows produced one at a time, as the
+# engine's stream mode does — optionally with a per-window event ceiling,
+# whose adaptation cuts windows at horizons that fall mid-buffer.
 READ_PLANS = {
     "one-shot": [("columnar", 1500.0)],
     "widening-windows": [
@@ -177,7 +190,7 @@ READ_PLANS = {
     ],
     "columnar-partial-lazy-columnar-lazy": [
         ("columnar", 100.0),
-        ("lazy", 1500.0, 57),
+        ("lazy", 300.0, 57),
         ("columnar", 400.0),
         ("lazy", 900.0),
         ("columnar", 1500.0),
@@ -187,19 +200,21 @@ READ_PLANS = {
 
 
 class TestExponentialProducerContract:
-    """Every mix of read modes equals the pure iterator at every block size."""
+    """Every windowing of the stream equals the per-event merge (the
+    "pure iterator") at every block size."""
 
     @staticmethod
     def _read(process, plan):
         events = []
-        for mode, horizon, *count in plan:
+        for mode, horizon, *ceiling in plan:
             if mode == "columnar":
                 events += _block_tuples(process.events_until_columnar(horizon))
             else:
-                stream = process.events_until(horizon)
-                if count:
-                    stream = itertools.islice(stream, count[0])
-                events += _events_tuples(stream)
+                for block in stream_event_blocks(
+                    process, horizon, window=3.0,
+                    max_window_events=ceiling[0] if ceiling else None,
+                ):
+                    events += _block_tuples(block)
         return events
 
     @pytest.mark.parametrize("plan", sorted(READ_PLANS))
@@ -212,10 +227,8 @@ class TestExponentialProducerContract:
             )
         else:
             graph = ContactGraph(np.zeros((4, 4)))
-        pure = ExponentialContactProcess(
-            graph, rng=np.random.default_rng(21), block=block
-        )
-        expected = _events_tuples(pure.events_until(1500.0))
+        pure = HeapContactOracle(graph, np.random.default_rng(21), block=block)
+        expected = list(pure.events_until(1500.0))
         mixed = ExponentialContactProcess(
             graph, rng=np.random.default_rng(21), block=block
         )
@@ -228,42 +241,32 @@ class TestExponentialProducerContract:
 
 
 class TestSuspendedIterator:
-    """A suspended ``events_until`` generator resumes from the shared state."""
+    """A suspended per-event merge agrees with the producer at every window."""
 
     @pytest.mark.parametrize("block", [1, 4, 32])
     @pytest.mark.parametrize("seed", range(5))
     def test_interleaved_reads_match_pure_iterator(self, seed, block):
+        # The merge is suspended after exactly as many events as each
+        # window returned; the two must then agree on the events, on the
+        # last event time and on the generator state, so the producer's
+        # refills happen in the merge's order at every window boundary.
         graph = random_contact_graph(
             10, (5.0, 60.0), rng=np.random.default_rng(seed)
         )
-        pure = ExponentialContactProcess(
+        oracle = HeapContactOracle(
+            graph, np.random.default_rng(seed + 100), block=block
+        )
+        suspended = oracle.events_until(1500.0)
+        process = ExponentialContactProcess(
             graph, rng=np.random.default_rng(seed + 100), block=block
         )
-        expected = _events_tuples(pure.events_until(1500.0))
-
-        mixed = ExponentialContactProcess(
-            graph, rng=np.random.default_rng(seed + 100), block=block
-        )
-        suspended = mixed.events_until(1500.0)
-
-        def take(stream, count):
-            return _events_tuples(itertools.islice(stream, count))
-
-        events = take(suspended, 5)
-        events += _block_tuples(mixed.events_until_columnar(100.0))
-        events += take(suspended, 10)
-        events += take(mixed.events_until(1500.0), 7)
-        events += take(suspended, 3)
-        events += _block_tuples(mixed.events_until_columnar(600.0))
-        other = mixed.events_until(900.0)
-        events += take(other, 4)
-        events += take(suspended, 2)
-        events += take(other, 3)
-        events += _block_tuples(mixed.events_until_columnar(1500.0))
-        events += _events_tuples(suspended) + _events_tuples(other)
-        assert events == expected
-        assert mixed.now == pure.now
-        assert mixed._rng.bit_generator.state == pure._rng.bit_generator.state
+        for horizon in (0.0, 3.5, 3.5, 100.0, 101.0, 600.0, 900.0, 1500.0):
+            window = _block_tuples(process.events_until_columnar(horizon))
+            assert window == list(itertools.islice(suspended, len(window)))
+            if window:
+                assert process.now == oracle.now
+            assert process._rng.bit_generator.state == oracle._rng.bit_generator.state
+        assert next(suspended, None) is None
 
 
 class TestTraceColumnarEquivalence:
@@ -271,11 +274,11 @@ class TestTraceColumnarEquivalence:
         return cambridge_like_trace(rng=np.random.default_rng(14))
 
     def test_matches_legacy_iterator_stream(self):
+        # The replay is the trace's own records, in their stable order.
         trace = self._trace()
-        legacy = TraceReplayProcess(trace)
         columnar = TraceReplayProcess(trace)
         horizon = float(trace.records[-1].start)
-        expected = _events_tuples(legacy.events_until(horizon))
+        expected = [(r.start, r.a, r.b) for r in trace.records]
         assert _block_tuples(columnar.events_until_columnar(horizon)) == expected
 
     def test_simultaneous_records_keep_stable_order(self):
@@ -288,9 +291,8 @@ class TestTraceColumnarEquivalence:
                 ContactRecord(start=3.0, end=4.0, a=2, b=3),
             ]
         )
-        legacy = _events_tuples(TraceReplayProcess(trace).events_until(10.0))
         block = TraceReplayProcess(trace).events_until_columnar(10.0)
-        assert _block_tuples(block) == legacy
+        assert _block_tuples(block) == [(1.0, 5, 6), (1.0, 0, 1), (3.0, 2, 3)]
 
     def test_windowed_reads_consume_cursor(self):
         trace = self._trace()
@@ -298,8 +300,9 @@ class TestTraceColumnarEquivalence:
         horizon = float(trace.records[-1].start)
         first = process.events_until_columnar(horizon / 2)
         second = process.events_until_columnar(horizon)
-        expected = _events_tuples(TraceReplayProcess(trace).events_until(horizon))
+        expected = _block_tuples(TraceReplayProcess(trace).events_until_columnar(horizon))
         assert _block_tuples(first) + _block_tuples(second) == expected
+        assert len(first) and len(second)
 
 
 def _signature(pairs):
@@ -316,7 +319,7 @@ class TestEngineConsumeModes:
             10, (10.0, 120.0), rng=np.random.default_rng(0)
         )
         process = ExponentialContactProcess(graph, rng=np.random.default_rng(0))
-        for retired in ("bogus", "columnar", "kernel"):
+        for retired in ("bogus", "columnar", "kernel", "iterator"):
             with pytest.raises(ValueError):
                 SimulationEngine(process, horizon=10.0, consume=retired)
 
@@ -324,9 +327,10 @@ class TestEngineConsumeModes:
             def events_until(self, horizon):
                 return iter(())
 
-        # A source without blocks is pulled lazily instead of failing.
-        engine = SimulationEngine(IteratorOnly(), horizon=10.0, consume="auto")
-        assert engine.consume == "auto"
+        # A source without windows is rejected at construction.
+        with pytest.raises(TypeError, match="events_until_columnar"):
+            SimulationEngine(IteratorOnly(), horizon=10.0, consume="auto")
+        assert SimulationEngine(process, horizon=10.0).consume == "auto"
 
     @pytest.mark.parametrize("seed", [11, 29])
     def test_random_batch_modes_identical(self, seed, monkeypatch):
@@ -342,39 +346,39 @@ class TestEngineConsumeModes:
                 )
             )
 
-        lazy = run(consume="iterator")
+        streamed = run(consume="stream", kernel=False)
         block = run(kernel=False)
         with monkeypatch.context() as patch:
             patch.setattr(runners, "SimulationEngine", BroadcastEngine)
             broadcast = run()
-        assert broadcast == lazy == block
+        assert broadcast == streamed == block
 
     def test_multicopy_batch_modes_identical(self):
         # Multi-copy sessions do not override the scalar hook, exercising
-        # the lazy per-event ContactEvent materialisation.
+        # the per-event ContactEvent materialisation.
         graph = random_contact_graph(
             20, (10.0, 120.0), rng=np.random.default_rng(8)
         )
         sigs = {}
-        for mode in ("iterator", "auto"):
+        for mode in ("stream", "auto"):
             pairs = run_random_graph_batch(
                 graph, 4, 2, copies=3, horizon=360.0, sessions=30,
                 rng=np.random.default_rng(8), consume=mode, kernel=False,
             )
             sigs[mode] = _signature(pairs)
-        assert sigs["iterator"] == sigs["auto"]
+        assert sigs["stream"] == sigs["auto"]
 
     def test_trace_batch_modes_identical(self):
         trace = cambridge_like_trace(rng=np.random.default_rng(21))
         sigs = {}
-        for mode in ("iterator", "auto"):
+        for mode in ("stream", "auto"):
             pairs = run_trace_batch(
                 trace, group_size=4, onion_routers=2, copies=1,
                 deadline=3600.0, sessions=25,
                 rng=np.random.default_rng(21), consume=mode, kernel=False,
             )
             sigs[mode] = _signature(pairs)
-        assert sigs["iterator"] == sigs["auto"]
+        assert sigs["stream"] == sigs["auto"]
 
     def test_columnar_counts_dispatched_events(self):
         from repro.sim.metrics import DeliveryOutcome
@@ -399,7 +403,7 @@ class TestEngineConsumeModes:
             12, (10.0, 120.0), rng=np.random.default_rng(6)
         )
         counts, streams = {}, {}
-        for mode in ("iterator", "auto"):
+        for mode in ("stream", "auto"):
             process = ExponentialContactProcess(
                 graph, rng=np.random.default_rng(6)
             )
@@ -408,5 +412,5 @@ class TestEngineConsumeModes:
             engine.run()
             counts[mode] = engine.events_processed
             streams[mode] = recorder.seen
-        assert counts["iterator"] == counts["auto"] > 0
-        assert streams["iterator"] == streams["auto"]
+        assert counts["stream"] == counts["auto"] > 0
+        assert streams["stream"] == streams["auto"]

@@ -1,4 +1,8 @@
-"""Tests for contact event streams."""
+"""Tests for contact event streams.
+
+A window (an ``EventBlock``) iterates as ``ContactEvent`` objects, so these
+tests read windows event by event.
+"""
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from repro.contacts.events import (
     ContactEvent,
     ExponentialContactProcess,
     TraceReplayProcess,
+    stream_event_blocks,
 )
 from repro.contacts.graph import ContactGraph
 from repro.contacts.random_graph import random_contact_graph
@@ -44,20 +49,20 @@ class TestExponentialContactProcess:
     def test_events_in_chronological_order(self):
         graph = ContactGraph.complete(10, 0.05)
         process = ExponentialContactProcess(graph, rng=0)
-        times = [event.time for event in process.events_until(200.0)]
+        times = [event.time for event in process.events_until_columnar(200.0)]
         assert times == sorted(times)
         assert times, "expected some events"
 
     def test_horizon_respected(self):
         graph = ContactGraph.complete(5, 0.1)
         process = ExponentialContactProcess(graph, rng=1)
-        assert all(e.time <= 50.0 for e in process.events_until(50.0))
+        assert all(e.time <= 50.0 for e in process.events_until_columnar(50.0))
 
     def test_resumable_across_calls(self):
         graph = ContactGraph.complete(5, 0.1)
         process = ExponentialContactProcess(graph, rng=2)
-        first = list(process.events_until(50.0))
-        second = list(process.events_until(100.0))
+        first = list(process.events_until_columnar(50.0))
+        second = list(process.events_until_columnar(100.0))
         assert all(e.time > 50.0 for e in second) or not second
         assert all(e.time <= 50.0 for e in first)
 
@@ -66,31 +71,31 @@ class TestExponentialContactProcess:
         rates[0, 1] = rates[1, 0] = 0.5
         graph = ContactGraph(rates)
         process = ExponentialContactProcess(graph, rng=3)
-        for event in process.events_until(1000.0):
+        for event in process.events_until_columnar(1000.0):
             assert {event.a, event.b} == {0, 1}
 
     def test_event_rate_statistics(self):
         """Pair event count over T should be ≈ Poisson(λT)."""
         graph = ContactGraph.complete(2, 0.2)
         process = ExponentialContactProcess(graph, rng=4)
-        count = sum(1 for _ in process.events_until(5000.0))
+        count = sum(1 for _ in process.events_until_columnar(5000.0))
         assert count == pytest.approx(0.2 * 5000, rel=0.1)
 
     def test_now_tracks_last_event(self):
         graph = ContactGraph.complete(3, 0.1)
         process = ExponentialContactProcess(graph, rng=5)
-        events = list(process.events_until(100.0))
+        events = list(process.events_until_columnar(100.0))
         assert process.now == events[-1].time
 
     def test_seed_reproducible(self):
         graph = ContactGraph.complete(4, 0.1)
         a = [
             (e.time, e.a, e.b)
-            for e in ExponentialContactProcess(graph, rng=6).events_until(100)
+            for e in ExponentialContactProcess(graph, rng=6).events_until_columnar(100)
         ]
         b = [
             (e.time, e.a, e.b)
-            for e in ExponentialContactProcess(graph, rng=6).events_until(100)
+            for e in ExponentialContactProcess(graph, rng=6).events_until_columnar(100)
         ]
         assert a == b
 
@@ -107,22 +112,22 @@ class TestTraceReplayProcess:
 
     def test_replay_in_order(self):
         process = TraceReplayProcess(self._trace())
-        times = [e.time for e in process.events_until(100.0)]
+        times = [e.time for e in process.events_until_columnar(100.0)]
         assert times == [5.0, 10.0, 20.0]
 
     def test_horizon_cuts_stream(self):
         process = TraceReplayProcess(self._trace())
-        assert len(list(process.events_until(10.0))) == 2
+        assert len(list(process.events_until_columnar(10.0))) == 2
 
     def test_resume_after_horizon(self):
         process = TraceReplayProcess(self._trace())
-        list(process.events_until(10.0))
-        remaining = list(process.events_until(100.0))
+        list(process.events_until_columnar(10.0))
+        remaining = list(process.events_until_columnar(100.0))
         assert [e.time for e in remaining] == [20.0]
 
     def test_start_time_skips_earlier_records(self):
         process = TraceReplayProcess(self._trace(), start_time=6.0)
-        times = [e.time for e in process.events_until(100.0)]
+        times = [e.time for e in process.events_until_columnar(100.0)]
         assert times == [10.0, 20.0]
 
     def test_type_checked(self):
@@ -130,12 +135,13 @@ class TestTraceReplayProcess:
             TraceReplayProcess([(0, 1, 0, 1)])
 
     def test_negative_horizon_rejected_in_both_modes(self):
+        # One window, or the streamed windows of the engine's stream mode.
         process = TraceReplayProcess(self._trace())
         with pytest.raises(ValueError, match="horizon"):
-            list(process.events_until(-1.0))
+            list(stream_event_blocks(process, -1.0, window=1.0))
         with pytest.raises(ValueError, match="horizon"):
             process.events_until_columnar(-1.0)
-        assert [e.time for e in process.events_until(100.0)] == [5.0, 10.0, 20.0]
+        assert [e.time for e in process.events_until_columnar(100.0)] == [5.0, 10.0, 20.0]
 
 
 class TestBlockGapSampling:
@@ -153,13 +159,13 @@ class TestBlockGapSampling:
         streams = []
         for block in (1, 4, 32):
             process = ExponentialContactProcess(graph, rng=9, block=block)
-            streams.append([(e.time, e.a, e.b) for e in process.events_until(500.0)])
+            streams.append([(e.time, e.a, e.b) for e in process.events_until_columnar(500.0)])
         assert streams[0] != []
         # Same seed, same block -> identical; different blocks draw the
         # generator in a different order, so streams may differ while
         # remaining correctly distributed (checked statistically below).
         repeat = ExponentialContactProcess(graph, rng=9, block=4)
-        assert streams[1] == [(e.time, e.a, e.b) for e in repeat.events_until(500.0)]
+        assert streams[1] == [(e.time, e.a, e.b) for e in repeat.events_until_columnar(500.0)]
 
     def test_refill_preserves_pair_rates(self):
         # Tiny blocks force many refills; the empirical contact count per
@@ -168,7 +174,7 @@ class TestBlockGapSampling:
         horizon = 4000.0
         process = ExponentialContactProcess(graph, rng=11, block=2)
         counts = {}
-        for event in process.events_until(horizon):
+        for event in process.events_until_columnar(horizon):
             counts[(event.a, event.b)] = counts.get((event.a, event.b), 0) + 1
         for i, j in graph.pairs():
             expected = graph.rate(i, j) * horizon

@@ -36,7 +36,7 @@ class TestMinimalNetworks:
     def test_two_node_graph_direct_only(self):
         graph = ContactGraph.complete(2, 0.5)
         process = ExponentialContactProcess(graph, rng=0)
-        events = list(process.events_until(50.0))
+        events = list(process.events_until_columnar(50.0))
         assert events
         assert all({e.a, e.b} == {0, 1} for e in events)
 

@@ -263,9 +263,7 @@ class TestPinnedRandomStreams:
         [
             ("auto", 1, None, "f9b2daad93ac440aa3d74782f2196360e831d2f44e25c5f7e71ca8c7cac6ef02"),
             ("stream", 1, None, "f9b2daad93ac440aa3d74782f2196360e831d2f44e25c5f7e71ca8c7cac6ef02"),
-            ("iterator", 1, None, "f9b2daad93ac440aa3d74782f2196360e831d2f44e25c5f7e71ca8c7cac6ef02"),
             ("auto", 3, None, "96ce8a371314eec5f2f1174cd5370c8e132492cfd6e646000f3c9fadae6a4d4b"),
-            ("iterator", 3, None, "96ce8a371314eec5f2f1174cd5370c8e132492cfd6e646000f3c9fadae6a4d4b"),
             ("stream", 1, 150.0, "93ac0792e4f034779a3b7d7e1dee1f1c5c117f2d545a765ac6bc5eb5ea024823"),
             ("auto", 3, 150.0, "7383b847d95c1bb729e74bf35dfe6ad9d19bf0da16a024972923eb54b453f006"),
         ],

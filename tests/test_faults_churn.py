@@ -5,6 +5,7 @@ import pytest
 
 from repro.contacts.events import ExponentialContactProcess
 from repro.contacts.graph import ContactGraph
+from repro.contacts.random_graph import random_contact_graph
 from repro.core.route import OnionRoute
 from repro.core.single_copy import SingleCopySession
 from repro.faults.churn import (
@@ -13,9 +14,11 @@ from repro.faults.churn import (
     NodeChurnSchedule,
     churned_graph,
 )
+from repro.faults.failstop import FailStopContactProcess, FailStopSchedule
 from repro.sim.engine import SimulationEngine
 from repro.sim.message import Message
 from repro.utils.rng import ensure_rng, spawn_rng
+from tests.helpers import ScalarChurnOracle
 
 
 @pytest.fixture
@@ -61,13 +64,14 @@ class TestSchedule:
         samples = [schedule.is_up(0, t) for t in np.linspace(0.0, 5000.0, 20000)]
         assert np.mean(samples) == pytest.approx(0.4, abs=0.05)
 
-    def test_monotonicity_guard(self):
-        schedule = NodeChurnSchedule.from_availability(3, 0.5, 10.0, rng=4)
-        schedule.is_up(1, 50.0)
-        with pytest.raises(ValueError, match="monotone"):
-            schedule.is_up(1, 49.0)
-        # other nodes keep their own clocks
-        assert schedule.is_up(2, 1.0) in (True, False)
+    def test_queries_need_not_be_monotone(self):
+        # The timeline is drawn ahead, so a query back in time reads the
+        # same timeline a forward query would.
+        times = np.linspace(0.0, 200.0, 101)
+        forward = NodeChurnSchedule.from_availability(3, 0.5, 10.0, rng=4)
+        expected = [forward.is_up(1, t) for t in times]
+        backward = NodeChurnSchedule.from_availability(3, 0.5, 10.0, rng=4)
+        assert [backward.is_up(1, t) for t in times[::-1]] == expected[::-1]
 
     def test_node_bounds(self):
         schedule = NodeChurnSchedule.from_availability(3, 0.5, 10.0, rng=5)
@@ -93,14 +97,14 @@ class TestChurnProcess:
     def test_keeps_a_squared_fraction(self, graph):
         availability = 0.7
         base = ExponentialContactProcess(graph, rng=10)
-        total = sum(1 for _ in base.events_until(3000.0))
+        total = len(base.events_until_columnar(3000.0))
         schedule = NodeChurnSchedule.from_availability(
             graph.n, availability, mean_cycle=5.0, rng=11
         )
         churned = NodeChurnProcess(
             ExponentialContactProcess(graph, rng=10), schedule
         )
-        kept = sum(1 for _ in churned.events_until(3000.0))
+        kept = len(churned.events_until_columnar(3000.0))
         assert kept / total == pytest.approx(availability**2, abs=0.05)
 
     def test_events_stay_chronological(self, graph):
@@ -108,8 +112,39 @@ class TestChurnProcess:
         churned = NodeChurnProcess(
             ExponentialContactProcess(graph, rng=13), schedule
         )
-        times = [event.time for event in churned.events_until(500.0)]
-        assert times == sorted(times)
+        times = churned.events_until_columnar(500.0).times.tolist()
+        assert times and times == sorted(times)
+
+    def test_churn_only_batch_runs_on_the_kernels(self, graph):
+        # Churn attaches no fault plan, so every session is kernel-eligible;
+        # the outcomes equal the object loop's.
+        from repro.core.multi_copy import MultiCopySession
+
+        route = OnionRoute(
+            source=0, destination=9, group_ids=(1, 2), groups=((1, 2, 3), (4, 5))
+        )
+        outcomes, modes = [], []
+        for kernel in (True, False):
+            engine = SimulationEngine(
+                NodeChurnProcess(
+                    ExponentialContactProcess(graph, rng=3),
+                    NodeChurnSchedule.from_availability(graph.n, 0.6, 5.0, rng=4),
+                ),
+                horizon=400.0,
+                kernel=kernel,
+            )
+            sessions = [
+                SingleCopySession(Message(0, 9, 0.0, 400.0), route),
+                MultiCopySession(Message(0, 9, 0.0, 400.0), route, copies=3),
+            ]
+            for session in sessions:
+                engine.add_session(session)
+            engine.run()
+            outcomes.append([repr(session.outcome()) for session in sessions])
+            modes.append(engine.dispatch_mode_counts)
+        assert outcomes[0] == outcomes[1]
+        assert modes[0] == {"kernel-single": 1, "kernel-multicopy": 1}
+        assert modes[1] == {"object": 2}
 
     def test_requires_churn_schedule(self, graph):
         with pytest.raises(TypeError):
@@ -117,13 +152,103 @@ class TestChurnProcess:
 
     def test_generic_filter_accepts_any_schedule(self, graph):
         class AlwaysDown:
-            def is_up(self, node, time):
-                return False
+            def up_mask(self, nodes, times):
+                return np.zeros(len(nodes), dtype=bool)
 
         filtered = FaultFilteredContactProcess(
             ExponentialContactProcess(graph, rng=0), AlwaysDown()
         )
-        assert list(filtered.events_until(200.0)) == []
+        assert len(filtered.events_until_columnar(200.0)) == 0
+
+
+def _rows(block):
+    return list(zip(block.times.tolist(), block.a.tolist(), block.b.tolist()))
+
+
+class TestMaskMatchesScalarOracle:
+    """The churn mask equals the per-event renewal process, bit for bit.
+
+    ``ScalarChurnOracle`` draws one duration at a time as each node's
+    clock reaches its next toggle; the filter draws each node's timeline
+    ahead and masks whole windows. Both read the same child streams.
+    """
+
+    HORIZONS = (0.5, 40.0, 40.0, 41.0, 300.0, 720.0)
+
+    @staticmethod
+    def _expected(window, *oracles):
+        return [
+            (e.time, e.a, e.b)
+            for e in window
+            if all(o.is_up(e.a, e.time) and o.is_up(e.b, e.time) for o in oracles)
+        ]
+
+    @pytest.mark.parametrize("availability", [0.9, 0.5, 0.1])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_windowed_mask(self, seed, availability):
+        graph = random_contact_graph(30, (10.0, 120.0), rng=np.random.default_rng(seed))
+        churned = NodeChurnProcess(
+            ExponentialContactProcess(graph, rng=seed),
+            NodeChurnSchedule.from_availability(
+                graph.n, availability, 20.0, rng=np.random.default_rng(seed + 50)
+            ),
+        )
+        inner = ExponentialContactProcess(graph, rng=seed)
+        oracle = ScalarChurnOracle.from_availability(
+            graph.n, availability, 20.0, np.random.default_rng(seed + 50)
+        )
+        kept = total = 0
+        for horizon in self.HORIZONS:
+            window = inner.events_until_columnar(horizon)
+            got = _rows(churned.events_until_columnar(horizon))
+            assert got == self._expected(window, oracle)
+            kept, total = kept + len(got), total + len(window)
+        assert 0 < kept < total
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_failstop_and_churn_stacked(self, seed):
+        graph = random_contact_graph(30, (10.0, 120.0), rng=np.random.default_rng(seed))
+        deaths = FailStopSchedule(graph.n, death_rate=0.002, rng=seed + 7)
+        stacked = NodeChurnProcess(
+            FailStopContactProcess(ExponentialContactProcess(graph, rng=seed), deaths),
+            NodeChurnSchedule.from_availability(
+                graph.n, 0.6, 15.0, rng=np.random.default_rng(seed + 50)
+            ),
+        )
+        inner = ExponentialContactProcess(graph, rng=seed)
+        oracle = ScalarChurnOracle.from_availability(
+            graph.n, 0.6, 15.0, np.random.default_rng(seed + 50)
+        )
+        for horizon in self.HORIZONS:
+            window = inner.events_until_columnar(horizon)
+            assert _rows(stacked.events_until_columnar(horizon)) == self._expected(
+                window, deaths, oracle
+            )
+
+    @pytest.mark.parametrize("availability", [0.9, 0.5, 0.1])
+    def test_is_up_matches_oracle(self, availability):
+        times = np.sort(np.random.default_rng(1).uniform(0.0, 500.0, 400))
+        schedule = NodeChurnSchedule.from_availability(
+            5, availability, 8.0, rng=np.random.default_rng(9)
+        )
+        oracle = ScalarChurnOracle.from_availability(
+            5, availability, 8.0, np.random.default_rng(9)
+        )
+        for node in range(5):
+            assert [schedule.is_up(node, t) for t in times] == [
+                oracle.is_up(node, t) for t in times
+            ]
+
+    def test_toggle_instant_counts_as_toggled(self):
+        # ``is_up`` at a toggle time is the state after the toggle.
+        schedule = NodeChurnSchedule.from_availability(
+            1, 0.5, 10.0, rng=np.random.default_rng(2)
+        )
+        schedule.is_up(0, 100.0)
+        first = float(schedule._toggles[0][0])
+        oracle = ScalarChurnOracle.from_availability(1, 0.5, 10.0, np.random.default_rng(2))
+        assert schedule.is_up(0, first) == oracle.is_up(0, first)
+        assert schedule.is_up(0, first) != schedule.is_up(0, np.nextafter(first, 0.0))
 
 
 class TestChurnedGraph:

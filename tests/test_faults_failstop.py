@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.contacts.events import ExponentialContactProcess
@@ -23,6 +24,13 @@ class TestSchedule:
         assert schedule.is_dead(1, 10.0)
         assert schedule.is_up(1, 9.9)
         assert not schedule.is_up(1, 10.0)
+
+    def test_sampled_deaths_are_per_node_draws(self):
+        # One exponential per node, in node order, from the given stream.
+        generator = np.random.default_rng(3)
+        expected = [generator.exponential(1.0 / 0.02) for _ in range(50)]
+        schedule = FailStopSchedule(50, death_rate=0.02, rng=3)
+        assert [schedule.death_time(node) for node in range(50)] == expected
 
     def test_sampled_deaths_mean(self):
         schedule = FailStopSchedule(4000, death_rate=0.01, rng=0)
@@ -55,16 +63,36 @@ class TestProcess:
         events = FailStopContactProcess(
             ExponentialContactProcess(graph, rng=1), schedule
         )
-        for event in events.events_until(1000.0):
+        for event in events.events_until_columnar(1000.0):
             if event.time >= 100.0:
                 assert 0 not in (event.a, event.b)
 
     def test_no_deaths_is_identity(self, graph):
-        base = list(ExponentialContactProcess(graph, rng=2).events_until(300.0))
+        base = list(ExponentialContactProcess(graph, rng=2).events_until_columnar(300.0))
         filtered = list(
             FailStopContactProcess(
                 ExponentialContactProcess(graph, rng=2),
                 FailStopSchedule(graph.n, deaths={}),
-            ).events_until(300.0)
+            ).events_until_columnar(300.0)
         )
         assert base == filtered
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mask_matches_scalar_deaths(self, graph, seed):
+        # Windowed reads keep exactly the contacts whose endpoints are
+        # both alive by the scalar ``is_up``, bit for bit.
+        schedule = FailStopSchedule(graph.n, death_rate=0.004, rng=seed)
+        filtered = FailStopContactProcess(
+            ExponentialContactProcess(graph, rng=seed + 10), schedule
+        )
+        inner = ExponentialContactProcess(graph, rng=seed + 10)
+        for horizon in (50.0, 51.0, 300.0, 900.0):
+            window = inner.events_until_columnar(horizon)
+            expected = [
+                (e.time, e.a, e.b)
+                for e in window
+                if schedule.is_up(e.a, e.time) and schedule.is_up(e.b, e.time)
+            ]
+            got = filtered.events_until_columnar(horizon)
+            assert list(zip(got.times.tolist(), got.a.tolist(), got.b.tolist())) == expected
+        assert schedule.survivors(900.0) < graph.n  # the deaths bit

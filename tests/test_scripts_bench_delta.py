@@ -69,7 +69,6 @@ def test_baseline_only_mode_reported_not_skipped():
 def test_unmeasured_rows_are_dropped():
     table = bench_delta.build_table(report(), report(), [])
     assert "multicopy kernel" not in table
-    assert "producer speedup" not in table
 
 
 def test_two_sided_rows_keep_percentage_delta():

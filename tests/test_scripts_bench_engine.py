@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.contacts.events import ExponentialContactProcess
 from repro.contacts.random_graph import random_contact_graph
 from repro.experiments.config import DEFAULT_CONFIG
 from repro.sim.kernel import BatchKernel
@@ -76,18 +77,32 @@ def test_backend_bench_stats_come_from_the_timed_attempt(monkeypatch):
         assert layers <= row["wall_seconds"] + 1.5e-4, (name, row)
 
 
-def test_produced_stream_is_the_counted_batch_stream():
+def test_produced_stream_is_the_counted_batch_stream(monkeypatch):
     # The batch draws every endpoint and route before the engine pulls its
     # first window, so the timed generation must replay those draws too.
     graph = random_contact_graph(
         40, DEFAULT_CONFIG.mean_intercontact_range, rng=np.random.default_rng(SEED)
     )
     batch = (5, 3, SESSIONS)
-    counted = bench_engine.count_events(graph, *batch, HORIZON, SEED)
-    for columnar in (True, False):
-        assert bench_engine.produce_events(
-            graph, SEED, HORIZON, columnar, *batch
-        ) == counted
+    seen = []
+    original = ExponentialContactProcess.events_until_columnar
+
+    def recording(self, horizon):
+        seen.append(original(self, horizon))
+        return seen[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ExponentialContactProcess, "events_until_columnar", recording)
+        bench_engine.run_random_graph_batch(
+            graph, *batch[:2], copies=1, horizon=HORIZON, sessions=SESSIONS,
+            rng=np.random.default_rng(SEED),
+        )
+    produced = bench_engine.batch_stream(graph, SEED, *batch).events_until_columnar(HORIZON)
+    assert [len(block) for block in seen] == [
+        bench_engine.produce_events(graph, SEED, HORIZON, *batch)
+    ]
+    assert np.array_equal(produced.times, seen[0].times)
+    assert np.array_equal(produced.a, seen[0].a)
 
 
 def test_non_positive_dispatch_is_a_failed_measurement(monkeypatch, tmp_path):

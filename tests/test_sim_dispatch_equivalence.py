@@ -28,7 +28,7 @@ from repro.experiments.runners import (
     run_faulty_graph_batch,
     run_random_graph_batch,
 )
-from tests.helpers import BroadcastEngine
+from tests.helpers import BroadcastEngine, ScriptedEvents
 
 
 def outcome_fields(pairs):
@@ -179,20 +179,6 @@ class WatchingRecorder(ProtocolSession):
 
     def outcome(self):
         return DeliveryOutcome()
-
-
-class ScriptedEvents:
-    def __init__(self, events):
-        self._events = sorted(events, key=lambda e: e.time)
-        self._cursor = 0
-
-    def events_until(self, horizon):
-        while self._cursor < len(self._events):
-            event = self._events[self._cursor]
-            if event.time > horizon:
-                return
-            self._cursor += 1
-            yield event
 
 
 class TestQuarantineUnderIndexing:

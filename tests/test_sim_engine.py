@@ -6,22 +6,7 @@ from repro.contacts.events import ContactEvent
 from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import DeliveryOutcome
 from repro.sim.protocol import ProtocolSession
-
-
-class ScriptedEvents:
-    """A deterministic event source for unit tests."""
-
-    def __init__(self, events):
-        self._events = sorted(events, key=lambda e: e.time)
-        self._cursor = 0
-
-    def events_until(self, horizon):
-        while self._cursor < len(self._events):
-            event = self._events[self._cursor]
-            if event.time > horizon:
-                return
-            self._cursor += 1
-            yield event
+from tests.helpers import ScriptedEvents
 
 
 class RecordingSession(ProtocolSession):

@@ -8,9 +8,10 @@ one failing in a later window, must refuse to (replaying advanced
 sessions would violate causality). Inside a parallel chunk,
 :func:`repro.experiments.parallel._run_chunk_with_ladder` retries the
 chunk with ``kernel=False``, rebuilding all chunk state from the seed.
-Both levels promise outcomes byte-identical to lazily pulled events fed
-to the object loop — these tests mix kernel-eligible and fault-carrying
-sessions in one batch and check exactly that.
+Both levels promise outcomes byte-identical to the object loop alone
+(``kernel=False``) — these tests mix kernel-eligible and fault-carrying
+sessions in one batch and check exactly that. A source that cannot
+produce a window is not a kernel failure: its error propagates.
 """
 
 import numpy as np
@@ -119,8 +120,8 @@ class TestEngineKernelFallback:
         self, block, monkeypatch
     ):
         """A mid-batch kernel error on a mixed batch degrades to the object
-        loop with outcomes byte-identical to lazily pulled events."""
-        _, via_iterator = run_mixed(block, consume="iterator")
+        loop with outcomes byte-identical to a run without kernels."""
+        _, via_object_loop = run_mixed(block, kernel=False)
 
         def refuse(self, block, on_session_error=None):
             raise RuntimeError("injected kernel failure")  # dispatches == 0
@@ -128,7 +129,7 @@ class TestEngineKernelFallback:
         monkeypatch.setattr(BatchKernel, "run", refuse)
         engine, via_kernel = run_mixed(block)
 
-        assert outcome_fields(via_kernel) == outcome_fields(via_iterator)
+        assert outcome_fields(via_kernel) == outcome_fields(via_object_loop)
         fallbacks = engine.fallback_events
         assert len(fallbacks) == 1
         assert fallbacks[0].kind == KERNEL_FALLBACK
@@ -145,7 +146,7 @@ class TestEngineKernelFallback:
         """The same rule under ``consume="stream"``: a kernel that raises
         before dispatching, in the first window, hands its group to the
         object loop before that loop has seen the window."""
-        _, via_iterator = run_mixed(block, consume="iterator")
+        _, via_object_loop = run_mixed(block, kernel=False)
 
         def refuse(self, block, on_session_error=None):
             raise RuntimeError("injected kernel failure")
@@ -153,7 +154,7 @@ class TestEngineKernelFallback:
         monkeypatch.setattr(BatchKernel, "run", refuse)
         engine, via_stream = run_mixed(block, consume="stream", stream_window=30.0)
 
-        assert outcome_fields(via_stream) == outcome_fields(via_iterator)
+        assert outcome_fields(via_stream) == outcome_fields(via_object_loop)
         assert [e.where for e in engine.fallback_events] == ["BatchKernel"]
         assert engine.stream_stats[0] > 1
         assert engine.dispatch_mode_counts == {"kernel-multicopy": 4, "object": 8}
@@ -173,9 +174,9 @@ class TestEngineKernelFallback:
             run_mixed(block, consume="stream", stream_window=30.0)
         assert any("window 2" in note for note in excinfo.value.__notes__)
 
-    def test_first_window_failure_pulls_source_lazily(self, block):
-        _, via_iterator = run_mixed(block, consume="iterator")
-
+    def test_first_window_failure_propagates(self, block):
+        # There is no second way to read the source, so a window it cannot
+        # produce fails the run before any session is dispatched.
         class BrokenBlocks(ColumnarEventSource):
             def events_until_columnar(self, horizon):
                 raise OSError("injected window failure")
@@ -187,19 +188,17 @@ class TestEngineKernelFallback:
             sessions = mixed_sessions(seed=13)
             for session in sessions:
                 engine.add_session(session)
-            engine.run()
-            assert outcome_fields(s.outcome() for s in sessions) == outcome_fields(
-                via_iterator
-            )
-            assert [e.where for e in engine.fallback_events] == [
-                f"consume={consume}"
-            ]
-            assert engine.dispatch_mode_counts == {"object": 12}
+            with pytest.raises(OSError, match="injected window failure"):
+                engine.run()
+            assert engine.fallback_events == ()
+            assert engine.dispatch_mode_counts == {}
+            assert engine.events_processed == 0
+            assert all(s.outcome().status == "pending" for s in sessions)
 
     def test_clean_kernel_run_matches_iterator_and_records_nothing(self, block):
         engine, via_kernel = run_mixed(block)
-        _, via_iterator = run_mixed(block, consume="iterator")
-        assert outcome_fields(via_kernel) == outcome_fields(via_iterator)
+        _, via_object_loop = run_mixed(block, kernel=False)
+        assert outcome_fields(via_kernel) == outcome_fields(via_object_loop)
         assert engine.fallback_events == ()
         assert engine.dispatch_mode_counts.get("kernel-single", 0) > 0
 

@@ -227,27 +227,15 @@ def test_mixed_batch_fallback_matches_columnar():
     assert runs[0] == runs[1]
 
 
-def test_iterator_source_degrades_to_object_loop():
-    # A source without events_until_columnar cannot feed the kernel; the
-    # engine must silently pull it into the object loop with identical
-    # outcomes.
+def test_iterator_source_is_rejected():
+    # A source without events_until_columnar has no way to feed the
+    # engine: it is refused at construction, before any session runs.
     class IteratorOnly:
-        def __init__(self, block):
-            self._inner = ColumnarEventSource(block)
-
         def events_until(self, horizon):
-            return self._inner.events_until(horizon)
+            return iter(scripted_block())
 
-    block = scripted_block()
-    engine = SimulationEngine(IteratorOnly(block), horizon=500.0, kernel=True)
-    sessions = expiry_sessions()
-    for session in sessions:
-        engine.add_session(session)
-    engine.run()
-    assert outcome_fields(s.outcome() for s in sessions) == outcome_fields(
-        run_scripted(False)
-    )
-    assert engine.dispatch_mode_counts == {"object": len(sessions)}
+    with pytest.raises(TypeError, match="events_until_columnar"):
+        SimulationEngine(IteratorOnly(), horizon=500.0, kernel=True)
 
 
 # ----------------------------------------------------------------------
@@ -307,8 +295,8 @@ class TestSupports:
 
 class TestEnginePlumbing:
     def test_unknown_consume_rejected(self):
-        for consume in ("vector", "kernel", "columnar"):
-            with pytest.raises(ValueError, match="iterator"):
+        for consume in ("vector", "kernel", "columnar", "iterator"):
+            with pytest.raises(ValueError, match="'auto' or 'stream'"):
                 SimulationEngine(
                     ColumnarEventSource(scripted_block()),
                     horizon=10.0,

@@ -241,57 +241,6 @@ class TestStreamEngineInternals:
         engine.run()
         assert engine.dispatch_mode_counts.get("kernel-single", 0) == 20
 
-    def test_iterator_source_falls_back(self, graph):
-        class IteratorOnly:
-            def __init__(self, block):
-                self._block = block
-
-            def events_until(self, horizon):
-                return iter(
-                    ColumnarEventSource(self._block).events_until(horizon)
-                )
-
-        block = ExponentialContactProcess(
-            graph, rng=np.random.default_rng(41)
-        ).events_until_columnar(300.0)
-
-        rng = np.random.default_rng(41)
-        directory = OnionGroupDirectory(graph.n, 4, rng=rng)
-        # Consume the process pre-draw position exactly as the fixture did.
-        ExponentialContactProcess(graph, rng=rng)
-        outcomes = {}
-        for label, source in (
-            ("stream", ColumnarEventSource(block)),
-            ("iterator", IteratorOnly(block)),
-        ):
-            session_rng = np.random.default_rng(41)
-            OnionGroupDirectory(graph.n, 4, rng=session_rng)
-            engine = SimulationEngine(
-                source, horizon=300.0, consume="stream", stream_window=30.0
-            )
-            placement = np.random.default_rng(8)
-            sessions = []
-            for _ in range(10):
-                src, dst = placement.choice(graph.n, size=2, replace=False)
-                route = directory.select_route(
-                    int(src), int(dst), 2, rng=np.random.default_rng(9)
-                )
-                session = SingleCopySession(
-                    Message(
-                        source=int(src), destination=int(dst),
-                        created_at=0.0, deadline=300.0,
-                    ),
-                    route,
-                )
-                engine.add_session(session)
-                sessions.append(session)
-            engine.run()
-            outcomes[label] = [
-                (s.outcome().delivered, s.outcome().delivery_time)
-                for s in sessions
-            ]
-        assert outcomes["stream"] == outcomes["iterator"]
-
     def test_stream_knob_validation(self, graph):
         process = ExponentialContactProcess(
             graph, rng=np.random.default_rng(1)
