@@ -22,11 +22,6 @@ from repro.analysis.anonymity import (
     path_anonymity_multicopy,
     path_entropy,
 )
-from repro.analysis.optimization import (
-    ConfigurationScore,
-    best_configuration,
-    evaluate_configurations,
-)
 from repro.analysis.delay import (
     copies_for_deadline,
     deadline_for_target,
@@ -69,9 +64,6 @@ __all__ = [
     "delay_quantile",
     "deadline_for_target",
     "copies_for_deadline",
-    "ConfigurationScore",
-    "evaluate_configurations",
-    "best_configuration",
     "multi_copy_cost_bound",
     "non_anonymous_cost",
     "traceable_rate_empirical",

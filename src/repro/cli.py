@@ -428,8 +428,8 @@ def _run_plan(args: argparse.Namespace) -> int:
             graph, route.source, route.groups, route.destination,
             args.target, copies=args.copies,
         )
-        print(f"deadline for {args.target:.0%} delivery at L={args.copies}: "
-              f"{deadline:.1f} time units")
+        print(f"deadline for a {args.target!r} delivery target at "
+              f"L={args.copies}: {deadline:.1f} time units")
     else:
         try:
             copies = copies_for_deadline(
@@ -438,13 +438,13 @@ def _run_plan(args: argparse.Namespace) -> int:
             )
         except ValueError:
             print(
-                f"onion-dtn plan: a {args.target:g} delivery target is "
+                f"onion-dtn plan: a {args.target!r} delivery target is "
                 f"unreachable within T={args.deadline:g}, even at the "
                 f"{_PLAN_MAX_COPIES}-copy limit",
                 file=sys.stderr,
             )
             return 1
-        print(f"copies for {args.target:.0%} delivery within "
+        print(f"copies for a {args.target!r} delivery target within "
               f"T={args.deadline:g}: L={copies}")
     return 0
 

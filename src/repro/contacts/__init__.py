@@ -9,8 +9,8 @@ provides
 * random generators matching the paper's Table II configuration,
 * trace ingestion for CRAWDAD-style contact records and rate estimation
   from a trace,
-* synthetic stand-ins for the Cambridge / Infocom 2005 haggle traces, and
-* a random-waypoint mobility model that turns motion into a contact trace.
+* the columnar contact-event producers the engine reads, and
+* synthetic stand-ins for the Cambridge / Infocom 2005 haggle traces.
 """
 
 from repro.contacts.events import ContactEvent, ExponentialContactProcess, TraceReplayProcess
@@ -18,11 +18,6 @@ from repro.contacts.graph import ContactGraph
 from repro.contacts.intercontact import (
     estimate_rates_from_trace,
     sample_intercontact_times,
-)
-from repro.contacts.mobility import (
-    RandomWaypointConfig,
-    RandomWaypointMobility,
-    random_waypoint_trace,
 )
 from repro.contacts.random_graph import random_contact_graph
 from repro.contacts.synthetic import (
@@ -43,7 +38,4 @@ __all__ = [
     "infocom05_like_trace",
     "estimate_rates_from_trace",
     "sample_intercontact_times",
-    "RandomWaypointConfig",
-    "RandomWaypointMobility",
-    "random_waypoint_trace",
 ]

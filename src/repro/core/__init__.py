@@ -11,7 +11,6 @@
 
 from repro.core.arden import ArdenSingleCopySession
 from repro.core.multi_copy import MultiCopySession, SprayPolicy
-from repro.core.group_management import ManagedGroupDirectory, MembershipError
 from repro.core.onion_groups import OnionGroupDirectory
 from repro.core.route_selection import (
     DiverseSelector,
@@ -23,8 +22,6 @@ from repro.core.single_copy import SingleCopySession
 
 __all__ = [
     "OnionGroupDirectory",
-    "ManagedGroupDirectory",
-    "MembershipError",
     "UniformSelector",
     "RateAwareSelector",
     "DiverseSelector",

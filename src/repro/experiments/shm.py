@@ -4,9 +4,10 @@ The parallel layer ships immutable struct-of-arrays blocks —
 :class:`~repro.contacts.events.EventBlock` contact windows and
 :class:`~repro.adversary.kernel.SecurityTrialBlock` Monte Carlo samples —
 to worker processes. Pickling them into every task would copy every
-column once per task; with one task per chunk and 32 chunks over a
-million-event window that is thirty-two full copies of data that never
-changes.
+column once per task: a trial block is scored by one task per chunk (32
+by default), and a contact window of up to a million events goes to one
+task per pool process and again to every retried task, each a full copy
+of data that never changes.
 
 :class:`SharedBlockArena` instead registers each block's numpy columns
 once in a :mod:`multiprocessing.shared_memory` segment and hands out a

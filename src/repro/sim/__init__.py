@@ -16,11 +16,7 @@ from repro.sim.metrics import (
     summarize,
 )
 from repro.sim.protocol import ProtocolSession
-from repro.sim.workload import (
-    PoissonWorkload,
-    WorkloadResult,
-    onion_session_factory,
-)
+from repro.sim.workload import PoissonWorkload
 
 __all__ = [
     "SimulationEngine",
@@ -31,6 +27,4 @@ __all__ = [
     "summarize",
     "status_counts",
     "PoissonWorkload",
-    "WorkloadResult",
-    "onion_session_factory",
 ]

@@ -1,45 +1,19 @@
-"""Multi-message workloads: Poisson traffic over one contact process.
+"""Multi-message workloads: Poisson message arrivals.
 
 The per-figure experiments route one message per session; deployments care
-about sustained traffic. A :class:`PoissonWorkload` injects messages with
-exponential inter-arrival times between random endpoint pairs, runs every
-session over a single shared event stream, and aggregates the outcomes —
-the standard DTN evaluation loop (delivery ratio / delay / overhead under
-load).
+about sustained traffic. A :class:`PoissonWorkload` samples messages with
+exponential inter-arrival times between random endpoint pairs; the caller
+builds one session per message and runs them all over one engine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List
 
 import numpy as np
 
-from repro.contacts.graph import ContactGraph
-from repro.core.multi_copy import MultiCopySession
-from repro.core.onion_groups import OnionGroupDirectory
-from repro.core.single_copy import SingleCopySession
-from repro.sim.engine import SimulationEngine
 from repro.sim.message import Message
-from repro.sim.metrics import DeliveryOutcome, SummaryStats, summarize
-from repro.sim.protocol import ProtocolSession
-from repro.utils.rng import RandomSource, ensure_rng
 from repro.utils.validation import check_positive
-
-SessionFactory = Callable[[Message], ProtocolSession]
-
-
-@dataclass(frozen=True)
-class WorkloadResult:
-    """Outcomes plus their aggregate statistics."""
-
-    outcomes: tuple
-    stats: SummaryStats
-
-    @property
-    def messages(self) -> int:
-        """Number of messages injected."""
-        return len(self.outcomes)
 
 
 class PoissonWorkload:
@@ -52,7 +26,7 @@ class PoissonWorkload:
     message_deadline:
         Per-message TTL ``T``.
     duration:
-        Injection window; the simulation runs to
+        Injection window; run the engine to
         ``duration + message_deadline`` so the last message gets its full
         deadline.
     """
@@ -90,49 +64,3 @@ class PoissonWorkload:
                 )
             )
         return messages
-
-    def run(
-        self,
-        graph: ContactGraph,
-        session_factory: SessionFactory,
-        rng: RandomSource = None,
-    ) -> WorkloadResult:
-        """Inject the workload and run everything over one event stream."""
-        from repro.contacts.events import ExponentialContactProcess
-
-        generator = ensure_rng(rng)
-        messages = self.generate_messages(graph.n, generator)
-        if not messages:
-            raise RuntimeError(
-                "workload produced no messages; raise arrival_rate or duration"
-            )
-        horizon = self._duration + self._deadline
-        engine = SimulationEngine(
-            ExponentialContactProcess(graph, rng=generator), horizon=horizon
-        )
-        sessions = [session_factory(message) for message in messages]
-        for session in sessions:
-            engine.add_session(session)
-        engine.run()
-        outcomes = tuple(session.outcome() for session in sessions)
-        return WorkloadResult(outcomes=outcomes, stats=summarize(outcomes))
-
-
-def onion_session_factory(
-    directory: OnionGroupDirectory,
-    onion_routers: int,
-    copies: int = 1,
-    rng: RandomSource = None,
-) -> SessionFactory:
-    """A factory producing onion-routing sessions with fresh random routes."""
-    generator = ensure_rng(rng)
-
-    def build(message: Message) -> ProtocolSession:
-        route = directory.select_route(
-            message.source, message.destination, onion_routers, rng=generator
-        )
-        if copies == 1:
-            return SingleCopySession(message, route)
-        return MultiCopySession(message, route, copies=copies)
-
-    return build

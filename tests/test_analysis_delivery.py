@@ -154,18 +154,18 @@ class TestExpectedPathDelay:
 # route order — and the tests demand exact equality with them.
 
 
-def _scalar_model(graph, route, deadline, copies=1):
-    """Eq. 6/7 for one route with a fresh scalar Hypoexponential."""
+def _scalar_model(graph, route, deadline):
+    """Eq. 6 for one route with a fresh scalar Hypoexponential."""
     rates = onion_path_rates(graph, route.source, route.groups, route.destination)
-    return float(Hypoexponential([rate * copies for rate in rates]).cdf(deadline))
+    return float(Hypoexponential(rates).cdf(deadline))
 
 
-def _loop_mean(graph, routes, deadline, copies=1):
+def _loop_mean(graph, routes, deadline):
     """Per-route mean of the scalar model; unreachable routes add zero."""
     total = 0.0
     for route in routes:
         try:
-            total += _scalar_model(graph, route, deadline, copies)
+            total += _scalar_model(graph, route, deadline)
         except ValueError:
             pass
     return total / len(routes)
@@ -184,20 +184,6 @@ def _loop_mean_model_delivery(
             directory.select_route(int(source), int(destination), onion_routers, rng=rng)
         )
     return _loop_mean(graph, sampled, deadline)
-
-
-def _loop_mean_delivery(
-    graph, group_size, onion_routers, copies, deadline, routes, rng
-):
-    """The configuration search's route draw followed by the per-route loop."""
-    directory = OnionGroupDirectory(graph.n, group_size, rng=rng)
-    sampled = []
-    for _ in range(routes):
-        source, destination = rng.choice(graph.n, size=2, replace=False)
-        sampled.append(
-            directory.select_route(int(source), int(destination), onion_routers, rng=rng)
-        )
-    return _loop_mean(graph, sampled, deadline, copies)
 
 
 class TestAnalysisDeliveryCurve:
@@ -252,26 +238,6 @@ class TestAnalysisDeliveryCurve:
             sensitivity, "_mean_model_delivery", _loop_mean_model_delivery
         )
         assert figures() == evaluated
-
-    def test_configuration_delivery_equals_the_per_route_loop(self, monkeypatch):
-        from repro.analysis import optimization
-
-        graphs = (
-            random_contact_graph(30, (10, 360), rng=4),
-            random_contact_graph(30, density=0.3, rng=6),
-        )
-
-        def scores():
-            return [
-                optimization.evaluate_configurations(
-                    graph, 300.0, 0.1, routes_per_point=8, rng=7
-                )
-                for graph in graphs
-            ]
-
-        evaluated = scores()
-        monkeypatch.setattr(optimization, "_mean_delivery", _loop_mean_delivery)
-        assert scores() == evaluated
 
     def test_figure_e1_paper_series_equals_the_per_route_loop(self, monkeypatch):
         from repro.experiments import extension_figs

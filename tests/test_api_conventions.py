@@ -3,9 +3,11 @@
 Meta-tests keeping the public surface disciplined: everything exported is
 importable and documented, `__all__` lists are accurate, the figure
 registry stays in sync with the experiment modules, the runtime imports
-stay light, and the module names the docs cite still exist.
+stay light, every library module is reached from something a user or the
+benchmark runs, and the module names the docs cite still exist.
 """
 
+import ast
 import importlib
 import inspect
 import os
@@ -129,6 +131,104 @@ class TestRuntimeImports:
             capture_output=True, text=True, check=True, env=env,
         )
         assert result.stdout.strip() == "[]"
+
+
+# What a user or the benchmark runs. Examples do not count: a module only
+# an example imports is library surface that no run needs.
+ENTRY_POINTS = ["src/repro/cli.py", "perfbench", "benchmarks", "scripts", "experiments"]
+# Modules kept for the tests alone: reference oracles the tests check the
+# kernels against (tests/helpers.py scores security trials row by row with
+# the tracer).
+TEST_ORACLES = {"repro.adversary.tracer"}
+
+_SRC = ROOT / "src"
+_MODULES = {
+    ".".join(path.relative_to(_SRC).with_suffix("").parts).removesuffix(
+        ".__init__"
+    ): path
+    for path in sorted((_SRC / "repro").rglob("*.py"))
+}
+
+
+def _is_package(module):
+    return _MODULES[module].name == "__init__.py"
+
+
+def _repro_imports(path):
+    """``(module, names)`` for every ``repro`` import in a file, at any depth.
+
+    ``import repro.a.b`` gives ``("repro.a.b", ())``; ``from repro.a import
+    b, c`` gives ``("repro.a", ("b", "c"))``.
+    """
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "repro":
+                    yield alias.name, ()
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.split(".")[0] == "repro":
+                yield node.module, tuple(alias.name for alias in node.names)
+
+
+def _defining_module(module, name):
+    """The module that defines ``name`` as seen from ``module``.
+
+    A submodule resolves to itself; a name a package re-exports resolves,
+    through its ``__init__`` imports, to the module it comes from.
+    """
+    if f"{module}.{name}" in _MODULES:
+        return f"{module}.{name}"
+    if _is_package(module):
+        for source, names in _repro_imports(_MODULES[module]):
+            if name in names:
+                return _defining_module(source, name)
+    return module
+
+
+def _imported_modules(path):
+    """The modules a file imports from, with re-exported names resolved."""
+    for module, names in _repro_imports(path):
+        if not names:
+            yield module
+        for name in names:
+            yield _defining_module(module, name)
+
+
+def _reached_modules():
+    """Every module the entry points import, followed through the library.
+
+    A package's own ``__init__`` imports are not followed: importing one
+    name from ``repro.contacts`` reaches the module defining that name, not
+    every module the package re-exports.
+    """
+    files = []
+    for entry in ENTRY_POINTS:
+        path = ROOT / entry
+        files += sorted(path.rglob("*.py")) if path.is_dir() else [path]
+    pending = [module for path in files for module in _imported_modules(path)]
+    reached = {"repro.cli"}
+    while pending:
+        module = pending.pop()
+        if module in reached or module not in _MODULES:
+            continue
+        reached.add(module)
+        if not _is_package(module):
+            pending += _imported_modules(_MODULES[module])
+    return reached
+
+
+class TestReachability:
+    def test_every_module_is_reached_from_an_entry_point(self):
+        modules = {module for module in _MODULES if not _is_package(module)}
+        unreached = sorted(modules - _reached_modules() - TEST_ORACLES)
+        assert not unreached, (
+            f"modules no CLI command, benchmark or script imports: {unreached}"
+        )
+
+    def test_test_oracles_are_real_and_unreached(self):
+        """The allowlist names existing modules that no run needs."""
+        assert TEST_ORACLES <= set(_MODULES)
+        assert not TEST_ORACLES & _reached_modules()
 
 
 # Docs whose backticked module names must resolve. perfbench/README.md is

@@ -25,15 +25,25 @@ class TestPlan:
     def test_deadline_mode(self, capsys):
         assert main(["plan", "--n", "50", "--target", "0.9"]) == 0
         out = capsys.readouterr().out
-        assert "deadline for 90% delivery" in out
+        assert "deadline for a 0.9 delivery target at L=1:" in out
 
     def test_copies_mode(self, capsys):
         assert main(
             ["plan", "--n", "50", "--target", "0.9", "--deadline", "120"]
         ) == 0
         out = capsys.readouterr().out
-        assert "copies for 90% delivery" in out
-        assert "L=" in out
+        assert "copies for a 0.9 delivery target within T=120: L=" in out
+
+    @pytest.mark.parametrize("target", ["0.9999", "0.9999999"])
+    @pytest.mark.parametrize("deadline", [None, "2000"])
+    def test_target_is_printed_unrounded(self, capsys, target, deadline):
+        argv = ["plan", "--n", "50", "--target", target]
+        if deadline is not None:
+            argv += ["--deadline", deadline]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert f"for a {target} delivery target" in out
+        assert "100%" not in out
 
 
 class TestSimulate:

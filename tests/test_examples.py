@@ -1,9 +1,9 @@
 """Smoke tests: every example script must run end to end.
 
 Each runs as a real subprocess so a packaging or import regression cannot
-hide. mobile_network_load (random-waypoint mobility) and
-adaptive_deployment (configuration search, managed groups) are the only
-callers of the modules they demonstrate.
+hide. Every example drives library code that a CLI command, a benchmark or
+a script also runs; no module is kept alive by an example alone (see
+``TestReachability`` in test_api_conventions.py).
 """
 
 import subprocess
@@ -75,26 +75,3 @@ class TestTraceAnalysis:
         assert "Infocom-2005-like trace" in output
         assert output.count("deadline (s)    model  measured") == 2
 
-
-class TestMobileNetworkLoad:
-    @pytest.fixture(scope="class")
-    def output(self):
-        return _run("mobile_network_load.py")
-
-    def test_mobility_feeds_every_protocol(self, output):
-        assert "mobility: 30 nodes" in output
-        assert "estimated contact graph:" in output
-        for protocol in ("onion L=1", "onion L=3", "TPS", "ALAR", "epidemic"):
-            assert protocol in output
-
-
-class TestAdaptiveDeployment:
-    @pytest.fixture(scope="class")
-    def output(self):
-        return _run("adaptive_deployment.py")
-
-    def test_plan_operate_audit(self, output):
-        assert "planned configuration:" in output
-        assert "provisioned" in output
-        assert "operated:" in output
-        assert "audit:" in output

@@ -3,37 +3,38 @@
 import numpy as np
 import pytest
 
-from repro.contacts.events import TraceReplayProcess
+from repro.contacts.events import ExponentialContactProcess, TraceReplayProcess
 from repro.contacts.graph import ContactGraph
 from repro.contacts.intercontact import estimate_rates_from_trace
-from repro.contacts.mobility import RandomWaypointConfig, random_waypoint_trace
-from repro.core.group_management import ManagedGroupDirectory
+from repro.contacts.synthetic import cambridge_like_trace
 from repro.core.onion_groups import OnionGroupDirectory
 from repro.core.route_selection import RateAwareSelector
 from repro.core.single_copy import SingleCopySession
-from repro.crypto.onion import build_onion, pad_blob, peel_onion
 from repro.sim.engine import SimulationEngine
 from repro.sim.message import Message
-from repro.sim.workload import PoissonWorkload, onion_session_factory
+from repro.sim.metrics import summarize
+from repro.sim.workload import PoissonWorkload
 
 
 class TestMobilityToModelPipeline:
-    """Motion → trace → rates → routing → models, end to end."""
+    """A human-mobility contact trace → rates → routing → models, end to end.
+
+    The trace is the synthetic Cambridge stand-in, fed through the same
+    chain a recorded haggle file takes: normalisation, rate estimation,
+    trace replay under a protocol, and the Eq. 6 model.
+    """
 
     @pytest.fixture(scope="class")
     def trace(self):
-        config = RandomWaypointConfig(
-            width=150.0, height=150.0, radio_range=20.0,
-            min_speed=1.0, max_speed=3.0, pause_time=10.0,
-        )
-        return random_waypoint_trace(15, duration=4000.0, config=config, rng=0)
+        return cambridge_like_trace(days=1, rng=0)
 
     def test_trace_statistics_sane(self, trace):
         graph = estimate_rates_from_trace(trace.normalized())
-        assert graph.n <= 15
+        assert graph.n == 12
         assert graph.density() > 0.5
 
     def test_replayed_protocol_delivers(self, trace):
+        """Cambridge contacts are dense: most K=2 onions arrive in 1800 s."""
         normalized = trace.normalized()
         n = normalized.n
         directory = OnionGroupDirectory(n, 3, rng=1)
@@ -42,15 +43,11 @@ class TestMobilityToModelPipeline:
         for seed in range(trials):
             rng = np.random.default_rng(seed)
             source, destination = rng.choice(n, size=2, replace=False)
-            try:
-                route = directory.select_route(
-                    int(source), int(destination), 2, rng=rng
-                )
-            except ValueError:
-                continue
+            route = directory.select_route(
+                int(source), int(destination), 2, rng=rng
+            )
             message = Message(
-                int(source), int(destination), created_at=0.0,
-                deadline=normalized.end,
+                int(source), int(destination), created_at=0.0, deadline=1800.0
             )
             session = SingleCopySession(message, route)
             engine = SimulationEngine(
@@ -59,7 +56,7 @@ class TestMobilityToModelPipeline:
             engine.add_session(session)
             engine.run()
             delivered += session.outcome().delivered
-        assert delivered > 0
+        assert delivered > trials // 2
 
     def test_estimated_graph_feeds_models(self, trace):
         graph = estimate_rates_from_trace(trace.normalized())
@@ -94,12 +91,23 @@ class TestCommunityWorkloadPipeline:
         workload = PoissonWorkload(
             arrival_rate=0.05, message_deadline=500.0, duration=300.0
         )
-        result = workload.run(
-            graph,
-            onion_session_factory(directory, onion_routers=2, rng=3),
-            rng=3,
+        rng = np.random.default_rng(3)
+        messages = workload.generate_messages(graph.n, rng)
+        engine = SimulationEngine(
+            ExponentialContactProcess(graph, rng=rng), horizon=800.0
         )
-        assert result.stats.delivery_rate > 0.3
+        sessions = [
+            engine.add_session(SingleCopySession(
+                message,
+                directory.select_route(
+                    message.source, message.destination, 2, rng=rng
+                ),
+            ))
+            for message in messages
+        ]
+        engine.run()
+        stats = summarize([session.outcome() for session in sessions])
+        assert stats.delivery_rate > 0.3
 
     def test_rate_aware_selection_on_community_graph(self):
         """Rate-aware routing exploits community structure (bridges)."""
@@ -113,35 +121,9 @@ class TestCommunityWorkloadPipeline:
         assert route.onion_routers == 2
 
 
-class TestManagedGroupsWithProtocol:
-    def test_churned_groups_still_route_and_peel(self):
-        """Membership churn, then a fresh onion routes under current keys."""
-        directory = ManagedGroupDirectory(b"pipeline-master", group_count=4)
-        for node, group in [(1, 0), (2, 0), (3, 1), (4, 1), (5, 2), (6, 2)]:
-            directory.join(node, group)
-        directory.leave(2, 0)
-        directory.join(7, 0)
-
-        keyring = directory.routing_keyring((0, 1, 2))
-        onion = build_onion([0, 1, 2], destination=9, payload=b"m", keyring=keyring)
-        blob = onion.blob
-        carriers = {0: 7, 1: 3, 2: 5}  # a current member per group
-        for group_id in (0, 1, 2):
-            carrier = carriers[group_id]
-            key = directory.node_key(
-                carrier, group_id, directory.epoch(group_id)
-            )
-            layer = peel_onion(blob, key)
-            blob = pad_blob(layer.inner, onion.wire_size)
-        assert layer.is_final
-        assert layer.destination == 9
-
-
 class TestSyntheticTraceDiagnostics:
     def test_cambridge_like_business_hours_fit(self):
         """One business day holds enough repeat contacts to estimate rates."""
-        from repro.contacts.synthetic import cambridge_like_trace
-
         trace = cambridge_like_trace(days=1, rng=7).normalized()
         gaps = sum(count - 1 for count in trace.contact_counts().values())
         assert gaps > 100

@@ -1,21 +1,9 @@
-"""Tests for the Poisson multi-message workload runner."""
+"""Tests for the Poisson multi-message arrival generator."""
 
-import numpy as np
 import pytest
 
-from repro.contacts.graph import ContactGraph
-from repro.core.onion_groups import OnionGroupDirectory
-from repro.routing.epidemic import EpidemicSession
-from repro.sim.workload import (
-    PoissonWorkload,
-    onion_session_factory,
-)
+from repro.sim.workload import PoissonWorkload
 from repro.utils.rng import ensure_rng
-
-
-@pytest.fixture
-def graph():
-    return ContactGraph.complete(30, 0.05)
 
 
 class TestMessageGeneration:
@@ -48,53 +36,3 @@ class TestMessageGeneration:
         with pytest.raises(ValueError):
             PoissonWorkload(arrival_rate=1.0, message_deadline=0.0, duration=1.0)
 
-
-class TestRun:
-    def test_epidemic_workload_delivers_everything(self, graph):
-        workload = PoissonWorkload(
-            arrival_rate=0.05, message_deadline=300.0, duration=400.0
-        )
-        result = workload.run(
-            graph, lambda message: EpidemicSession(message), rng=3
-        )
-        assert result.messages > 5
-        assert result.stats.delivery_rate > 0.95
-
-    def test_onion_workload(self, graph):
-        directory = OnionGroupDirectory(30, 5, rng=4)
-        factory = onion_session_factory(directory, onion_routers=2, rng=4)
-        workload = PoissonWorkload(
-            arrival_rate=0.05, message_deadline=400.0, duration=400.0
-        )
-        result = workload.run(graph, factory, rng=4)
-        assert 0.3 < result.stats.delivery_rate <= 1.0
-        # single-copy onion costs exactly eta transmissions when delivered
-        delivered = [o for o in result.outcomes if o.delivered]
-        assert all(o.transmissions == 3 for o in delivered)
-
-    def test_multicopy_factory(self, graph):
-        directory = OnionGroupDirectory(30, 5, rng=5)
-        factory = onion_session_factory(
-            directory, onion_routers=2, copies=3, rng=5
-        )
-        workload = PoissonWorkload(
-            arrival_rate=0.03, message_deadline=400.0, duration=300.0
-        )
-        result = workload.run(graph, factory, rng=5)
-        assert result.stats.mean_transmissions > 3
-
-    def test_empty_workload_raises(self, graph):
-        workload = PoissonWorkload(
-            arrival_rate=1e-9, message_deadline=10.0, duration=1.0
-        )
-        with pytest.raises(RuntimeError, match="no messages"):
-            workload.run(graph, lambda m: EpidemicSession(m), rng=6)
-
-    def test_deadlines_enforced_per_message(self, graph):
-        workload = PoissonWorkload(
-            arrival_rate=0.05, message_deadline=50.0, duration=200.0
-        )
-        result = workload.run(graph, lambda m: EpidemicSession(m), rng=7)
-        for outcome in result.outcomes:
-            if outcome.delivered:
-                assert outcome.delay <= 50.0
